@@ -55,14 +55,9 @@ from .sequences import (
 from .series import (
     BiSeries,
     Series,
-    biseries_arith,
-    biseries_egf_coefficient,
     biseries_exp,
     default_truncation,
-    egf_coefficient,
-    make_elementary,
     polylog_apply,
-    series_arith,
 )
 from .symmetrized import (
     copoly_hat,

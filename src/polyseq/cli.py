@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import congruences as cg
-from .errors import HypothesisViolation, MethodDomain, PolyseqError, UsageError
+from .errors import PolyseqError, UsageError
 from .families import Family, family_value
 
 MAX_ORDER = 64
@@ -94,12 +94,11 @@ def _parse_family(raw: str) -> Family:
 
 def _parse_range(raw: str) -> tuple[int, int]:
     """'a..b' or a single integer."""
-    text = raw.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        a, b = int(lo), int(hi)
-    else:
-        a = b = int(text)
+    lo, sep, hi = raw.strip().partition("..")
+    try:
+        a, b = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(f"bad range {raw!r}; expected a..b or a single integer") from None
     if a > b:
         raise UsageError(f"empty range {raw!r}")
     return a, b
@@ -117,7 +116,7 @@ def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[i
         raise UsageError("the tilde-cosecant family is defined for weights <= 0")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        cells = [cg.format_exact(family_value(family, n, k)) for k in range(k_lo, k_hi + 1)]
+        cells = [str(family_value(family, n, k)) for k in range(k_lo, k_hi + 1)]
         rows.append((n, cells))
     return OutputTable(family, n_range, k_range, rows)
 
@@ -217,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, HypothesisViolation, MethodDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PolyseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

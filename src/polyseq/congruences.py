@@ -11,9 +11,11 @@ self-tests of the whole pipeline.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
@@ -76,12 +78,6 @@ def reduce_mod(q, p: int, N: int) -> Residue:
         raise NotPIntegral(f"{q} has a factor {p} in its denominator")
     value = q.numerator * pow(q.denominator, -1, modulus) % modulus
     return Residue(value, modulus)
-
-
-def format_exact(q) -> str:
-    """Lowest-terms 'a/b' (or plain integer) rendering of a rational."""
-    q = Fraction(q)
-    return str(q)
 
 
 # ------------------------------------------------------------------- reporting
@@ -177,7 +173,7 @@ class _Checker:
     def eq(self, instance: str, lhs, rhs) -> None:
         lhs = self._bump(Fraction(lhs))
         rhs = Fraction(rhs)
-        self.witnesses.append(Witness(instance, format_exact(lhs), format_exact(rhs)))
+        self.witnesses.append(Witness(instance, str(lhs), str(rhs)))
         if lhs != rhs:
             self.ok = False
 
@@ -207,6 +203,7 @@ def _odd_prime(p: int) -> None:
 
 
 _REGISTRY: dict[str, tuple] = {}
+_signature = lru_cache(maxsize=None)(inspect.signature)
 
 
 def identity(name: str, doc: str):
@@ -238,9 +235,10 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
     checker = _Checker(perturb_index)
     fn = _REGISTRY[identity_id][0]
     try:
-        fn(checker, **merged)
+        _signature(fn).bind(checker, **merged)
     except TypeError as exc:
         raise UsageError(f"bad parameters for {identity_id}: {exc}") from exc
+    fn(checker, **merged)
     verdict = "pass" if checker.ok else "fail"
     report = Report(identity_id, merged, verdict, checker.witnesses)
     if verdict == "fail" and not report.mismatches():
@@ -689,7 +687,7 @@ def _duality_sym_cose(check, lmax: int, nmax: int):
 
 
 def _vanish_terms(check, label: str, terms: list[Fraction]):
-    rendered = ", ".join(format_exact(t) for t in terms)
+    rendered = ", ".join(str(t) for t in terms)
     check.eq(f"{label}; terms: {rendered}", sum(terms, Fraction(0)), 0)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from . import series as se
 from .errors import IndexParity, MethodDomain
 from .sequences import euler_number, stirling2
+from .series import _reciprocal_power
+
 
 class Family(str, Enum):
     POLY_B = "PolyB_B"
@@ -24,16 +26,6 @@ class Family(str, Enum):
     COSECANT = "Cosecant"
     COTANGENT = "Cotangent"
     TILDE_D = "TildeD"
-
-
-def _ipow(base: int, exponent: int) -> Fraction:
-    """base^exponent as an exact rational; exponent may be negative."""
-    return Fraction(base**exponent) if exponent >= 0 else Fraction(1, base ** (-exponent))
-
-
-def _bucket(n: int) -> int:
-    need = max(n, se.default_truncation())
-    return ((need + 7) // 8) * 8
 
 
 # ---------------------------------------------------------------- series route
@@ -85,7 +77,7 @@ def _cosecant_explicit(n: int, k: int) -> Fraction:
                 (-1) ** (j + 1) * factorial(j) * comb(j - 1, 2 * i), 2 ** (j - 1)
             ) * stirling2(n + 1, j)
         if inner:
-            total += _ipow(2 * i + 1, -(k + 1)) * inner
+            total += _reciprocal_power(2 * i + 1, k + 1) * inner
     return total
 
 
@@ -105,6 +97,8 @@ def _cosecant_sasaki(n: int, k: int) -> Fraction:
 
 
 def _cotangent_explicit(n: int, k: int) -> Fraction:
+    if n % 2 == 1:
+        return Fraction(0)
     total = Fraction(0)
     for j in range(n + 1):
         bracket = Fraction((j + 1) * (j + 2), 2) * stirling2(n, j + 2) + stirling2(n + 1, j + 1)
@@ -112,7 +106,7 @@ def _cotangent_explicit(n: int, k: int) -> Fraction:
             continue
         base = Fraction((-1) ** j * factorial(j), 2**j) * bracket
         for i in range(j // 2 + 1):
-            total += base * comb(j + 1, 2 * i + 1) * _ipow(2 * i + 1, -k)
+            total += base * comb(j + 1, 2 * i + 1) * _reciprocal_power(2 * i + 1, k)
     return total
 
 
@@ -137,54 +131,126 @@ def _poly_bernoulli_stirling(variant: str, n: int, k: int) -> Fraction:
         s = stirling2(n, m)
         if s == 0:
             continue
-        c = _ipow(m + 1, -k)
+        c = _reciprocal_power(m + 1, k)
         if variant == "C" and m >= 1:
-            c -= _ipow(m, -k)
+            c -= _reciprocal_power(m, k)
         total += (-1) ** (n + m) * factorial(m) * s * c
     return total
 
 
-# ------------------------------------------------------------------ public API
+def _cotangent_from_cosecant(n: int, k: int) -> Fraction:
+    """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}."""
+    if n % 2 == 1:
+        return Fraction(0)
+    return sum(
+        (comb(n, 2 * i) * polycosecant(2 * i, k) for i in range(n // 2 + 1)),
+        Fraction(0),
+    )
 
-def poly_bernoulli(variant: str, n: int, k: int, method: str = "stirling") -> Fraction:
-    """B_n^{(k)} or C_n^{(k)} by the Stirling power form or the series oracle."""
-    if variant not in ("B", "C"):
-        raise ValueError("variant must be 'B' or 'C'")
+
+def _by_series(expansion):
+    """Route reading index n off the cached expansion of weight k."""
+    return lambda n, k: expansion(k, se.truncation_for(n)).egf(n)
+
+
+# ------------------------------------------------------------------ route table
+
+# A domain is (what a route needs, predicate on (n, k)).
+_ANYWHERE = ("any (n, k)", lambda n, k: True)
+_SASAKI = (
+    "an even index and weight <= 0 except (0, 0), where its sum is empty but the value is 1",
+    lambda n, k: n % 2 == 0 and k <= 0 and (n, k) != (0, 0),
+)
+_EVEN_NEGATIVE_WEIGHT = ("an even index and weight <= -1", lambda n, k: n % 2 == 0 and k <= -1)
+_NONPOSITIVE_WEIGHT = ("weight <= 0", lambda n, k: k <= 0)
+
+# Family -> {method: (kind, domain, function of (n, k))}.  The default route
+# is the first method whose domain holds, in the order listed here.
+ROUTES = {
+    Family.POLY_B: {
+        "stirling": ("closed", _ANYWHERE, partial(_poly_bernoulli_stirling, "B")),
+        "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "B"))),
+    },
+    Family.POLY_C: {
+        "stirling": ("closed", _ANYWHERE, partial(_poly_bernoulli_stirling, "C")),
+        "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "C"))),
+    },
+    Family.COSECANT: {
+        "sasaki": ("closed", _SASAKI, _cosecant_sasaki),
+        "explicit": ("closed", _ANYWHERE, _cosecant_explicit),
+        "series": ("oracle", _ANYWHERE, _by_series(_cosecant_series)),
+    },
+    Family.COTANGENT: {
+        "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cotangent_stirling),
+        "explicit": ("closed", _ANYWHERE, _cotangent_explicit),
+        "from_cosecant": ("closed", _ANYWHERE, _cotangent_from_cosecant),
+        "series": ("oracle", _ANYWHERE, _by_series(_cotangent_series)),
+    },
+    Family.TILDE_D: {
+        "series": ("oracle", _NONPOSITIVE_WEIGHT, _by_series(_tilde_cosecant_series)),
+    },
+}
+
+# the default route returns these families' odd-order zeros without computing
+_ZERO_AT_ODD_ORDER = (Family.COSECANT, Family.COTANGENT)
+
+
+def _evaluate(family: Family, n: int, k: int, method: str | None) -> Fraction:
+    """Run the named route, or the default one; the only place raising MethodDomain."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    if method == "stirling":
-        return _poly_bernoulli_stirling(variant, n, k)
-    if method == "series":
-        return _poly_bernoulli_series(variant, k, _bucket(n)).egf(n)
-    raise MethodDomain(f"unknown poly-Bernoulli method {method!r}")
+    routes = ROUTES[family]
+    if method is None:
+        if n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
+            return Fraction(0)
+        for _, (_, holds), compute in routes.values():
+            if holds(n, k):
+                return compute(n, k)
+        method = "series"  # no route holds only for TildeD at k > 0; its domain says why
+    if method not in routes:
+        raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
+    _, (needs, holds), compute = routes[method]
+    if not holds(n, k):
+        raise MethodDomain(f"{family.value} method {method!r} needs {needs}; got (n, k) = ({n}, {k})")
+    return compute(n, k)
+
+
+def applicable_methods(family: Family | str, n: int, k: int) -> dict[str, str]:
+    """Methods defined at (n, k) for a family, keyed by name, valued by kind."""
+    return {name: kind for name, (kind, (_, holds), _) in ROUTES[Family(family)].items() if holds(n, k)}
+
+
+def family_value_by_method(family: Family | str, n: int, k: int, method: str) -> Fraction:
+    return _evaluate(Family(family), n, k, method)
+
+
+def family_value(family: Family | str, n: int, k: int) -> Fraction:
+    """Dispatch a (family, order, weight) address to its default route."""
+    return _evaluate(Family(family), n, k, None)
+
+
+# ------------------------------------------------------------------ families
+
+_VARIANTS = {"B": Family.POLY_B, "C": Family.POLY_C}
+
+
+def poly_bernoulli(variant: str, n: int, k: int, method: str | None = None) -> Fraction:
+    """B_n^{(k)} or C_n^{(k)} by the Stirling power form or the series oracle."""
+    if variant not in _VARIANTS:
+        raise ValueError("variant must be 'B' or 'C'")
+    return _evaluate(_VARIANTS[variant], n, k, method)
 
 
 def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
     """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}); B_n^{(k)}(0) = B_n^{(k)}."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    return _poly_bernoulli_polynomial_series(k, Fraction(x), _bucket(n)).egf(n)
+    return _poly_bernoulli_polynomial_series(k, Fraction(x), se.truncation_for(n)).egf(n)
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:
     """D_n^{(k)}; zero at odd n.  Methods: explicit, sasaki (weight <= 0), series."""
-    if n < 0:
-        raise ValueError("order index must be non-negative")
-    if method is None:
-        if n % 2 == 1:
-            return Fraction(0)
-        method = "sasaki" if k <= 0 and (n, k) != (0, 0) else "explicit"
-    if method == "explicit":
-        return _cosecant_explicit(n, k)
-    if method == "sasaki":
-        if k > 0 or n % 2 == 1:
-            raise MethodDomain("sasaki form needs an even index and weight <= 0")
-        if (n, k) == (0, 0):
-            raise MethodDomain("sasaki form is an empty sum at (0, 0); the value there is 1")
-        return _cosecant_sasaki(n, k)
-    if method == "series":
-        return _cosecant_series(k, _bucket(n)).egf(n)
-    raise MethodDomain(f"unknown polycosecant method {method!r}")
+    return _evaluate(Family.COSECANT, n, k, method)
 
 
 def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
@@ -193,28 +259,7 @@ def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
     Methods: explicit, stirling_negk (even index, weight <= -1), from_cosecant,
     series.
     """
-    if n < 0:
-        raise ValueError("order index must be non-negative")
-    if method is None:
-        if n % 2 == 1:
-            return Fraction(0)
-        method = "stirling_negk" if k <= -1 else "explicit"
-    if method == "explicit":
-        return Fraction(0) if n % 2 == 1 else _cotangent_explicit(n, k)
-    if method == "stirling_negk":
-        if k > -1 or n % 2 == 1:
-            raise MethodDomain("stirling form needs an even index and weight <= -1")
-        return _cotangent_stirling(n, k)
-    if method == "from_cosecant":
-        if n % 2 == 1:
-            return Fraction(0)
-        return sum(
-            (comb(n, 2 * i) * polycosecant(2 * i, k) for i in range(n // 2 + 1)),
-            Fraction(0),
-        )
-    if method == "series":
-        return _cotangent_series(k, _bucket(n)).egf(n)
-    raise MethodDomain(f"unknown polycotangent method {method!r}")
+    return _evaluate(Family.COTANGENT, n, k, method)
 
 
 def cosecant_from_cotangent(n: int, k: int) -> Fraction:
@@ -242,11 +287,7 @@ def k_shift_recurrence(n: int, k: int) -> Fraction:
 
 def tilde_cosecant(m: int, k: int) -> Fraction:
     """Coefficients of Li_k(tanh(t/2)) / sinh t for weight k <= 0 (series only)."""
-    if m < 0:
-        raise ValueError("order index must be non-negative")
-    if k > 0:
-        raise MethodDomain("tilde cosecant numbers are defined for weights <= 0")
-    return _tilde_cosecant_series(k, _bucket(m)).egf(m)
+    return _evaluate(Family.TILDE_D, m, k, None)
 
 
 @lru_cache(maxsize=None)
@@ -270,48 +311,3 @@ def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
     if isinstance(orders, int):
         orders = (orders, orders)
     return _cosecant_bivariate(orders)
-
-
-def family_value(family: Family | str, n: int, k: int) -> Fraction:
-    """Dispatch a (family, order, weight) address to its canonical computation."""
-    family = Family(family)
-    if family is Family.POLY_B:
-        return poly_bernoulli("B", n, k)
-    if family is Family.POLY_C:
-        return poly_bernoulli("C", n, k)
-    if family is Family.COSECANT:
-        return polycosecant(n, k)
-    if family is Family.COTANGENT:
-        return polycotangent(n, k)
-    return tilde_cosecant(n, k)
-
-
-def applicable_methods(family: Family | str, n: int, k: int) -> dict[str, str]:
-    """Methods defined at (n, k) for a family, keyed by name, valued by kind."""
-    family = Family(family)
-    if family is Family.COSECANT:
-        methods = {"explicit": "closed", "series": "oracle"}
-        if k <= 0 and n % 2 == 0 and (n, k) != (0, 0):
-            methods["sasaki"] = "closed"
-        return methods
-    if family is Family.COTANGENT:
-        methods = {"explicit": "closed", "from_cosecant": "closed", "series": "oracle"}
-        if k <= -1 and n % 2 == 0:
-            methods["stirling_negk"] = "closed"
-        return methods
-    if family in (Family.POLY_B, Family.POLY_C):
-        return {"stirling": "closed", "series": "oracle"}
-    return {"series": "oracle"}
-
-
-def family_value_by_method(family: Family | str, n: int, k: int, method: str) -> Fraction:
-    family = Family(family)
-    if family is Family.COSECANT:
-        return polycosecant(n, k, method=method)
-    if family is Family.COTANGENT:
-        return polycotangent(n, k, method=method)
-    if family is Family.POLY_B:
-        return poly_bernoulli("B", n, k, method=method)
-    if family is Family.POLY_C:
-        return poly_bernoulli("C", n, k, method=method)
-    return tilde_cosecant(n, k)

@@ -53,10 +53,11 @@ def stirling1(n: int, m: int) -> int:
     return _STIRLING1_ROWS[n][m]
 
 
-def _bucket(n: int) -> int:
-    """Series truncation covering index n; rounded up so sweeps share cache entries."""
-    need = max(n, se.default_truncation())
-    return ((need + 7) // 8) * 8
+def _integral(value: Fraction, name: str) -> int:
+    """The integer `value`; a fraction here is an internal bug, so no PolyseqError."""
+    if value.denominator != 1:
+        raise AssertionError(f"{name} came out as the non-integer {value}")
+    return value.numerator
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +70,7 @@ def bernoulli(n: int) -> Fraction:
     """B_n as the weighted coefficient of t / (e^t - 1); B_1 = -1/2."""
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    return _bernoulli_series(_bucket(n)).egf(n)
+    return _bernoulli_series(se.truncation_for(n)).egf(n)
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +82,7 @@ def euler_number(n: int) -> int:
     """E_n from 1 / cosh t; integer valued, zero at odd n."""
     if n < 0:
         raise ValueError("Euler-number index must be non-negative")
-    value = _sech_series(_bucket(n)).egf(n)
-    assert value.denominator == 1
-    return value.numerator
+    return _integral(_sech_series(se.truncation_for(n)).egf(n), f"E_{n}")
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +94,7 @@ def euler_polynomial(m: int, x) -> Fraction:
     """E_m(x) from 2 e^{xt} / (e^t + 1), evaluated at rational x."""
     if m < 0:
         raise ValueError("Euler-polynomial index must be non-negative")
-    return _euler_polynomial_series(Fraction(x), _bucket(m)).egf(m)
+    return _euler_polynomial_series(Fraction(x), se.truncation_for(m)).egf(m)
 
 
 @lru_cache(maxsize=None)
@@ -114,9 +113,7 @@ def tangent(kind: str, n: int) -> int:
         if n < 1 or n % 2 == 0:
             raise IndexParity("tangent numbers T live at odd index 2n+1")
         half = (n - 1) // 2
-        value = (-1) ** half * _tanh_series(_bucket(n)).egf(n)
-        assert value.denominator == 1
-        return value.numerator
+        return _integral((-1) ** half * _tanh_series(se.truncation_for(n)).egf(n), f"T_{n}")
     if kind == "tilde":
         if n < 0 or n % 2 == 1:
             raise IndexParity("tilde tangent numbers live at even index 2n")

@@ -18,6 +18,7 @@ from .errors import (
     DivisionValuation,
     DivisionZeroConstant,
     IndexBeyondTruncation,
+    UsageError,
 )
 
 Scalar = Union[int, Fraction]
@@ -27,8 +28,18 @@ DEFAULT_TRUNCATION = 24
 
 def default_truncation() -> int:
     """Oracle truncation order; the POLYSEQ_TRUNCATION env var overrides 24."""
-    raw = os.environ.get("POLYSEQ_TRUNCATION", "")
-    return int(raw) if raw.strip() else DEFAULT_TRUNCATION
+    raw = os.environ.get("POLYSEQ_TRUNCATION", "").strip()
+    if not raw:
+        return DEFAULT_TRUNCATION
+    if not raw.isdecimal():
+        raise UsageError(f"POLYSEQ_TRUNCATION must be a non-negative integer, not {raw!r}")
+    return int(raw)
+
+
+def truncation_for(n: int) -> int:
+    """Series truncation covering index n; rounded up so sweeps share cache entries."""
+    need = max(n, default_truncation())
+    return ((need + 7) // 8) * 8
 
 
 class Series:
@@ -144,17 +155,7 @@ class Series:
         return Series(out)
 
     def __pow__(self, exponent: int) -> "Series":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take non-negative integer exponents")
-        result = constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, constant(1, self.order))
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term."""
@@ -166,6 +167,19 @@ class Series:
         for i in range(order - 1, -1, -1):
             acc = acc * g + self.coeffs[i]
         return acc
+
+
+def _power(base, exponent: int, one):
+    """base**exponent by repeated squaring, starting from the unit `one`."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("series powers take non-negative integer exponents")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
 
 
 def constant(value: Scalar, order: int) -> Series:
@@ -203,40 +217,6 @@ def tanh_series(order: int) -> Series:
     return sinh_series(order) / cosh_series(order)
 
 
-_ELEMENTARY = {
-    "exp_scaled": exp_scaled,
-    "sinh": sinh_series,
-    "cosh": cosh_series,
-    "tanh_half": tanh_half,
-}
-
-
-def make_elementary(kind: str, order: int, c: Scalar | None = None) -> Series:
-    """Constructor for the elementary building blocks e^{ct}, sinh, cosh, tanh(t/2)."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    if kind == "exp_scaled":
-        if c is None:
-            raise ValueError("exp_scaled needs its scale c")
-        return exp_scaled(c, order)
-    try:
-        return _ELEMENTARY[kind](order)
-    except KeyError:
-        raise ValueError(f"unknown elementary kind {kind!r}") from None
-
-
-def series_arith(op: str, a: Series, b: Series) -> Series:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "compose":
-        return a.compose(b)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def _reciprocal_power(base: int, k: int) -> Fraction:
     """base^{-k} as an exact rational; integer for k <= 0."""
     return Fraction(1, base**k) if k >= 0 else Fraction(base ** (-k))
@@ -268,11 +248,6 @@ def polylog_apply(level: int, k: int, inner: Series) -> Series:
         m += 1 if level == 1 else 2
     result = Series(out)
     return result * 2 if level == 2 else result
-
-
-def egf_coefficient(s: Series, n: int) -> Fraction:
-    """n! times the ordinary coefficient, matching sum a_n t^n / n!."""
-    return s.egf(n)
 
 
 class BiSeries:
@@ -386,18 +361,7 @@ class BiSeries:
         return BiSeries(out)
 
     def __pow__(self, exponent: int) -> "BiSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("bivariate powers take non-negative integer exponents")
-        tt, ty = self.orders
-        result = biseries_constant(1, (tt, ty))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, biseries_constant(1, self.orders))
 
     def partial_y(self) -> "BiSeries":
         """d/dy: shifts the y-grid down and scales; y-order drops by one."""
@@ -429,17 +393,3 @@ def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSerie
             for m in range(tt + 1)
         )
     )
-
-
-def biseries_arith(op: str, a: BiSeries, b: BiSeries) -> BiSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown bivariate operation {op!r}")
-
-
-def biseries_egf_coefficient(s: BiSeries, m: int, l: int) -> Fraction:
-    return s.egf(m, l)

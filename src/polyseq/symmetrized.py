@@ -18,10 +18,6 @@ from .errors import MethodDomain
 from .families import poly_bernoulli_polynomial
 from .sequences import stirling1, stirling2
 
-def _bucket(n: int) -> int:
-    need = max(n, se.default_truncation())
-    return ((need + 7) // 8) * 8
-
 
 @lru_cache(maxsize=None)
 def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
@@ -95,7 +91,7 @@ def copoly_hat(m: int, l: int, n: int) -> Fraction:
     """Hat-numbers: weighted coefficients of the symmetrized cosecant kernel."""
     if min(m, l, n) < 0:
         raise ValueError("indices must be non-negative")
-    return _copoly_hat_series(l, n, _bucket(m)).egf(m)
+    return _copoly_hat_series(l, n, se.truncation_for(m)).egf(m)
 
 
 def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:

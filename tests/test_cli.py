@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyseq import congruences as cg
 from polyseq.cli import build_table, main
 
 
@@ -168,3 +169,31 @@ def test_truncation_env_var_respected(capsys, monkeypatch):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["0", "1/2", "1/2"]
+
+
+@pytest.mark.parametrize(
+    "truncation,argv",
+    [
+        (None, ["table", "--family", "Cosecant", "--n", "x..2", "--k", "0..1"]),
+        ("abc", ["oracle-diff", "--family", "Cosecant", "--nmax", "4", "--kmin", "-1", "--kmax", "1"]),
+        ("-5", ["table", "--family", "TildeD", "--n", "0..2", "--k=-1..0"]),
+    ],
+    ids=["unparsable-range", "unparsable-truncation", "negative-truncation"],
+)
+def test_bad_input_exits_two(capsys, monkeypatch, truncation, argv):
+    if truncation is not None:
+        monkeypatch.setenv("POLYSEQ_TRUNCATION", truncation)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "bad range" in err if truncation is None else "POLYSEQ_TRUNCATION" in err
+
+
+def test_internal_bug_is_not_reported_as_bad_parameters(capsys, monkeypatch):
+    def broken(check, k: int):
+        raise TypeError("internal bug")
+
+    monkeypatch.setitem(cg._REGISTRY, "BROKEN", (broken, "raises an internal TypeError"))
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["verify", "BROKEN", "--k", "1"])
+    code, _, err = run_cli(capsys, "verify", "BROKEN", "--p", "3")
+    assert code == 2 and "bad parameters" in err

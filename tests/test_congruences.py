@@ -18,7 +18,7 @@ from polyseq import (
     valuation_report,
     verify,
 )
-from polyseq.congruences import format_exact, registry_doc
+from polyseq.congruences import registry_doc
 
 
 def test_ord_p_examples():
@@ -37,12 +37,6 @@ def test_reduce_mod_examples():
     assert reduce_mod(F(-1, 3), 5, 2).modulus == 25
     with pytest.raises(NotPIntegral):
         reduce_mod(F(1, 3), 3, 1)
-
-
-def test_format_exact():
-    assert format_exact(F(-8, 15)) == "-8/15"
-    assert format_exact(F(4, 2)) == "2"
-    assert format_exact(121) == "121"
 
 
 def test_registry_lists_every_documented_identity():

@@ -22,7 +22,7 @@ from polyseq import (
     stirling1,
     tilde_cosecant,
 )
-from polyseq.families import applicable_methods, family_value_by_method
+from polyseq.families import ROUTES, applicable_methods, family_value_by_method
 
 GOLDEN_D4 = {2: F(176, 225), 1: F(7, 15), 0: 0, -1: 1, -2: 16, -3: 121}
 GOLDEN_B4 = {2: F(-199, 225), 1: F(-8, 15), 0: 1, -1: 8, -2: 41, -3: 200}
@@ -267,3 +267,16 @@ def test_family_dispatch():
     assert applicable_methods("TildeD", 3, -1) == {"series": "oracle"}
     assert "sasaki" not in applicable_methods("Cosecant", 0, 0)
     assert "sasaki" in applicable_methods("Cosecant", 2, 0)
+    with pytest.raises(MethodDomain):
+        family_value_by_method("TildeD", 2, -1, "explicit")  # TildeD has only a series route
+    # every listed route agrees with the default; every other name is refused
+    names = {name for routes in ROUTES.values() for name in routes} | {"no_such_method"}
+    for family in Family:
+        for n in range(9):
+            for k in range(-4, 5):
+                listed = applicable_methods(family, n, k)
+                values = {family_value_by_method(family, n, k, name) for name in listed}
+                assert values == ({family_value(family, n, k)} if listed else set())
+                for name in names - set(listed):
+                    with pytest.raises(MethodDomain):
+                        family_value_by_method(family, n, k, name)

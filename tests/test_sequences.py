@@ -1,5 +1,7 @@
 """Stirling triangles, Bernoulli/Euler/tangent numbers, totient."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, factorial, prod
@@ -139,6 +141,25 @@ def test_tangent_values():
     assert tangent("T", 7) == 272
     assert tangent("tilde", 0) == 1
     assert tangent("tilde", 6) == 272
+
+
+def test_integrality_checks_survive_optimized_mode():
+    # plant non-integral coefficients: E_2 and T_3 both read off as 2/3
+    script = """
+from fractions import Fraction
+from polyseq import sequences
+from polyseq.series import Series
+planted = Series([0, 0, Fraction(1, 3), Fraction(1, 9)] + [0] * 40)
+sequences._sech_series = sequences._tanh_series = lambda order: planted
+for call in (lambda: sequences.euler_number(2), lambda: sequences.tangent("T", 3)):
+    try:
+        print(call())
+    except AssertionError as exc:
+        print(type(exc).__name__)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["AssertionError", "AssertionError"]
 
 
 def test_tangent_parity_errors():

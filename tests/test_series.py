@@ -14,14 +14,9 @@ from polyseq import (
     DivisionZeroConstant,
     IndexBeyondTruncation,
     Series,
-    biseries_arith,
-    biseries_egf_coefficient,
     biseries_exp,
     default_truncation,
-    egf_coefficient,
-    make_elementary,
     polylog_apply,
-    series_arith,
     stirling2,
 )
 from polyseq.series import (
@@ -37,35 +32,28 @@ from polyseq.series import (
 
 
 def test_exp_scaled_small():
-    s = make_elementary("exp_scaled", 2, c=1)
+    s = exp_scaled(1, 2)
     assert s.coeffs == (F(1), F(1), F(1, 2))
 
 
 def test_sinh_small():
-    s = make_elementary("sinh", 3)
+    s = sinh_series(3)
     assert s.coeffs == (F(0), F(1), F(0), F(1, 6))
 
 
 def test_cosh_small():
-    assert make_elementary("cosh", 4).coeffs == (F(1), F(0), F(1, 2), F(0), F(1, 24))
+    assert cosh_series(4).coeffs == (F(1), F(0), F(1, 2), F(0), F(1, 24))
 
 
 def test_tanh_half_by_long_division():
     # long division of sinh(t/2) by cosh(t/2) by hand: t/2 - t^3/24 + ...
-    s = make_elementary("tanh_half", 3)
+    s = tanh_half(3)
     assert s.coeffs == (F(0), F(1, 2), F(0), F(-1, 24))
-
-
-def test_elementary_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_elementary("tan", 4)
-    with pytest.raises(ValueError):
-        make_elementary("exp_scaled", 4)  # missing scale
 
 
 def test_self_division_is_one():
     s = sinh_series(5)
-    q = series_arith("div", s, s)
+    q = s / s
     assert q.coeffs[0] == 1
     assert all(c == 0 for c in q.coeffs[1:])
 
@@ -90,7 +78,7 @@ def test_compose_log_exp_cancellation():
     t = 4
     li1 = Series([F(0)] + [F(1, m) for m in range(1, t + 1)])
     inner = constant(1, t) - exp_scaled(-1, t)
-    out = series_arith("compose", li1, inner)
+    out = li1.compose(inner)
     assert out.coeffs == (F(0), F(1), F(0), F(0), F(0))
 
 
@@ -122,8 +110,8 @@ def test_polylog_level_one_weight_zero():
 def test_polylog_negative_weight_cosecant_values():
     inner = tanh_half(3)
     out = polylog_apply(2, -1, inner) / sinh_series(3)
-    assert egf_coefficient(out, 0) == 1
-    assert egf_coefficient(out, 2) == 1
+    assert out.egf(0) == 1
+    assert out.egf(2) == 1
     # independent closed form for the same value: 1!0!/2^0 * S(1,1) * S(3,1)
     assert factorial(1) * factorial(0) * stirling2(1, 1) * stirling2(3, 1) == 1
 
@@ -135,17 +123,17 @@ def test_polylog_rejects_unit_constant():
 
 def test_egf_coefficient_examples():
     sech = constant(1, 6) / cosh_series(6)
-    assert egf_coefficient(sech, 0) == 1
+    assert sech.egf(0) == 1
     level2 = polylog_apply(2, 1, tanh_half(6))
     cose = level2 / sinh_series(6)
-    assert egf_coefficient(cose, 4) == F(7, 15)
+    assert cose.egf(4) == F(7, 15)
     cota = level2 / tanh_series(6)
-    assert egf_coefficient(cota, 4) == F(-8, 15)
+    assert cota.egf(4) == F(-8, 15)
 
 
 def test_egf_beyond_truncation_raises():
     with pytest.raises(IndexBeyondTruncation):
-        egf_coefficient(sinh_series(3), 4)
+        sinh_series(3).egf(4)
 
 
 def test_mirror_flips_odd_coefficients():
@@ -186,7 +174,7 @@ def test_div_mul_roundtrip(a, b):
 @given(rational_series(), rational_series(), st.integers(0, 4))
 def test_egf_is_additive(a, b, n):
     n = min(n, min(a.order, b.order))
-    assert egf_coefficient(a + b, n) == egf_coefficient(a, n) + egf_coefficient(b, n)
+    assert (a + b).egf(n) == a.egf(n) + b.egf(n)
 
 
 @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2])
@@ -235,7 +223,7 @@ def test_biseries_cosecant_function_value():
     from polyseq import cosecant_bivariate
 
     f = cosecant_bivariate((4, 3))
-    assert biseries_egf_coefficient(f, 4, 3) == 121
+    assert f.egf(4, 3) == 121
 
 
 def test_biseries_symmetrized_weight_zero_level():
@@ -251,12 +239,12 @@ def test_biseries_symmetrized_weight_zero_level():
 def test_biseries_arith_and_errors():
     a = biseries_exp(1, 1, (3, 3))
     b = biseries_exp(1, 0, (3, 3))
-    total = biseries_arith("add", a, b)
+    total = a + b
     assert total.coefficient(0, 0) == 2
-    prod = biseries_arith("mul", a, b)
+    prod = a * b
     assert prod.egf(1, 0) == 2  # e^{2t + y} has weighted (1,0) coefficient 2
     with pytest.raises(DivisionZeroConstant):
-        biseries_arith("div", a, a - 1)
+        a / (a - 1)
     with pytest.raises(IndexBeyondTruncation):
         a.coefficient(4, 0)
 
