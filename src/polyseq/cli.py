@@ -104,14 +104,18 @@ def _parse_range(raw: str) -> tuple[int, int]:
     return a, b
 
 
+def _check_weights(k_lo: int, k_hi: int) -> None:
+    if abs(k_lo) > MAX_WEIGHT or abs(k_hi) > MAX_WEIGHT:
+        raise UsageError(f"weights must stay within -{MAX_WEIGHT}..{MAX_WEIGHT}")
+
+
 def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[int, int]) -> OutputTable:
     family = Family(family)
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
     if n_lo < 0 or n_hi > MAX_ORDER:
         raise UsageError(f"order range must stay within 0..{MAX_ORDER}")
-    if abs(k_lo) > MAX_WEIGHT or abs(k_hi) > MAX_WEIGHT:
-        raise UsageError(f"weights must stay within -{MAX_WEIGHT}..{MAX_WEIGHT}")
+    _check_weights(k_lo, k_hi)
     if family is Family.TILDE_D and k_hi > 0:
         raise UsageError("the tilde-cosecant family is defined for weights <= 0")
     rows = []
@@ -138,7 +142,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_diff(args) -> int:
-    report = cg.oracle_diff(_parse_family(args.family), args.nmax, args.kmin, args.kmax)
+    family = _parse_family(args.family)
+    if not 0 <= args.nmax <= MAX_ORDER:
+        raise UsageError(f"--nmax must stay within 0..{MAX_ORDER}")
+    if args.kmin > args.kmax:
+        raise UsageError(f"empty weight range {args.kmin}..{args.kmax}")
+    _check_weights(args.kmin, args.kmax)
+    report = cg.oracle_diff(family, args.nmax, args.kmin, args.kmax)
     if report.passed:
         note = report.params.get("note")
         suffix = f" ({note})" if note else ""

@@ -97,11 +97,6 @@ def euler_polynomial(m: int, x) -> Fraction:
     return _euler_polynomial_series(Fraction(x), se.truncation_for(m)).egf(m)
 
 
-@lru_cache(maxsize=None)
-def _tanh_series(order: int) -> se.Series:
-    return se.tanh_series(order)
-
-
 def tangent(kind: str, n: int) -> int:
     """Tangent numbers: T at odd index 2n+1 from the tan series, tilde at even index.
 
@@ -113,7 +108,7 @@ def tangent(kind: str, n: int) -> int:
         if n < 1 or n % 2 == 0:
             raise IndexParity("tangent numbers T live at odd index 2n+1")
         half = (n - 1) // 2
-        return _integral((-1) ** half * _tanh_series(se.truncation_for(n)).egf(n), f"T_{n}")
+        return _integral((-1) ** half * se.tanh_series(se.truncation_for(n)).egf(n), f"T_{n}")
     if kind == "tilde":
         if n < 0 or n % 2 == 1:
             raise IndexParity("tilde tangent numbers live at even index 2n")

@@ -4,12 +4,18 @@ Coefficients are stored as ordinary power-series coefficients; the
 factorial-weighted view a_n = n! * c_n is applied only on extraction, so
 convolutions stay denominator-light.  All values are immutable and all
 operations are pure functions.
+
+Three caches hold work that no weight k changes: `tanh_half(order)`,
+`tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
+per (level, inner) series.  So each weight of a polylogarithm costs one
+weighted sum of cached rows.  All three grow for the life of the process.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Union
 
@@ -205,6 +211,7 @@ def cosh_series(order: int) -> Series:
     return Series(tuple(Fraction(0) if n % 2 else Fraction(1, factorial(n)) for n in range(order + 1)))
 
 
+@lru_cache(maxsize=None)
 def tanh_half(order: int) -> Series:
     """tanh(t/2) as sinh(t/2) / cosh(t/2), never via floating point."""
     half = Fraction(1, 2)
@@ -213,6 +220,7 @@ def tanh_half(order: int) -> Series:
     return sinh_h / cosh_h
 
 
+@lru_cache(maxsize=None)
 def tanh_series(order: int) -> Series:
     return sinh_series(order) / cosh_series(order)
 
@@ -234,20 +242,27 @@ def polylog_apply(level: int, k: int, inner: Series) -> Series:
         raise ValueError("polylogarithm level must be 1 or 2")
     if inner.coeffs[0] != 0:
         raise ComposeNonzeroConstant("polylogarithm inner series has nonzero constant term")
-    order = inner.order
-    out = [Fraction(0)] * (order + 1)
-    step = inner if level == 1 else inner * inner
-    power = inner
-    m = 1
-    while m <= order:
-        w = _reciprocal_power(m, k)
-        for i, c in enumerate(power.coeffs):
+    scale = 1 if level == 1 else 2
+    out = [Fraction(0)] * (inner.order + 1)
+    for m, coeffs in _polylog_powers(level, inner):
+        w = scale * _reciprocal_power(m, k)
+        for i, c in enumerate(coeffs):
             if c != 0:
                 out[i] += w * c
-        power = power * step
-        m += 1 if level == 1 else 2
-    result = Series(out)
-    return result * 2 if level == 2 else result
+    return Series(out)
+
+
+@lru_cache(maxsize=None)
+def _polylog_powers(level: int, inner: Series) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+    """(m, coefficients of inner^m) for each m the level's sum takes, up to inner's order."""
+    step = inner if level == 1 else inner * inner
+    power = inner
+    rows = []
+    for m in range(1, inner.order + 1, level):
+        if rows:
+            power = power * step
+        rows.append((m, power.coeffs))
+    return tuple(rows)
 
 
 class BiSeries:

@@ -1,5 +1,6 @@
 """Command-line interface: tables, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyseq import congruences as cg
 from polyseq.cli import build_table, main
@@ -171,21 +174,40 @@ def test_truncation_env_var_respected(capsys, monkeypatch):
     assert rows[1] == ["0", "1/2", "1/2"]
 
 
+def _oracle_diff_argv(nmax, kmin, kmax):
+    return ["oracle-diff", "--family", "Cosecant", "--nmax", nmax, "--kmin", kmin, "--kmax", kmax]
+
+
 @pytest.mark.parametrize(
-    "truncation,argv",
+    "truncation,argv,message",
     [
-        (None, ["table", "--family", "Cosecant", "--n", "x..2", "--k", "0..1"]),
-        ("abc", ["oracle-diff", "--family", "Cosecant", "--nmax", "4", "--kmin", "-1", "--kmax", "1"]),
-        ("-5", ["table", "--family", "TildeD", "--n", "0..2", "--k=-1..0"]),
+        (None, ["table", "--family", "Cosecant", "--n", "x..2", "--k", "0..1"], "bad range"),
+        ("abc", _oracle_diff_argv("4", "-1", "1"), "POLYSEQ_TRUNCATION"),
+        ("-5", ["table", "--family", "TildeD", "--n", "0..2", "--k=-1..0"], "POLYSEQ_TRUNCATION"),
+        (None, _oracle_diff_argv("-1", "0", "1"), "--nmax must stay within 0..64"),
+        (None, _oracle_diff_argv("200", "0", "1"), "--nmax must stay within 0..64"),
+        (None, _oracle_diff_argv("4", "2", "-2"), "empty weight range 2..-2"),
+        (None, _oracle_diff_argv("4", "-33", "0"), "weights must stay within -32..32"),
+        (None, _oracle_diff_argv("4", "0", "33"), "weights must stay within -32..32"),
     ],
-    ids=["unparsable-range", "unparsable-truncation", "negative-truncation"],
+    ids=[
+        "unparsable-range",
+        "unparsable-truncation",
+        "negative-truncation",
+        "oracle-diff-negative-nmax",
+        "oracle-diff-nmax-above-max-order",
+        "oracle-diff-reversed-weights",
+        "oracle-diff-kmin-below-max-weight",
+        "oracle-diff-kmax-above-max-weight",
+    ],
 )
-def test_bad_input_exits_two(capsys, monkeypatch, truncation, argv):
+def test_bad_input_exits_two(capsys, monkeypatch, truncation, argv, message):
     if truncation is not None:
         monkeypatch.setenv("POLYSEQ_TRUNCATION", truncation)
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "bad range" in err if truncation is None else "POLYSEQ_TRUNCATION" in err
+    assert message in err
+    assert err.count("\n") == 1 and not out
 
 
 def test_internal_bug_is_not_reported_as_bad_parameters(capsys, monkeypatch):
@@ -197,3 +219,46 @@ def test_internal_bug_is_not_reported_as_bad_parameters(capsys, monkeypatch):
         main(["verify", "BROKEN", "--k", "1"])
     code, _, err = run_cli(capsys, "verify", "BROKEN", "--p", "3")
     assert code == 2 and "bad parameters" in err
+
+
+# Valid values stay within n <= 6 and |k| <= 3 so every example is fast; the
+# others are negative, out of bounds, unparsable or (as ranges) reversed.
+_FAMILIES = st.sampled_from(["PolyB_B", "polyb_c", "Cosecant", "Cotangent", "TildeD", "Bogus"])
+_N = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["65", "x"]))
+_K = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["-33", "65", "x"]))
+
+
+def _ranges(ends):
+    return st.one_of(ends, st.tuples(ends, ends).map("..".join), st.sampled_from(["2..", ""]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["table", "oracle-diff", "valuation", "verify", "bogus"]))
+    if command == "table":
+        fmt = draw(st.sampled_from(["csv", "json", "latex", "xml"]))
+        family, n, k = draw(_FAMILIES), draw(_ranges(_N)), draw(_ranges(_K))
+        return [command, "--family", family, "--n", n, f"--k={k}", "--format", fmt]
+    if command == "oracle-diff":
+        family, nmax, kmin, kmax = draw(_FAMILIES), draw(_N), draw(_K), draw(_K)
+        return [command, "--family", family, "--nmax", nmax, f"--kmin={kmin}", f"--kmax={kmax}"]
+    if command == "valuation":
+        return [command, "--p", draw(st.sampled_from(["-1", "0", "2", "3", "4", "5"])), "--n", draw(_ranges(_N))]
+    if command == "verify":
+        identity = draw(st.sampled_from(cg.registry_ids() + ["NO_SUCH_ID"]))
+        flags = draw(st.lists(st.sampled_from(["p", "N", "k", "m", "n", "lmax", "nmax", "kmax"]), unique=True, max_size=4))
+        return [command, identity] + [arg for f in flags for arg in (f"--{f}", str(draw(st.integers(-1, 4))))]
+    return [command]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -280,3 +280,17 @@ def test_family_dispatch():
                 for name in names - set(listed):
                     with pytest.raises(MethodDomain):
                         family_value_by_method(family, n, k, name)
+
+
+def test_closed_forms_match_series_at_large_weights():
+    # far outside the CLI's weight range; the series costs one weighted sum per weight
+    compared = 0
+    for family in (Family.POLY_B, Family.POLY_C, Family.COSECANT, Family.COTANGENT):
+        for k in (-300, -129, -64, 64, 129, 300):
+            for n in range(17):
+                want = family_value_by_method(family, n, k, "series")
+                for name, kind in applicable_methods(family, n, k).items():
+                    if kind == "closed":
+                        assert family_value_by_method(family, n, k, name) == want, (family, n, k, name)
+                        compared += 1
+    assert compared == 564

@@ -150,7 +150,7 @@ from fractions import Fraction
 from polyseq import sequences
 from polyseq.series import Series
 planted = Series([0, 0, Fraction(1, 3), Fraction(1, 9)] + [0] * 40)
-sequences._sech_series = sequences._tanh_series = lambda order: planted
+sequences._sech_series = sequences.se.tanh_series = lambda order: planted
 for call in (lambda: sequences.euler_number(2), lambda: sequences.tangent("T", 3)):
     try:
         print(call())

@@ -19,6 +19,7 @@ from polyseq import (
     polylog_apply,
     stirling2,
 )
+from polyseq import series as series_module
 from polyseq.series import (
     biseries_constant,
     constant,
@@ -154,6 +155,44 @@ def rational_series(draw, min_order=4, max_order=9):
     nums = draw(st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1))
     dens = draw(st.lists(st.integers(1, 9), min_size=order + 1, max_size=order + 1))
     return Series([F(n, d) for n, d in zip(nums, dens)])
+
+
+def _polylog_by_power_loop(level, k, inner):
+    """polylog_apply as an uncached loop that rebuilds every power on each call."""
+    out = [F(0)] * (inner.order + 1)
+    step = inner if level == 1 else inner * inner
+    power = inner
+    for m in range(1, inner.order + 1, level):
+        w = F(1, m**k) if k >= 0 else F(m**-k)
+        for i, c in enumerate(power.coeffs):
+            out[i] += w * c
+        power = power * step
+    result = Series(out)
+    return result * 2 if level == 2 else result
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_series(), rational_series(), st.sampled_from([1, 2]), st.integers(-6, 6))
+def test_polylog_apply_matches_uncached_power_loop(a, b, level, k):
+    series_module._polylog_powers.cache_clear()
+    for s in (a, b):  # b right after a: a cache keyed too coarsely would hand b a's powers
+        inner = Series((0,) + s.coeffs[1:])
+        want = _polylog_by_power_loop(level, k, inner)
+        first = polylog_apply(level, k, inner)
+        assert first == want
+        twin = Series(inner.coeffs)  # equal to inner, but a distinct object
+        assert twin is not inner
+        assert polylog_apply(level, k, twin) == want
+        assert polylog_apply(level, k, inner) == first
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 16))
+def test_cached_tanh_matches_a_fresh_division(order):
+    # tanh(t/2) = (e^t - 1)/(e^t + 1) and tanh t = (e^{2t} - 1)/(e^{2t} + 1)
+    assert tanh_half(order) == (exp_scaled(1, order) - 1) / (exp_scaled(1, order) + 1)
+    assert tanh_series(order) == (exp_scaled(2, order) - 1) / (exp_scaled(2, order) + 1)
+    assert tanh_series(order) == sinh_series(order) / cosh_series(order)
 
 
 @settings(max_examples=200, deadline=None)
