@@ -35,6 +35,7 @@ from .families import (
     Family,
     cosecant_bivariate,
     cosecant_from_cotangent,
+    family_row,
     family_value,
     k_shift_recurrence,
     poly_bernoulli,

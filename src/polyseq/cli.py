@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import congruences as cg
 from .errors import PolyseqError, UsageError
-from .families import Family, family_value
+from .families import Family, family_row
 
 MAX_ORDER = 64
 MAX_WEIGHT = 32
@@ -118,10 +118,8 @@ def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[i
     _check_weights(k_lo, k_hi)
     if family is Family.TILDE_D and k_hi > 0:
         raise UsageError("the tilde-cosecant family is defined for weights <= 0")
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        cells = [str(family_value(family, n, k)) for k in range(k_lo, k_hi + 1)]
-        rows.append((n, cells))
+    ks = range(k_lo, k_hi + 1)
+    rows = [(n, [str(v) for v in family_row(family, n, ks)]) for n in range(n_lo, n_hi + 1)]
     return OutputTable(family, n_range, k_range, rows)
 
 

@@ -835,6 +835,8 @@ def _stirling_cong(check, p: int, N: int, jmax: int, nmax: int):
 def oracle_diff(family: Family | str, n_max: int, k_min: int, k_max: int) -> Report:
     """Compare every applicable closed-form method against series extraction."""
     family = Family(family)
+    if n_max < 0 or k_min > k_max:
+        raise UsageError(f"empty oracle sweep: n up to {n_max}, k in {k_min}..{k_max}")
     checker = _Checker()
     single_method = True
     for n in range(n_max + 1):

@@ -5,6 +5,14 @@ Stirling numbers (integer arithmetic for non-positive weights where one
 exists), recurrences, and direct coefficient extraction from the defining
 generating function.  The default route per regime avoids rational blow-up;
 the series route stays available everywhere as the cross-check oracle.
+
+The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
+sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
+on k.  A row builder per family returns (shift, denominator, ((b, c), ...))
+and one evaluator, `_evaluate_row`, turns a row and a list of weights into
+values.  Every route takes (n, weights), so `family_row(family, n, ks)` builds
+a row once for all its weights, while `family_value` is the same call with
+one weight.
 """
 
 from __future__ import annotations
@@ -12,12 +20,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import series as se
 from .errors import IndexParity, MethodDomain
 from .sequences import euler_number, stirling2
-from .series import _reciprocal_power
 
 
 class Family(str, Enum):
@@ -65,21 +72,80 @@ def _tilde_cosecant_series(k: int, order: int) -> se.Series:
     return level1 / se.sinh_series(order + 1)
 
 
+# ---------------------------------------------------------------- power-basis rows
+
+# (shift, denominator, ((base, numerator), ...)): the value at weight k is
+# sum(numerator * base^-(k + shift)) / denominator.  No entry depends on k.
+Row = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _row(shift: int, denominator: int, terms) -> Row:
+    # tuple() of a list, not of a generator: CPython sizes a generator's tuple
+    # by a guess and resizes it, so each freed row would park on the free list
+    # of its own size, where no later allocation takes it from
+    return shift, denominator, tuple([(b, c) for b, c in terms if c])
+
+
+def _cosecant_row(n: int) -> Row:
+    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1, exponent k+1."""
+    w = [(-1) ** (j + 1) * factorial(j) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(n + 2)]
+    return _row(
+        1,
+        2**n,
+        ((2 * i + 1, sum(w[j] * comb(j - 1, 2 * i) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
+    )
+
+
+def _cotangent_row(n: int) -> Row:
+    """The explicit Stirling sum of beta_n^{(k)}: bases 2i+1; empty at odd n."""
+    if n % 2 == 1:
+        return _row(0, 2**n, ())
+    w = [
+        (-1) ** j
+        * factorial(j)
+        * 2 ** (n - j)
+        * ((j + 1) * (j + 2) // 2 * stirling2(n, j + 2) + stirling2(n + 1, j + 1))
+        for j in range(n + 1)
+    ]
+    return _row(
+        0,
+        2**n,
+        ((2 * i + 1, sum(w[j] * comb(j + 1, 2 * i + 1) for j in range(2 * i, n + 1))) for i in range(n // 2 + 1)),
+    )
+
+
+def _poly_bernoulli_row(variant: str, n: int) -> Row:
+    """Power form from expanding through powers of 1 - e^{-t}; valid for all k.
+
+    B_n^{(k)} = sum_m a_m (m+1)^{-k} with a_m = (-1)^{n+m} m! S(n, m); C
+    subtracts a_m m^{-k} for m >= 1, so its base b carries a_{b-1} - a_b.
+    """
+    a = [(-1) ** (n + m) * factorial(m) * stirling2(n, m) for m in range(n + 1)] + [0]
+    if variant == "B":
+        return _row(0, 1, ((m + 1, a[m]) for m in range(n + 1)))
+    return _row(0, 1, ((b, a[b - 1] - a[b]) for b in range(1, n + 2)))
+
+
+def _evaluate_row(row: Row, ks) -> list[Fraction]:
+    """The row's value at each weight in `ks`: integer sums, then one Fraction each."""
+    shift, denominator, terms = row
+    values = []
+    scaled = None
+    for k in ks:
+        e = k + shift
+        if e <= 0:
+            values.append(Fraction(sum(c * b**-e for b, c in terms), denominator))
+            continue
+        if scaled is None:
+            # b^-e = (L/b)^e / L^e over the lcm L of the bases; a list again
+            # (see _row), since lcm(*generator) builds a resized tuple
+            lcm_all = lcm(*[b for b, _ in terms])
+            scaled = [(lcm_all // b, c) for b, c in terms]
+        values.append(Fraction(sum(c * q**e for q, c in scaled), lcm_all**e * denominator))
+    return values
+
+
 # ---------------------------------------------------------------- closed forms
-
-def _cosecant_explicit(n: int, k: int) -> Fraction:
-    """Double Stirling sum valid for every integer weight k."""
-    total = Fraction(0)
-    for i in range(n // 2 + 1):
-        inner = Fraction(0)
-        for j in range(2 * i + 1, n + 2):
-            inner += Fraction(
-                (-1) ** (j + 1) * factorial(j) * comb(j - 1, 2 * i), 2 ** (j - 1)
-            ) * stirling2(n + 1, j)
-        if inner:
-            total += _reciprocal_power(2 * i + 1, k + 1) * inner
-    return total
-
 
 def _cosecant_sasaki(n: int, k: int) -> Fraction:
     """Integer-only form for even n and weight -k <= 0.
@@ -93,20 +159,6 @@ def _cosecant_sasaki(n: int, k: int) -> Fraction:
         total += Fraction(factorial(i) * factorial(i - 1), 2 ** (i - 1)) * stirling2(
             kk, i
         ) * stirling2(n + 1, i)
-    return total
-
-
-def _cotangent_explicit(n: int, k: int) -> Fraction:
-    if n % 2 == 1:
-        return Fraction(0)
-    total = Fraction(0)
-    for j in range(n + 1):
-        bracket = Fraction((j + 1) * (j + 2), 2) * stirling2(n, j + 2) + stirling2(n + 1, j + 1)
-        if bracket == 0:
-            continue
-        base = Fraction((-1) ** j * factorial(j), 2**j) * bracket
-        for i in range(j // 2 + 1):
-            total += base * comb(j + 1, 2 * i + 1) * _reciprocal_power(2 * i + 1, k)
     return total
 
 
@@ -124,20 +176,6 @@ def _cotangent_stirling(n: int, k: int) -> Fraction:
     return total
 
 
-def _poly_bernoulli_stirling(variant: str, n: int, k: int) -> Fraction:
-    """Power form from expanding through powers of 1 - e^{-t}; valid for all k."""
-    total = Fraction(0)
-    for m in range(n + 1):
-        s = stirling2(n, m)
-        if s == 0:
-            continue
-        c = _reciprocal_power(m + 1, k)
-        if variant == "C" and m >= 1:
-            c -= _reciprocal_power(m, k)
-        total += (-1) ** (n + m) * factorial(m) * s * c
-    return total
-
-
 def _cotangent_from_cosecant(n: int, k: int) -> Fraction:
     """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}."""
     if n % 2 == 1:
@@ -148,9 +186,21 @@ def _cotangent_from_cosecant(n: int, k: int) -> Fraction:
     )
 
 
+# A route maps (n, weights) to the values at those weights.
+
+def _power_row(build):
+    """Route that builds the k-independent row once per call and evaluates it."""
+    return lambda n, ks: _evaluate_row(build(n), ks)
+
+
+def _cells(compute):
+    """Route computing one cell of (n, k) at a time."""
+    return lambda n, ks: [compute(n, k) for k in ks]
+
+
 def _by_series(expansion):
-    """Route reading index n off the cached expansion of weight k."""
-    return lambda n, k: expansion(k, se.truncation_for(n)).egf(n)
+    """Route reading index n off the cached expansion of each weight k."""
+    return lambda n, ks: [expansion(k, se.truncation_for(n)).egf(n) for k in ks]
 
 
 # ------------------------------------------------------------------ route table
@@ -164,26 +214,26 @@ _SASAKI = (
 _EVEN_NEGATIVE_WEIGHT = ("an even index and weight <= -1", lambda n, k: n % 2 == 0 and k <= -1)
 _NONPOSITIVE_WEIGHT = ("weight <= 0", lambda n, k: k <= 0)
 
-# Family -> {method: (kind, domain, function of (n, k))}.  The default route
-# is the first method whose domain holds, in the order listed here.
+# Family -> {method: (kind, domain, route)}.  The default route at (n, k) is
+# the first method whose domain holds there, in the order listed here.
 ROUTES = {
     Family.POLY_B: {
-        "stirling": ("closed", _ANYWHERE, partial(_poly_bernoulli_stirling, "B")),
+        "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "B"))),
         "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "B"))),
     },
     Family.POLY_C: {
-        "stirling": ("closed", _ANYWHERE, partial(_poly_bernoulli_stirling, "C")),
+        "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "C"))),
         "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "C"))),
     },
     Family.COSECANT: {
-        "sasaki": ("closed", _SASAKI, _cosecant_sasaki),
-        "explicit": ("closed", _ANYWHERE, _cosecant_explicit),
+        "sasaki": ("closed", _SASAKI, _cells(_cosecant_sasaki)),
+        "explicit": ("closed", _ANYWHERE, _power_row(_cosecant_row)),
         "series": ("oracle", _ANYWHERE, _by_series(_cosecant_series)),
     },
     Family.COTANGENT: {
-        "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cotangent_stirling),
-        "explicit": ("closed", _ANYWHERE, _cotangent_explicit),
-        "from_cosecant": ("closed", _ANYWHERE, _cotangent_from_cosecant),
+        "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cells(_cotangent_stirling)),
+        "explicit": ("closed", _ANYWHERE, _power_row(_cotangent_row)),
+        "from_cosecant": ("closed", _ANYWHERE, _cells(_cotangent_from_cosecant)),
         "series": ("oracle", _ANYWHERE, _by_series(_cotangent_series)),
     },
     Family.TILDE_D: {
@@ -195,24 +245,39 @@ ROUTES = {
 _ZERO_AT_ODD_ORDER = (Family.COSECANT, Family.COTANGENT)
 
 
-def _evaluate(family: Family, n: int, k: int, method: str | None) -> Fraction:
-    """Run the named route, or the default one; the only place raising MethodDomain."""
-    if n < 0:
-        raise ValueError("order index must be non-negative")
+def _method_at(family: Family, n: int, k: int, method: str | None) -> str:
+    """The named method, or the default one at (n, k); the only place raising MethodDomain."""
     routes = ROUTES[family]
     if method is None:
-        if n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
-            return Fraction(0)
-        for _, (_, holds), compute in routes.values():
+        for name, (_, (_, holds), _) in routes.items():
             if holds(n, k):
-                return compute(n, k)
+                return name
         method = "series"  # no route holds only for TildeD at k > 0; its domain says why
     if method not in routes:
         raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
-    _, (needs, holds), compute = routes[method]
+    _, (needs, holds), _ = routes[method]
     if not holds(n, k):
         raise MethodDomain(f"{family.value} method {method!r} needs {needs}; got (n, k) = ({n}, {k})")
-    return compute(n, k)
+    return method
+
+
+def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
+    """Values at (n, k) for each k in `ks`, each route called once with all its weights."""
+    if n < 0:
+        raise ValueError("order index must be non-negative")
+    if method is None and n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
+        return [Fraction(0)] * len(ks)
+    by_method: dict[str, list[int]] = {}
+    for k in ks:
+        by_method.setdefault(_method_at(family, n, k, method), []).append(k)
+    values = {}
+    for name, weights in by_method.items():
+        values.update(zip(weights, ROUTES[family][name][2](n, weights)))
+    return [values[k] for k in ks]
+
+
+def _value(family: Family, n: int, k: int, method: str | None) -> Fraction:
+    return _evaluate(family, n, (k,), method)[0]
 
 
 def applicable_methods(family: Family | str, n: int, k: int) -> dict[str, str]:
@@ -221,12 +286,17 @@ def applicable_methods(family: Family | str, n: int, k: int) -> dict[str, str]:
 
 
 def family_value_by_method(family: Family | str, n: int, k: int, method: str) -> Fraction:
-    return _evaluate(Family(family), n, k, method)
+    return _value(Family(family), n, k, method)
 
 
 def family_value(family: Family | str, n: int, k: int) -> Fraction:
     """Dispatch a (family, order, weight) address to its default route."""
-    return _evaluate(Family(family), n, k, None)
+    return _value(Family(family), n, k, None)
+
+
+def family_row(family: Family | str, n: int, ks) -> list[Fraction]:
+    """[family_value(family, n, k) for k in ks], building each route's row once."""
+    return _evaluate(Family(family), n, tuple(ks), None)
 
 
 # ------------------------------------------------------------------ families
@@ -238,7 +308,7 @@ def poly_bernoulli(variant: str, n: int, k: int, method: str | None = None) -> F
     """B_n^{(k)} or C_n^{(k)} by the Stirling power form or the series oracle."""
     if variant not in _VARIANTS:
         raise ValueError("variant must be 'B' or 'C'")
-    return _evaluate(_VARIANTS[variant], n, k, method)
+    return _value(_VARIANTS[variant], n, k, method)
 
 
 def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
@@ -250,7 +320,7 @@ def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:
     """D_n^{(k)}; zero at odd n.  Methods: explicit, sasaki (weight <= 0), series."""
-    return _evaluate(Family.COSECANT, n, k, method)
+    return _value(Family.COSECANT, n, k, method)
 
 
 def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
@@ -259,7 +329,7 @@ def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
     Methods: explicit, stirling_negk (even index, weight <= -1), from_cosecant,
     series.
     """
-    return _evaluate(Family.COTANGENT, n, k, method)
+    return _value(Family.COTANGENT, n, k, method)
 
 
 def cosecant_from_cotangent(n: int, k: int) -> Fraction:
@@ -287,7 +357,7 @@ def k_shift_recurrence(n: int, k: int) -> Fraction:
 
 def tilde_cosecant(m: int, k: int) -> Fraction:
     """Coefficients of Li_k(tanh(t/2)) / sinh t for weight k <= 0 (series only)."""
-    return _evaluate(Family.TILDE_D, m, k, None)
+    return _value(Family.TILDE_D, m, k, None)
 
 
 @lru_cache(maxsize=None)

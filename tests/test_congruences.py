@@ -283,3 +283,14 @@ def test_oracle_diff():
     report = oracle_diff("TildeD", 6, -3, 0)
     assert report.passed
     assert report.params.get("note") == "single method"
+    # one-point sweeps are not empty
+    report = oracle_diff("Cotangent", 0, 3, 3)
+    assert report.passed and report.witnesses and "note" not in report.params
+    assert oracle_diff("TildeD", 0, 1, 1).params.get("note") == "single method"
+
+
+@pytest.mark.parametrize("n_max,k_min,k_max", [(-1, 2, -2), (3, 2, -2), (-1, 0, 0)])
+def test_oracle_diff_refuses_an_empty_sweep(n_max, k_min, k_max):
+    # an empty sweep would otherwise pass with no witnesses
+    with pytest.raises(UsageError):
+        oracle_diff("Cosecant", n_max, k_min, k_max)

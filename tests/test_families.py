@@ -2,9 +2,12 @@
 method agreement, dualities, conversions, vanishing sums."""
 
 from fractions import Fraction as F
-from math import comb
+from functools import partial
+from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyseq import (
     Family,
@@ -13,6 +16,7 @@ from polyseq import (
     bernoulli,
     cosecant_bivariate,
     cosecant_from_cotangent,
+    family_row,
     family_value,
     k_shift_recurrence,
     poly_bernoulli,
@@ -20,9 +24,13 @@ from polyseq import (
     polycosecant,
     polycotangent,
     stirling1,
+    stirling2,
     tilde_cosecant,
 )
+from polyseq import families as fa
+from polyseq.cli import build_table
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
+from polyseq.series import _reciprocal_power
 
 GOLDEN_D4 = {2: F(176, 225), 1: F(7, 15), 0: 0, -1: 1, -2: 16, -3: 121}
 GOLDEN_B4 = {2: F(-199, 225), 1: F(-8, 15), 0: 1, -1: 8, -2: 41, -3: 200}
@@ -294,3 +302,104 @@ def test_closed_forms_match_series_at_large_weights():
                         assert family_value_by_method(family, n, k, name) == want, (family, n, k, name)
                         compared += 1
     assert compared == 564
+
+
+# The per-cell closed forms that the power-basis rows replaced, kept verbatim
+# as independent references: Fraction double sums redone for every weight.
+
+def _cosecant_explicit(n, k):
+    total = F(0)
+    for i in range(n // 2 + 1):
+        inner = F(0)
+        for j in range(2 * i + 1, n + 2):
+            inner += F(
+                (-1) ** (j + 1) * factorial(j) * comb(j - 1, 2 * i), 2 ** (j - 1)
+            ) * stirling2(n + 1, j)
+        if inner:
+            total += _reciprocal_power(2 * i + 1, k + 1) * inner
+    return total
+
+
+def _cotangent_explicit(n, k):
+    if n % 2 == 1:
+        return F(0)
+    total = F(0)
+    for j in range(n + 1):
+        bracket = F((j + 1) * (j + 2), 2) * stirling2(n, j + 2) + stirling2(n + 1, j + 1)
+        if bracket == 0:
+            continue
+        base = F((-1) ** j * factorial(j), 2**j) * bracket
+        for i in range(j // 2 + 1):
+            total += base * comb(j + 1, 2 * i + 1) * _reciprocal_power(2 * i + 1, k)
+    return total
+
+
+def _poly_bernoulli_stirling(variant, n, k):
+    total = F(0)
+    for m in range(n + 1):
+        s = stirling2(n, m)
+        if s == 0:
+            continue
+        c = _reciprocal_power(m + 1, k)
+        if variant == "C" and m >= 1:
+            c -= _reciprocal_power(m, k)
+        total += (-1) ** (n + m) * factorial(m) * s * c
+    return total
+
+
+_ROW_REFERENCES = {
+    Family.COSECANT: ("explicit", fa._cosecant_row, _cosecant_explicit),
+    Family.COTANGENT: ("explicit", fa._cotangent_row, _cotangent_explicit),
+    Family.POLY_B: ("stirling", partial(fa._poly_bernoulli_row, "B"), partial(_poly_bernoulli_stirling, "B")),
+    Family.POLY_C: ("stirling", partial(fa._poly_bernoulli_row, "C"), partial(_poly_bernoulli_stirling, "C")),
+}
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(0, 40),
+    ks=st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+)
+@example(n=0, ks=[0])  # D_0^{(0)} = 1, where the sasaki sum is empty
+@example(n=7, ks=[-3, 0, 5])  # odd orders: D and beta vanish
+@example(n=40, ks=[40, -40, 1, -1, 0])
+def test_power_rows_match_the_per_cell_closed_forms(n, ks):
+    for family, (method, build, reference) in _ROW_REFERENCES.items():
+        want = [reference(n, k) for k in ks]
+        # one row, every weight at once, positive and non-positive exponents mixed
+        assert fa._evaluate_row(build(n), ks) == want, (family, n, ks)
+        # the route a single cell takes
+        assert family_value_by_method(family, n, ks[0], method) == want[0], (family, n, ks[0])
+
+
+def test_power_rows_have_integer_entries_and_drop_zeros():
+    for n in range(13):
+        for family, (_, build, _) in _ROW_REFERENCES.items():
+            shift, denominator, terms = build(n)
+            assert isinstance(denominator, int) and denominator > 0
+            assert all(isinstance(c, int) and c != 0 for _, c in terms)
+        assert fa._cosecant_row(n)[:2] == (1, 2**n)
+        if n % 2:
+            assert fa._cosecant_row(n)[2] == () and fa._cotangent_row(n)[2] == ()
+
+
+def test_family_row_equals_family_value_per_weight():
+    for family in Family:
+        ks = range(-8, 1 if family is Family.TILDE_D else 9)
+        for n in range(13):
+            assert family_row(family, n, ks) == [family_value(family, n, k) for k in ks], (family, n)
+    # any iterable of weights, in any order, repeats allowed
+    assert family_row("Cosecant", 4, iter([3, -3, 3, 0])) == [family_value("Cosecant", 4, k) for k in (3, -3, 3, 0)]
+    assert family_row("Cotangent", 5, []) == []
+    with pytest.raises(MethodDomain):
+        family_row("TildeD", 2, [-1, 1])
+    with pytest.raises(ValueError):
+        family_row("PolyB_B", -1, [0])
+
+
+def test_table_rows_equal_per_cell_values_at_the_largest_order():
+    for family in Family:
+        k_range = (-32, 0 if family is Family.TILDE_D else 32)
+        table = build_table(family, (64, 64), k_range)
+        cells = [str(family_value(family, 64, k)) for k in range(k_range[0], k_range[1] + 1)]
+        assert table.rows == [(64, cells)], family
