@@ -7,6 +7,13 @@ raise HypothesisViolation instead of reporting a failure, so parameter sweeps
 can enumerate lattice points and skip the invalid ones.  A perturbation hook
 adds +1 to the left side of a chosen instance, for negative-control
 self-tests of the whole pipeline.
+
+A theorem stated for several families is one helper whose first parameters
+are the per-family choices: the `Family`, and where the statements differ,
+a weight shift or a right-hand side.  `identity(name, doc, *bound)` registers
+`partial(helper, *bound)`, so stacked decorators register the one helper once
+per family, and a caller cannot override a bound argument.  Witness labels
+and values come from one table, `_FAMILIES`: Family -> (symbol, value).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import inspect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
@@ -23,13 +30,14 @@ from .families import (
     Family,
     applicable_methods,
     cosecant_bivariate,
+    cosecant_from_cotangent,
     family_value_by_method,
     k_shift_recurrence,
     poly_bernoulli,
     polycosecant,
     polycotangent,
 )
-from .sequences import bernoulli, euler_number, is_prime, primes_upto, stirling1, stirling2, tangent, totient
+from .sequences import bernoulli, is_prime, primes_upto, stirling1, stirling2, tangent, totient
 from .symmetrized import (
     sym_bernoulli_bivariate,
     sym_cosecant_bivariate,
@@ -40,8 +48,15 @@ from .symmetrized import (
 # ------------------------------------------------------------------ primitives
 
 
+def _check_base(p: int) -> None:
+    # p = 1 or -1 divides every integer, so stripping factors of p would never end
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
+
+
 def ord_p(q, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+    """p-adic valuation of a nonzero rational, for p >= 2."""
+    _check_base(p)
     q = Fraction(q)
     if q == 0:
         raise ZeroValuation("the zero rational has no finite p-adic order")
@@ -71,7 +86,10 @@ class Residue:
 
 
 def reduce_mod(q, p: int, N: int) -> Residue:
-    """a * b^{-1} mod p^N for a p-integral rational a/b."""
+    """a * b^{-1} mod p^N for a p-integral rational a/b, p >= 2 and N >= 0."""
+    _check_base(p)
+    if N < 0:
+        raise ValueError(f"N = {N} must be >= 0")
     q = Fraction(q)
     modulus = p**N
     if q != 0 and ord_p(q, p) < 0:
@@ -206,9 +224,16 @@ _REGISTRY: dict[str, tuple] = {}
 _signature = lru_cache(maxsize=None)(inspect.signature)
 
 
-def identity(name: str, doc: str):
+def identity(name: str, doc: str, *bound):
+    """Register `fn` under `name` as `partial(fn, *bound)`.
+
+    Stacked decorators with different `bound` arguments register one helper
+    for several families.  A bound argument is positional, so a caller's
+    parameters cannot override it.
+    """
+
     def wrap(fn):
-        _REGISTRY[name] = (fn, doc)
+        _REGISTRY[name] = (partial(fn, *bound), doc)
         return fn
 
     return wrap
@@ -246,6 +271,17 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
     return report
 
 
+# Family -> (symbol in witness labels, value at (n, k)).  A value looks its
+# family function up by name when called, so a wrapper later installed on
+# that name (bench/tracer.py installs one) sees the call.
+_FAMILIES = {
+    Family.POLY_B: ("B", lambda n, k, **kw: poly_bernoulli("B", n, k, **kw)),
+    Family.POLY_C: ("C", lambda n, k, **kw: poly_bernoulli("C", n, k, **kw)),
+    Family.COSECANT: ("D", lambda n, k, **kw: polycosecant(n, k, **kw)),
+    Family.COTANGENT: ("beta", lambda n, k, **kw: polycotangent(n, k, **kw)),
+}
+
+
 # ------------------------------------------------------- classical congruences
 
 
@@ -260,25 +296,75 @@ def _kummer_bernoulli(check, p: int, N: int, m: int, n: int):
     check.eq_mod(f"(1-p^(m-1))B_{m}/{m} vs (1-p^(n-1))B_{n}/{n}", lhs, rhs, p, N)
 
 
-def _kummer_polyb(check, variant: str, p: int, N: int, k: int, m: int, n: int):
+def _residue_pair(family: Family, check, p: int, N: int, k: int, m: int, n: int):
+    """One witness X_m^{(-k)} vs X_n^{(-k)} mod p^N."""
+    x, value = _FAMILIES[family]
+    check.eq_mod(f"{x}_{m}^(-{k}) vs {x}_{n}^(-{k})", value(m, -k), value(n, -k), p, N)
+
+
+@identity("KUMMER_POLYB_B", "B_m^{(-k)} = B_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N", Family.POLY_B)
+@identity("KUMMER_POLYB_C", "C_m^{(-k)} = C_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N", Family.POLY_C)
+def _kummer_polyb(family: Family, check, p: int, N: int, k: int, m: int, n: int):
     _odd_prime(p)
     _require(k >= 0, "weight parameter k must be >= 0")
     _require(min(m, n, N) >= 1, "m, n, N must be >= 1")
     _require((m - n) % totient(p**N) == 0, "m = n mod phi(p^N) required")
     _require(min(m, n) >= N, "m, n >= N required")
-    lhs = poly_bernoulli(variant, m, -k)
-    rhs = poly_bernoulli(variant, n, -k)
-    check.eq_mod(f"{variant}_{m}^(-{k}) vs {variant}_{n}^(-{k})", lhs, rhs, p, N)
+    _residue_pair(family, check, p, N, k, m, n)
 
 
-@identity("KUMMER_POLYB_B", "B_m^{(-k)} = B_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N")
-def _kummer_polyb_b(check, p: int, N: int, k: int, m: int, n: int):
-    _kummer_polyb(check, "B", p, N, k, m, n)
+def _kummer_even_orders(family: Family, check, p: int, N: int, k: int, m: int, n: int):
+    """X_{2m}^{(-k)} = X_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m, 2n >= N."""
+    _require(min(k, m, n, N) >= 1, "k, m, n, N must be >= 1")
+    _require((2 * m - 2 * n) % totient(p**N) == 0, "2m = 2n mod phi(p^N) required")
+    _require(min(2 * m, 2 * n) >= N, "2m, 2n >= N required")
+    _residue_pair(family, check, p, N, k, 2 * m, 2 * n)
 
 
-@identity("KUMMER_POLYB_C", "C_m^{(-k)} = C_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N")
-def _kummer_polyb_c(check, p: int, N: int, k: int, m: int, n: int):
-    _kummer_polyb(check, "C", p, N, k, m, n)
+@identity("KUMMER_COSE_ODD", "D_{2m}^{(-2k+1)} = D_{2n}^{(-2k+1)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
+def _kummer_cose_odd(check, p: int, N: int, k: int, m: int, n: int):
+    _require(is_prime(p), f"p = {p} must be prime")
+    # k >= 1 exactly when the weight 1 - 2k is at most -1
+    _kummer_even_orders(Family.COSECANT, check, p, N, 2 * k - 1, m, n)
+
+
+@identity("KUMMER_COSE", "D_{2m}^{(-k)} = D_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N", Family.COSECANT)
+@identity(
+    "KUMMER_COTA", "beta_{2m}^{(-k)} = beta_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N", Family.COTANGENT
+)
+def _kummer_level2(family: Family, check, p: int, N: int, k: int, m: int, n: int):
+    _odd_prime(p)
+    _kummer_even_orders(family, check, p, N, k, m, n)
+
+
+@identity("KUMMER_COSE_REMARK", "weighted Kummer congruence for D^{(1)} and beta^{(1)} via their Bernoulli expressions")
+def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
+    _odd_prime(p)
+    _require(min(m, n) >= 1 and N >= 1, "m, n, N must be >= 1")
+    _require((2 * n) % (p - 1) != 0, "(p-1) must not divide 2n")
+    _require((2 * m - 2 * n) % ((p - 1) * p ** (N - 1)) == 0, "2m = 2n mod (p-1)p^{N-1} required")
+    for family in (Family.COSECANT, Family.COTANGENT):
+        x, value = _FAMILIES[family]
+        lhs = (1 - Fraction(p) ** (2 * m - 1)) * value(2 * m, 1) / (2 * m)
+        rhs = (1 - Fraction(p) ** (2 * n - 1)) * value(2 * n, 1) / (2 * n)
+        check.eq_mod(f"(1-p^(2m-1)){x}_{2 * m}^(1)/2m vs 2n counterpart", lhs, rhs, p, N)
+
+
+# --------------------------------------------------------------- sum formulas
+
+
+def _phi_sum(family: Family, p: int, N: int, n: int, k: int) -> tuple[int, Fraction]:
+    """phi(p^N) and sum_{i < phi(p^N)} X_n^{(-k-i)}."""
+    phi = totient(p**N)
+    value = _FAMILIES[family][1]
+    return phi, sum((value(n, -(k + i)) for i in range(phi)), Fraction(0))
+
+
+def _sum_hypotheses(p: int, N: int, n: int, k: int) -> None:
+    _odd_prime(p)
+    _require(n >= 0, "n must be >= 0")
+    _require(k >= 1 and N >= 1, "k, N must be >= 1")
+    _require(k >= N, "k >= N required")
 
 
 @identity("SUM_POLYB", "sum_{i<phi(p^N)} B_n^{(-k-i)} = 0 mod p^N for n >= N, k >= N")
@@ -289,108 +375,41 @@ def _sum_polyb(check, p: int, N: int, k: int, n: int):
     # k >= N as in the companion sum congruences: at k < N the term from
     # block count p-1 survives (e.g. p=3, N=1, k=0, n=2 sums to 5, not 0 mod 3)
     _require(k >= N, "k >= N required")
-    phi = totient(p**N)
-    total = sum((poly_bernoulli("B", n, -(k + i)) for i in range(phi)), Fraction(0))
+    phi, total = _phi_sum(Family.POLY_B, p, N, n, k)
     check.eq_mod(f"sum_(i<{phi}) B_{n}^(-{k}-i)", total, 0, p, N)
 
 
-@identity("KUMMER_COSE_ODD", "D_{2m}^{(-2k+1)} = D_{2n}^{(-2k+1)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
-def _kummer_cose_odd(check, p: int, N: int, k: int, m: int, n: int):
-    _require(is_prime(p), f"p = {p} must be prime")
-    _require(min(k, m, n, N) >= 1, "k, m, n, N must be >= 1")
-    _require((2 * m - 2 * n) % totient(p**N) == 0, "2m = 2n mod phi(p^N) required")
-    _require(min(2 * m, 2 * n) >= N, "2m, 2n >= N required")
-    w = -2 * k + 1
+@identity(
+    "SUM_COSE",
+    "2^{2n} sum_{i<phi(p^N)} D_{2n}^{(-k-i)} = (-1)^n T_{2n+1} phi(p^N) mod p^N, k >= N",
+    Family.COSECANT,
+    lambda n: (-1) ** n * tangent("T", 2 * n + 1),
+)
+@identity(
+    "SUM_COTA",
+    "2^{2n} sum_{i<phi(p^N)} beta_{2n}^{(-k-i)} = tilde-T_{2n} phi(p^N) mod p^N, k >= N",
+    Family.COTANGENT,
+    lambda n: tangent("tilde", 2 * n),
+)
+def _sum_level2(family: Family, tangent_weight, check, p: int, N: int, n: int, k: int):
+    _sum_hypotheses(p, N, n, k)
+    x = _FAMILIES[family][0]
+    phi, total = _phi_sum(family, p, N, 2 * n, k)
     check.eq_mod(
-        f"D_{2 * m}^({w}) vs D_{2 * n}^({w})",
-        polycosecant(2 * m, w),
-        polycosecant(2 * n, w),
-        p,
-        N,
-    )
-
-
-def _kummer_level2(check, which: str, p: int, N: int, k: int, m: int, n: int):
-    _odd_prime(p)
-    _require(min(k, m, n, N) >= 1, "k, m, n, N must be >= 1")
-    _require((2 * m - 2 * n) % totient(p**N) == 0, "2m = 2n mod phi(p^N) required")
-    _require(min(2 * m, 2 * n) >= N, "2m, 2n >= N required")
-    fn = polycosecant if which == "D" else polycotangent
-    check.eq_mod(
-        f"{which}_{2 * m}^(-{k}) vs {which}_{2 * n}^(-{k})",
-        fn(2 * m, -k),
-        fn(2 * n, -k),
-        p,
-        N,
-    )
-
-
-@identity("KUMMER_COSE", "D_{2m}^{(-k)} = D_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
-def _kummer_cose(check, p: int, N: int, k: int, m: int, n: int):
-    _kummer_level2(check, "D", p, N, k, m, n)
-
-
-@identity("KUMMER_COTA", "beta_{2m}^{(-k)} = beta_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
-def _kummer_cota(check, p: int, N: int, k: int, m: int, n: int):
-    _kummer_level2(check, "beta", p, N, k, m, n)
-
-
-@identity("KUMMER_COSE_REMARK", "weighted Kummer congruence for D^{(1)} and beta^{(1)} via their Bernoulli expressions")
-def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
-    _odd_prime(p)
-    _require(min(m, n) >= 1 and N >= 1, "m, n, N must be >= 1")
-    _require((2 * n) % (p - 1) != 0, "(p-1) must not divide 2n")
-    _require((2 * m - 2 * n) % ((p - 1) * p ** (N - 1)) == 0, "2m = 2n mod (p-1)p^{N-1} required")
-    for name, fn in (("D", polycosecant), ("beta", polycotangent)):
-        lhs = (1 - Fraction(p) ** (2 * m - 1)) * fn(2 * m, 1) / (2 * m)
-        rhs = (1 - Fraction(p) ** (2 * n - 1)) * fn(2 * n, 1) / (2 * n)
-        check.eq_mod(f"(1-p^(2m-1)){name}_{2 * m}^(1)/2m vs 2n counterpart", lhs, rhs, p, N)
-
-
-# --------------------------------------------------------------- sum formulas
-
-
-def _sum_level2(check, which: str, p: int, N: int, n: int, k: int):
-    _odd_prime(p)
-    _require(n >= 0, "n must be >= 0")
-    _require(k >= 1 and N >= 1, "k, N must be >= 1")
-    _require(k >= N, "k >= N required")
-    phi = totient(p**N)
-    fn = polycosecant if which == "D" else polycotangent
-    total = sum((fn(2 * n, -(k + i)) for i in range(phi)), Fraction(0))
-    if which == "D":
-        weight = (-1) ** n * tangent("T", 2 * n + 1)
-    else:
-        weight = tangent("tilde", 2 * n)
-    check.eq_mod(
-        f"2^{2 * n} sum_(i<{phi}) {which}_{2 * n}^(-{k}-i) vs tangent weight * phi",
+        f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi",
         Fraction(2 ** (2 * n)) * total,
-        Fraction(weight * phi),
+        Fraction(tangent_weight(n) * phi),
         p,
         N,
     )
     if N >= 2:
-        check.eq_mod(f"sum_(i<{phi}) {which}_{2 * n}^(-{k}-i) mod p^{N - 1}", total, 0, p, N - 1)
-
-
-@identity("SUM_COSE", "2^{2n} sum_{i<phi(p^N)} D_{2n}^{(-k-i)} = (-1)^n T_{2n+1} phi(p^N) mod p^N, k >= N")
-def _sum_cose(check, p: int, N: int, n: int, k: int):
-    _sum_level2(check, "D", p, N, n, k)
-
-
-@identity("SUM_COTA", "2^{2n} sum_{i<phi(p^N)} beta_{2n}^{(-k-i)} = tilde-T_{2n} phi(p^N) mod p^N, k >= N")
-def _sum_cota(check, p: int, N: int, n: int, k: int):
-    _sum_level2(check, "beta", p, N, n, k)
+        check.eq_mod(f"sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) mod p^{N - 1}", total, 0, p, N - 1)
 
 
 @identity("SUM_C", "sum_{i<phi(p^N)} C_n^{(-k-i)} = (-1)^n phi(p^N) mod p^N, k >= N")
 def _sum_c(check, p: int, N: int, n: int, k: int):
-    _odd_prime(p)
-    _require(n >= 0, "n must be >= 0")
-    _require(k >= 1 and N >= 1, "k, N must be >= 1")
-    _require(k >= N, "k >= N required")
-    phi = totient(p**N)
-    total = sum((poly_bernoulli("C", n, -(k + i)) for i in range(phi)), Fraction(0))
+    _sum_hypotheses(p, N, n, k)
+    phi, total = _phi_sum(Family.POLY_C, p, N, n, k)
     check.eq_mod(f"sum_(i<{phi}) C_{n}^(-{k}-i)", total, Fraction((-1) ** n * phi), p, N)
 
 
@@ -480,31 +499,38 @@ def _cvs_bernoulli(check, n: int):
     check.eq(f"denominator of B_{n} + sum 1/p", total.denominator, 1)
 
 
+def _cvs(family: Family, check, p: int, k: int, n: int, coprime_rhs):
+    """p^k X_n^{(k)} = -1 mod p if (p-1) | n, else p^{k-1} X_n^{(k)} = coprime_rhs(p, n, k).
+
+    The residue is compared only once the scaled value is shown p-integral.
+    """
+    x, value = _FAMILIES[family]
+    divides = n % (p - 1) == 0
+    e = k if divides else k - 1
+    scaled = Fraction(p) ** e * value(n, k)
+    ok = check.p_integral(f"p-part of denominator of p^{e} {x}_{n}^({k})", scaled, p)
+    rhs = -1 if divides else coprime_rhs(p, n, k)
+    if ok:
+        check.eq_mod(f"p^{e} {x}_{n}^({k})", scaled, rhs, p, 1)
+
+
+def _cvs_polyb_rhs(p: int, n: int, k: int) -> Fraction:
+    if n % (p - 1) == 1:
+        return Fraction(stirling2(n, p - 1), p) - Fraction(n, 2**k)
+    return Fraction((-1) ** (n - 1) * stirling2(n, p - 1), p)
+
+
 @identity("CVS_POLYB", "residues of p^k B_n^{(k)} or p^{k-1} B_n^{(k)} mod p, per the (p-1) | n split")
 def _cvs_polyb(check, p: int, k: int, n: int):
     _require(is_prime(p), f"p = {p} must be prime")
     _require(k >= 2, "k must be >= 2")
     _require(n >= 1, "n must be >= 1")
     _require(k + 2 <= p <= n + 1, "k+2 <= p <= n+1 required")
-    value = poly_bernoulli("B", n, k)
-    if n % (p - 1) == 0:
-        scaled = Fraction(p) ** k * value
-        ok = check.p_integral(f"p-part of denominator of p^{k} B_{n}^({k})", scaled, p)
-        if ok:
-            check.eq_mod(f"p^{k} B_{n}^({k})", scaled, -1, p, 1)
-    else:
-        scaled = Fraction(p) ** (k - 1) * value
-        ok = check.p_integral(f"p-part of denominator of p^{k - 1} B_{n}^({k})", scaled, p)
-        if n % (p - 1) == 1:
-            rhs = Fraction(stirling2(n, p - 1), p) - Fraction(n, 2**k)
-        else:
-            rhs = Fraction((-1) ** (n - 1) * stirling2(n, p - 1), p)
-        if ok:
-            check.eq_mod(f"p^{k - 1} B_{n}^({k})", scaled, rhs, p, 1)
+    _cvs(Family.POLY_B, check, p, k, n, _cvs_polyb_rhs)
 
 
-def _cvs_level2_rhs(p: int, n2: int) -> Fraction:
-    """Shared right-hand side of the (p-1)-coprime branch for D and beta."""
+def _cvs_cose_rhs(p: int, n2: int, k: int) -> Fraction:
+    """Right-hand side of the (p-1)-coprime branch for D, shared by beta."""
     alpha = n2 % (p - 1)
     rhs = -Fraction(stirling2(n2, p - 1), p)
     inner = sum(
@@ -521,56 +547,44 @@ def _cvs_level2_rhs(p: int, n2: int) -> Fraction:
     return rhs
 
 
-def _cvs_cota_extra(p: int, n2: int) -> Fraction:
-    """Correction specific to beta in the (p-1)-coprime branch.
+def _cvs_cota_rhs(p: int, n2: int, k: int) -> Fraction:
+    """D's right-hand side plus a correction specific to beta.
 
-    Derived from the extra S(2n, j+2)-bearing half of the explicit cotangent
-    formula: terms with 2i+1 = p survive the p^{k-1} scaling, giving
-    sum_{j >= p-1} (-1)^j (j+2)!/(p 2^{j+1}) S(2n, j+2) C(j+1, p); factorials
-    with j+2 >= 2p contribute 0 mod p, so the sum stops at min(2n-2, 2p-3).
+    The correction comes from the extra S(2n, j+2)-bearing half of the
+    explicit cotangent formula: terms with 2i+1 = p survive the p^{k-1}
+    scaling, giving sum_{j >= p-1} (-1)^j (j+2)!/(p 2^{j+1}) S(2n, j+2)
+    C(j+1, p); factorials with j+2 >= 2p contribute 0 mod p, so the sum stops
+    at min(2n-2, 2p-3).
     """
-    total = Fraction(0)
+    rhs = _cvs_cose_rhs(p, n2, k)
     for j in range(p - 1, min(n2 - 2, 2 * p - 3) + 1):
-        total += (
+        rhs += (
             Fraction((-1) ** j, 2 ** (j + 1))
             * Fraction(factorial(j + 2), p)
             * stirling2(n2, j + 2)
             * comb(j + 1, p)
         )
-    return total
+    return rhs
 
 
-def _cvs_level2(check, which: str, p: int, k: int, n: int):
+@identity(
+    "CVS_COSE",
+    "residues of p^k D_{2n}^{(k)} or p^{k-1} D_{2n}^{(k)} mod p, per the (p-1) | 2n split",
+    Family.COSECANT,
+    _cvs_cose_rhs,
+)
+@identity(
+    "CVS_COTA",
+    "residues of p^k beta_{2n}^{(k)} or p^{k-1} beta_{2n}^{(k)} mod p, per the (p-1) | 2n split",
+    Family.COTANGENT,
+    _cvs_cota_rhs,
+)
+def _cvs_level2(family: Family, coprime_rhs, check, p: int, k: int, n: int):
     _odd_prime(p)
     _require(k >= 2, "k must be >= 2")
     _require(n >= 1, "n must be >= 1")
-    n2 = 2 * n
-    _require(k + 2 <= p <= n2 + 1, "k+2 <= p <= 2n+1 required")
-    fn = polycosecant if which == "D" else polycotangent
-    value = fn(n2, k)
-    if n2 % (p - 1) == 0:
-        scaled = Fraction(p) ** k * value
-        ok = check.p_integral(f"p-part of denominator of p^{k} {which}_{n2}^({k})", scaled, p)
-        if ok:
-            check.eq_mod(f"p^{k} {which}_{n2}^({k})", scaled, -1, p, 1)
-    else:
-        scaled = Fraction(p) ** (k - 1) * value
-        ok = check.p_integral(f"p-part of denominator of p^{k - 1} {which}_{n2}^({k})", scaled, p)
-        rhs = _cvs_level2_rhs(p, n2)
-        if which == "beta":
-            rhs += _cvs_cota_extra(p, n2)
-        if ok:
-            check.eq_mod(f"p^{k - 1} {which}_{n2}^({k})", scaled, rhs, p, 1)
-
-
-@identity("CVS_COSE", "residues of p^k D_{2n}^{(k)} or p^{k-1} D_{2n}^{(k)} mod p, per the (p-1) | 2n split")
-def _cvs_cose(check, p: int, k: int, n: int):
-    _cvs_level2(check, "D", p, k, n)
-
-
-@identity("CVS_COTA", "residues of p^k beta_{2n}^{(k)} or p^{k-1} beta_{2n}^{(k)} mod p, per the (p-1) | 2n split")
-def _cvs_cota(check, p: int, k: int, n: int):
-    _cvs_level2(check, "beta", p, k, n)
+    _require(k + 2 <= p <= 2 * n + 1, "k+2 <= p <= 2n+1 required")
+    _cvs(family, check, p, k, 2 * n, coprime_rhs)
 
 
 @identity("DENOM_ORDER", "the denominators of B_{2n}, D_{2n}^{(1)}, beta_{2n}^{(1)} share their p-adic order")
@@ -609,85 +623,72 @@ def valuation_report(p: int, n: int) -> ValuationReport:
 # ------------------------------------------------------------------- dualities
 
 
-@identity("DUALITY_B", "B_m^{(-l)} = B_l^{(-m)} for all l < m <= lmax")
-def _duality_b(check, lmax: int):
-    _require(lmax >= 0, "lmax must be >= 0")
+def _swaps(check, lmax: int, label, value) -> None:
+    """One witness value(m, l) vs value(l, m) for each l < m <= lmax."""
     for m in range(lmax + 1):
         for l in range(m):
-            check.eq(
-                f"B_{m}^(-{l}) vs B_{l}^(-{m})",
-                poly_bernoulli("B", m, -l),
-                poly_bernoulli("B", l, -m),
-            )
+            check.eq(label(m, l), value(m, l), value(l, m))
 
 
-@identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax")
-def _duality_c(check, lmax: int):
+@identity("DUALITY_B", "B_m^{(-l)} = B_l^{(-m)} for all l < m <= lmax", Family.POLY_B, 0)
+@identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax", Family.POLY_C, 1)
+def _duality_polyb(family: Family, shift: int, check, lmax: int):
     _require(lmax >= 0, "lmax must be >= 0")
-    for m in range(lmax + 1):
-        for l in range(m):
-            check.eq(
-                f"C_{m}^(-{l + 1}) vs C_{l}^(-{m + 1})",
-                poly_bernoulli("C", m, -(l + 1)),
-                poly_bernoulli("C", l, -(m + 1)),
-            )
+    x, value = _FAMILIES[family]
+    _swaps(
+        check,
+        lmax,
+        lambda m, l: f"{x}_{m}^(-{l + shift}) vs {x}_{l}^(-{m + shift})",
+        lambda m, l: value(m, -(l + shift)),
+    )
 
 
-@identity("DUALITY_COSE", "D_{2m}^{(-2l-1)} = D_{2l}^{(-2m-1)} for all l < m <= lmax")
-def _duality_cose(check, lmax: int):
+@identity("DUALITY_COSE", "D_{2m}^{(-2l-1)} = D_{2l}^{(-2m-1)} for all l < m <= lmax", Family.COSECANT, 1)
+@identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 0)
+def _duality_level2(family: Family, shift: int, check, lmax: int):
     _require(lmax >= 0, "lmax must be >= 0")
-    for m in range(lmax + 1):
-        for l in range(m):
-            check.eq(
-                f"D_{2 * m}^({-2 * l - 1}) vs D_{2 * l}^({-2 * m - 1})",
-                polycosecant(2 * m, -2 * l - 1, method="explicit"),
-                polycosecant(2 * l, -2 * m - 1, method="explicit"),
-            )
-
-
-@identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax")
-def _duality_cota(check, lmax: int):
-    _require(lmax >= 0, "lmax must be >= 0")
-    for m in range(lmax + 1):
-        for l in range(m):
-            check.eq(
-                f"beta_{2 * m}^({-2 * l}) vs beta_{2 * l}^({-2 * m})",
-                polycotangent(2 * m, -2 * l, method="explicit"),
-                polycotangent(2 * l, -2 * m, method="explicit"),
-            )
+    x, value = _FAMILIES[family]
+    _swaps(
+        check,
+        lmax,
+        lambda m, l: f"{x}_{2 * m}^({-2 * l - shift}) vs {x}_{2 * l}^({-2 * m - shift})",
+        lambda m, l: value(2 * m, -2 * l - shift, method="explicit"),
+    )
 
 
 @identity("DUALITY_SYM_B", "symmetrized poly-Bernoulli duality at every level n <= nmax (definition route)")
 def _duality_sym_b(check, lmax: int, nmax: int):
     _require(lmax >= 0 and nmax >= 0, "lmax, nmax must be >= 0")
     for n in range(nmax + 1):
-        for m in range(lmax + 1):
-            for l in range(m):
-                check.eq(
-                    f"sym-B(m={m}, l={l}, n={n}) vs swapped",
-                    sym_poly_bernoulli(m, l, n, method="definition"),
-                    sym_poly_bernoulli(l, m, n, method="definition"),
-                )
+        _swaps(
+            check,
+            lmax,
+            lambda m, l: f"sym-B(m={m}, l={l}, n={n}) vs swapped",
+            lambda m, l: sym_poly_bernoulli(m, l, n, method="definition"),
+        )
 
 
 @identity("DUALITY_SYM_COSE", "symmetrized polycosecant duality at every level n <= nmax (definition route)")
 def _duality_sym_cose(check, lmax: int, nmax: int):
     _require(lmax >= 0 and nmax >= 0, "lmax, nmax must be >= 0")
     for n in range(nmax + 1):
-        for m in range(lmax + 1):
-            for l in range(m):
-                check.eq(
-                    f"sym-D(2m={2 * m}, 2l={2 * l}, n={n}) vs swapped",
-                    sym_polycosecant(2 * m, 2 * l, n, method="definition"),
-                    sym_polycosecant(2 * l, 2 * m, n, method="definition"),
-                )
+        _swaps(
+            check,
+            lmax,
+            lambda m, l: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n}) vs swapped",
+            lambda m, l: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
+        )
 
 
 # ------------------------------------------------- first-kind-Stirling sweeps
 
 
-def _vanish_terms(check, label: str, terms: list[Fraction]):
+def _vanishing_sum(family: Family, check, k: int, n: int, m: int):
+    """sum_j (-1)^j s(m+1, j+1) X_n^{(-k-j)} = 0, with every term in the witness."""
+    x, value = _FAMILIES[family]
+    terms = [(-1) ** j * stirling1(m + 1, j + 1) * value(n, -(k + j)) for j in range(m + 1)]
     rendered = ", ".join(str(t) for t in terms)
+    label = f"sum_j (-1)^j s({m + 1},j+1) {x}_{n}^(-k-j) at k={k}"
     check.eq(f"{label}; terms: {rendered}", sum(terms, Fraction(0)), 0)
 
 
@@ -695,31 +696,15 @@ def _vanish_terms(check, label: str, terms: list[Fraction]):
 def _vanish_b(check, k: int, n: int, m: int):
     _require(m >= 1, "m must be >= 1")
     _require(0 <= n < m, "0 <= n <= m-1 required (the sum does not vanish at n = m)")
-    terms = [
-        (-1) ** j * stirling1(m + 1, j + 1) * poly_bernoulli("B", n, -(k + j))
-        for j in range(m + 1)
-    ]
-    _vanish_terms(check, f"sum_j (-1)^j s({m + 1},j+1) B_{n}^(-k-j) at k={k}", terms)
+    _vanishing_sum(Family.POLY_B, check, k, n, m)
 
 
-def _vanish_level2(check, which: str, k: int, n: int, m: int):
+@identity("VANISH_S1_COSE", "sum_j (-1)^j s(m+1,j+1) D_{2n}^{(-k-j)} = 0 for m >= 2n+1", Family.COSECANT)
+@identity("VANISH_S1_COTA", "sum_j (-1)^j s(m+1,j+1) beta_{2n}^{(-k-j)} = 0 for m >= 2n+1", Family.COTANGENT)
+def _vanish_level2(family: Family, check, k: int, n: int, m: int):
     _require(n >= 1, "n must be >= 1")
     _require(m >= 2 * n + 1, "m >= 2n+1 required (the sum does not vanish at m = 2n)")
-    fn = polycosecant if which == "D" else polycotangent
-    terms = [
-        (-1) ** j * stirling1(m + 1, j + 1) * fn(2 * n, -(k + j)) for j in range(m + 1)
-    ]
-    _vanish_terms(check, f"sum_j (-1)^j s({m + 1},j+1) {which}_{2 * n}^(-k-j) at k={k}", terms)
-
-
-@identity("VANISH_S1_COSE", "sum_j (-1)^j s(m+1,j+1) D_{2n}^{(-k-j)} = 0 for m >= 2n+1")
-def _vanish_cose(check, k: int, n: int, m: int):
-    _vanish_level2(check, "D", k, n, m)
-
-
-@identity("VANISH_S1_COTA", "sum_j (-1)^j s(m+1,j+1) beta_{2n}^{(-k-j)} = 0 for m >= 2n+1")
-def _vanish_cota(check, k: int, n: int, m: int):
-    _vanish_level2(check, "beta", k, n, m)
+    _vanishing_sum(family, check, k, 2 * n, m)
 
 
 # ------------------------------------------------------ conversions and shifts
@@ -728,23 +713,19 @@ def _vanish_cota(check, k: int, n: int, m: int):
 @identity("CONV_EQ5", "beta_{2n}^{(k)} = sum_i C(2n,2i) D_{2i}^{(k)}")
 def _conv_eq5(check, n: int, k: int):
     _require(n >= 0, "n must be >= 0")
-    rhs = sum(
-        (comb(2 * n, 2 * i) * polycosecant(2 * i, k) for i in range(n + 1)), Fraction(0)
+    check.eq(
+        f"beta_{2 * n}^({k}) vs binomial sum over D",
+        polycotangent(2 * n, k),
+        polycotangent(2 * n, k, method="from_cosecant"),
     )
-    check.eq(f"beta_{2 * n}^({k}) vs binomial sum over D", polycotangent(2 * n, k), rhs)
 
 
 @identity("CONV_EQ6", "D_{2n}^{(k)} = sum_i C(2n,2i) E_{2n-2i} beta_{2i}^{(k)}")
 def _conv_eq6(check, n: int, k: int):
     _require(n >= 0, "n must be >= 0")
-    rhs = sum(
-        (
-            comb(2 * n, 2 * i) * euler_number(2 * n - 2 * i) * polycotangent(2 * i, k)
-            for i in range(n + 1)
-        ),
-        Fraction(0),
+    check.eq(
+        f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), cosecant_from_cotangent(2 * n, k)
     )
-    check.eq(f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), rhs)
 
 
 @identity("KSHIFT", "D_n^{(k-1)} = sum_m C(n+1,2m+1) D_{n-2m}^{(k)}")
@@ -760,39 +741,50 @@ def _kshift(check, n: int, k: int):
 # ------------------------------------------------- generating-function sweeps
 
 
+def _coefficients(check, f, rows: int, cols: int, label, value) -> None:
+    """One witness f.egf(i, j) vs value(i, j) for each i <= rows, j <= cols."""
+    for i in range(rows + 1):
+        for j in range(cols + 1):
+            check.eq(label(i, j), f.egf(i, j), value(i, j))
+
+
 @identity("GF_BIVARIATE", "the two-variable cosecant function reproduces D_n^{(-k)} for n <= nmax, k <= kmax")
 def _gf_bivariate(check, nmax: int, kmax: int):
     _require(nmax >= 0 and kmax >= 0, "nmax, kmax must be >= 0")
-    f = cosecant_bivariate((nmax, kmax))
-    for n in range(nmax + 1):
-        for k in range(kmax + 1):
-            check.eq(f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})", f.egf(n, k), polycosecant(n, -k))
+    _coefficients(
+        check,
+        cosecant_bivariate((nmax, kmax)),
+        nmax,
+        kmax,
+        lambda n, k: f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})",
+        lambda n, k: polycosecant(n, -k),
+    )
 
 
 @identity("GF_SYM_B", "the two-variable symmetrized function reproduces the closed form for l, m <= lmax")
 def _gf_sym_b(check, n: int, lmax: int):
     _require(n >= 0 and lmax >= 0, "n, lmax must be >= 0")
-    f = sym_bernoulli_bivariate(n, (lmax, lmax))
-    for l in range(lmax + 1):
-        for m in range(lmax + 1):
-            check.eq(
-                f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})",
-                f.egf(l, m),
-                sym_poly_bernoulli(m, l, n, method="closed_form"),
-            )
+    _coefficients(
+        check,
+        sym_bernoulli_bivariate(n, (lmax, lmax)),
+        lmax,
+        lmax,
+        lambda l, m: f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})",
+        lambda l, m: sym_poly_bernoulli(m, l, n, method="closed_form"),
+    )
 
 
 @identity("GF_SYM_COSE", "the two-part bivariate function reproduces the symmetrized polycosecant numbers for m, l <= lmax")
 def _gf_sym_cose(check, n: int, lmax: int):
     _require(n >= 0 and lmax >= 0, "n, lmax must be >= 0")
-    f = sym_cosecant_bivariate(n, (lmax, lmax))
-    for m in range(lmax + 1):
-        for l in range(lmax + 1):
-            check.eq(
-                f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
-                f.egf(m, l),
-                sym_polycosecant(m, l, n, method="definition"),
-            )
+    _coefficients(
+        check,
+        sym_cosecant_bivariate(n, (lmax, lmax)),
+        lmax,
+        lmax,
+        lambda m, l: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
+        lambda m, l: sym_polycosecant(m, l, n, method="definition"),
+    )
 
 
 # ------------------------------------------------------------ Stirling lemmas

@@ -4,7 +4,9 @@ Each family is computable by several independent routes: closed forms in
 Stirling numbers (integer arithmetic for non-positive weights where one
 exists), recurrences, and direct coefficient extraction from the defining
 generating function.  The default route per regime avoids rational blow-up;
-the series route stays available everywhere as the cross-check oracle.
+the series route stays available everywhere as the cross-check oracle.  The
+generating functions are one table, Family -> (level, inner, denominator),
+read by one cached expansion per (family, weight, order).
 
 The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
 sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
@@ -37,39 +39,40 @@ class Family(str, Enum):
 
 # ---------------------------------------------------------------- series route
 
-@lru_cache(maxsize=None)
-def _cosecant_series(k: int, order: int) -> se.Series:
-    """A_k(tanh(t/2)) / sinh t, retained to the given order."""
-    level2 = se.polylog_apply(2, k, se.tanh_half(order + 1))
-    return level2 / se.sinh_series(order + 1)
+def _one_minus_exp(order: int) -> se.Series:
+    return se.constant(1, order) - se.exp_scaled(-1, order)
+
+
+# Family -> (level, inner, denominator): the generating function at weight k is
+# polylog_apply(level, k, inner(order)) / denominator(order, inner), where
+# level 1 applies Li_k and level 2 A_k(z) = Li_k(z) - Li_k(-z).  The entries
+# look the series functions up on `se` when called, so a wrapper later
+# installed on those names (bench/tracer.py installs one) sees the calls.
+_GENERATING_FUNCTIONS = {
+    # Li_k(1 - e^{-t}) / (1 - e^{-t})
+    Family.POLY_B: (1, _one_minus_exp, lambda order, inner: inner),
+    # Li_k(1 - e^{-t}) / (e^t - 1)
+    Family.POLY_C: (1, _one_minus_exp, lambda order, inner: se.exp_scaled(1, order) - 1),
+    # A_k(tanh(t/2)) / sinh t
+    Family.COSECANT: (2, lambda order: se.tanh_half(order), lambda order, inner: se.sinh_series(order)),
+    # A_k(tanh(t/2)) / tanh t
+    Family.COTANGENT: (2, lambda order: se.tanh_half(order), lambda order, inner: se.tanh_series(order)),
+    # Li_k(tanh(t/2)) / sinh t, the level-one cousin of the cosecant function
+    Family.TILDE_D: (1, lambda order: se.tanh_half(order), lambda order, inner: se.sinh_series(order)),
+}
 
 
 @lru_cache(maxsize=None)
-def _cotangent_series(k: int, order: int) -> se.Series:
-    """A_k(tanh(t/2)) / tanh t."""
-    level2 = se.polylog_apply(2, k, se.tanh_half(order + 1))
-    return level2 / se.tanh_series(order + 1)
-
-
-@lru_cache(maxsize=None)
-def _poly_bernoulli_series(variant: str, k: int, order: int) -> se.Series:
-    """Li_k(1 - e^{-t}) over 1 - e^{-t} (variant B) or e^t - 1 (variant C)."""
-    inner = se.constant(1, order + 1) - se.exp_scaled(-1, order + 1)
-    num = se.polylog_apply(1, k, inner)
-    den = inner if variant == "B" else se.exp_scaled(1, order + 1) - 1
-    return num / den
+def _series(family: Family, k: int, order: int) -> se.Series:
+    """The family's generating function at weight k, retained to the given order."""
+    level, inner, denominator = _GENERATING_FUNCTIONS[family]
+    z = inner(order + 1)
+    return se.polylog_apply(level, k, z) / denominator(order + 1, z)
 
 
 @lru_cache(maxsize=None)
 def _poly_bernoulli_polynomial_series(k: int, x: Fraction, order: int) -> se.Series:
-    return _poly_bernoulli_series("B", k, order) * se.exp_scaled(-x, order)
-
-
-@lru_cache(maxsize=None)
-def _tilde_cosecant_series(k: int, order: int) -> se.Series:
-    """Li_k(tanh(t/2)) / sinh t; the level-one cousin of the cosecant function."""
-    level1 = se.polylog_apply(1, k, se.tanh_half(order + 1))
-    return level1 / se.sinh_series(order + 1)
+    return _series(Family.POLY_B, k, order) * se.exp_scaled(-x, order)
 
 
 # ---------------------------------------------------------------- power-basis rows
@@ -198,9 +201,9 @@ def _cells(compute):
     return lambda n, ks: [compute(n, k) for k in ks]
 
 
-def _by_series(expansion):
+def _by_series(family: Family):
     """Route reading index n off the cached expansion of each weight k."""
-    return lambda n, ks: [expansion(k, se.truncation_for(n)).egf(n) for k in ks]
+    return lambda n, ks: [_series(family, k, se.truncation_for(n)).egf(n) for k in ks]
 
 
 # ------------------------------------------------------------------ route table
@@ -219,25 +222,25 @@ _NONPOSITIVE_WEIGHT = ("weight <= 0", lambda n, k: k <= 0)
 ROUTES = {
     Family.POLY_B: {
         "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "B"))),
-        "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "B"))),
+        "series": ("oracle", _ANYWHERE, _by_series(Family.POLY_B)),
     },
     Family.POLY_C: {
         "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "C"))),
-        "series": ("oracle", _ANYWHERE, _by_series(partial(_poly_bernoulli_series, "C"))),
+        "series": ("oracle", _ANYWHERE, _by_series(Family.POLY_C)),
     },
     Family.COSECANT: {
         "sasaki": ("closed", _SASAKI, _cells(_cosecant_sasaki)),
         "explicit": ("closed", _ANYWHERE, _power_row(_cosecant_row)),
-        "series": ("oracle", _ANYWHERE, _by_series(_cosecant_series)),
+        "series": ("oracle", _ANYWHERE, _by_series(Family.COSECANT)),
     },
     Family.COTANGENT: {
         "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cells(_cotangent_stirling)),
         "explicit": ("closed", _ANYWHERE, _power_row(_cotangent_row)),
         "from_cosecant": ("closed", _ANYWHERE, _cells(_cotangent_from_cosecant)),
-        "series": ("oracle", _ANYWHERE, _by_series(_cotangent_series)),
+        "series": ("oracle", _ANYWHERE, _by_series(Family.COTANGENT)),
     },
     Family.TILDE_D: {
-        "series": ("oracle", _NONPOSITIVE_WEIGHT, _by_series(_tilde_cosecant_series)),
+        "series": ("oracle", _NONPOSITIVE_WEIGHT, _by_series(Family.TILDE_D)),
     },
 }
 

@@ -1,5 +1,6 @@
 """Identity registry, residue arithmetic, reports, valuation data."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -28,6 +29,17 @@ def test_ord_p_examples():
     assert ord_p(F(9, 2), 3) == 2
     with pytest.raises(ZeroValuation):
         ord_p(0, 5)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [(ord_p, (5, 1)), (ord_p, (5, -1)), (ord_p, (5, 0)), (reduce_mod, (5, 1, 2)), (reduce_mod, (5, 3, -1))],
+    ids=["ord_p-p1", "ord_p-p-1", "ord_p-p0", "reduce_mod-p1", "reduce_mod-N-1"],
+)
+def test_residue_primitives_reject_a_bad_base_or_exponent(fn, args):
+    # p = 1 or -1 divides every integer, so stripping factors of p never ends
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_reduce_mod_examples():
@@ -62,6 +74,70 @@ def test_unknown_identity_and_bad_params():
         verify("NO_SUCH_IDENTITY", {})
     with pytest.raises(UsageError):
         verify("KUMMER_COSE", p=3)  # missing parameters
+    with pytest.raises(UsageError):
+        # the family is fixed when the identity is registered
+        verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5, family="Cotangent")
+
+
+# sha256 of verify(name, params).to_json(), recorded before the identities of a
+# family pair shared one helper; every registry id appears at least once
+GOLDEN_REPORTS = [
+    ("CONV_EQ5", dict(n=3, k=-2), "8392ab6ba3622d1757714350be6e004c9889488adc11cd7f288053bb9f7ce9b6"),
+    ("CONV_EQ6", dict(n=3, k=2), "8a1aa688f0959dae2ccb200f985abf830ab03c2f9b5485e505e794ff3678b427"),
+    ("CVS_BERNOULLI", dict(n=12), "5dd6fb98beaa039c863d395b28bc4473029220f75d9546942f4515fb573ac85e"),
+    ("CVS_COSE", dict(p=5, k=2, n=4), "4be29f75b2df3b93366228309904cf2db181837191858b644f561805c6ba58d8"),
+    ("CVS_COSE", dict(p=7, k=2, n=4), "3893ee00ebc470c717b505ff615e979fd7c6addbe787a3a5df5d57e863e1fc0a"),
+    ("CVS_COTA", dict(p=5, k=3, n=4), "fef1444bf053d0b709ce11c012947176dbf32edb62b667e539d2e1567737aae1"),
+    ("CVS_COTA", dict(p=7, k=3, n=5), "51e380e8da2d3667d4c41c2e43a5b7d72640644936a7f3c86716226ff5718458"),
+    ("CVS_POLYB", dict(p=5, k=2, n=8), "50ea87078840597220a7b919a048e3373458d9dd4354ca6e840b8104bd55a135"),
+    ("CVS_POLYB", dict(p=5, k=2, n=9), "80776aab506bb2bcb55a23463f65407337532c2aa31337148f57815810180923"),
+    ("CVS_POLYB", dict(p=5, k=3, n=6), "a1054d1a72e42c6e2618bd40ee9a70d312c08bf75d14d0307df7f2d99db8ce92"),
+    ("DENOM_ORDER", dict(p=5, n=2), "76470608ab75598845131045a65691d05a03617d19d86d554764d4481dc168c3"),
+    ("DUALITY_B", dict(lmax=4), "fb362645978a9a21a1952e3ffb823c2ced3774cd25418dd6df0e6c9bfa12f06e"),
+    ("DUALITY_C", dict(lmax=4), "0a2788293c9c1492acd8a471d1cf00a2dd582b2c29a72968f9e4b1a3b3d9e1d6"),
+    ("DUALITY_COSE", dict(lmax=4), "c5e208d90e789d1a15a768795c465241f9183588a6d68499d8b7d124e5c7377e"),
+    ("DUALITY_COTA", dict(lmax=4), "d55a6df17220abe52c38d6826a3a0e4585e88ae588c4efb32e2b39b04e8296d2"),
+    ("DUALITY_SYM_B", dict(lmax=3, nmax=2), "f2804767e0519e59ee987fd0af0186a1763b8dfcb1c0027d9cad8f94e864687d"),
+    ("DUALITY_SYM_COSE", dict(lmax=3, nmax=2), "c33733391d517634e046a58051402038292fea356af47d5ed018e728bc2912e8"),
+    ("GF_BIVARIATE", dict(nmax=4, kmax=4), "73290be88907e62f372e874f923ed1720245d91ba329511b7967f520c47d0572"),
+    ("GF_SYM_B", dict(n=1, lmax=3), "381296c47ee9ff5064240b734178109a3b2b6cc9b3f0c0bd9570194f309bf576"),
+    ("GF_SYM_COSE", dict(n=1, lmax=3), "f6920de6279058f6c192ff7b9795f9dde8c0f3fdf98ab6a84b2a469b0ef6b5c4"),
+    ("KSHIFT", dict(n=6, k=-2), "d55fc30d514386aac924518aa980b72f944e56e7ad2ad354e8ad362ac64c3b1b"),
+    ("KUMMER_BERNOULLI", dict(p=5, N=1, m=2, n=6), "ca5a0c4caa83ebfdab0b47331aad83aace1449a521d9b0f3748af3b8dc9a811b"),
+    ("KUMMER_COSE", dict(p=3, N=2, k=3, m=2, n=5), "bdf30a1bdc1537c87de2ec6a658bd764294d0199de51023d9c3f687172679934"),
+    ("KUMMER_COSE_ODD", dict(p=2, N=2, k=2, m=2, n=5), "d1a06bc307d8b0c72330f510184c2811e129e0918edabfa7ef769ac5fa305c91"),
+    ("KUMMER_COSE_REMARK", dict(p=5, N=1, m=3, n=1), "7917aed9c09412f071bd259b3ab58675be6269c9a2b52a49c43923f952839718"),
+    ("KUMMER_COTA", dict(p=3, N=2, k=3, m=2, n=5), "f10464baa482e9e15e0bcfb34faad246d79c6772d1558129b783d28488897655"),
+    ("KUMMER_POLYB_B", dict(p=3, N=1, k=0, m=2, n=4), "cfef88d5385ab696624ed3e31ecca1213214bd45d2cc83a29d7fc1526c9c54f4"),
+    ("KUMMER_POLYB_C", dict(p=5, N=1, k=3, m=2, n=6), "f5343f5ab9b2b7436dee0e9974160a5d0a0c9f1f635176034ac5ad2beea7943c"),
+    ("PERIOD_B", dict(p=5, k=4), "bee4cfecb4293d702a87471eb128a682f13294f84c11da31f358ad29c8ba896b"),
+    ("PERIOD_C", dict(p=5, k=4), "61d28452102d38db2dc28700c596330a17f50151d1a39763db81ae4c9f86ce21"),
+    ("PERIOD_COSE_ODD", dict(p=5, k=2), "0b205d6ce63c23100641d3885996fd380f26b06495c5510e1cd1a8009bcbe867"),
+    ("PERIOD_COSE_P1", dict(p=5, n=2), "0b8b4e578045a875d4cd07910e3ef7fbeeef25b896a4d2cefe5bb6fc880c914f"),
+    ("PERIOD_COTA_P1", dict(p=5, n=2), "13dfea30ebc23c70118b614d0c877fd9fadea64ecee72b65cac811c3f9125d73"),
+    ("PERIOD_CPK", dict(p=5, k=3), "0bc01c6dae8da77392f98fb100a6be373bbe6172fa676374658c506608636b9e"),
+    ("STIRLING_CONG", dict(p=3, N=2, jmax=4, nmax=12), "2fd6a27f30115cb07faf980734b519e3e7d41ebb9dda95ad4695d0750a2956e7"),
+    ("STIRLING_MOD_P", dict(p=5, a=2, nmax=12), "c1f86983574463668e4ac84571a9b2a7ae83b5ab1c71e37af79494765f992f20"),
+    ("SUM_C", dict(p=5, N=1, n=3, k=2), "03d6cfc8459dfa2cb0298f839a30153e797f7b3541a4733e8877849ab7d9075d"),
+    ("SUM_COSE", dict(p=3, N=2, n=3, k=3), "0a5a47483832d98236c5eca574fcac8ed03ced0a9519d0ed9019cab1f9a362c7"),
+    ("SUM_COTA", dict(p=3, N=2, n=3, k=3), "3ac6c85beac75f148bdc7e08af84bd5ea6f4fdad35b4d54e156951e0eec903ac"),
+    ("SUM_POLYB", dict(p=3, N=2, n=3, k=2), "08e9130869d8ab38eeb8b408c6caa7655c91d95683d6142881a881a20439bae6"),
+    ("TWO_ORDER_COSE", dict(n=3, k=2), "1e56539496f166327198205f8178f66cbc0abd4a3f770296045348dfc36be3be"),
+    ("TWO_ORDER_COTA", dict(n=3, k=1), "f9ba31299409e787368686eae37d571f1f199558d44edc22d212b1bb91e267e3"),
+    ("VANISH_S1_B", dict(k=1, n=1, m=3), "bdfd68ae2bf86bc6699f93f6a63788857ce703587838a3bb103abb60fef6325e"),
+    ("VANISH_S1_COSE", dict(k=-2, n=2, m=5), "714216284c495981ff2b15a079fffbd0f1b5666d76695f3326e0dbe82ade9cd3"),
+    ("VANISH_S1_COTA", dict(k=1, n=1, m=4), "ecbca28c9010d1dbb33dadadfbd38cc234a9a547138da1533d064c1ed55e505f"),
+]
+
+
+def test_reports_match_their_recorded_digests():
+    assert {name for name, _, _ in GOLDEN_REPORTS} == set(registry_ids())
+    changed = [
+        (name, params)
+        for name, params, digest in GOLDEN_REPORTS
+        if hashlib.sha256(verify(name, params).to_json().encode()).hexdigest() != digest
+    ]
+    assert not changed
 
 
 def test_kummer_cose_worked_example():
