@@ -57,7 +57,6 @@ from .series import (
     BiSeries,
     Series,
     biseries_exp,
-    default_truncation,
     polylog_apply,
 )
 from .symmetrized import (

@@ -364,23 +364,28 @@ def tilde_cosecant(m: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cosecant_bivariate(orders: tuple[int, int]) -> se.BiSeries:
-    one = se.biseries_constant(1, orders)
+def _bivariate_denominators(orders: tuple[int, int]) -> tuple[tuple[se.BiSeries, se.BiSeries, se.BiSeries], ...]:
+    """(e^{st}, e^{st+y}, 1 + e^{st} + e^y - e^{st+y}) for s = 1, then s = -1."""
     ey = se.biseries_exp(0, 1, orders)
-    result = one
+    parts = []
     for sign in (1, -1):
         et = se.biseries_exp(sign, 0, orders)
         ety = se.biseries_exp(sign, 1, orders)
-        result = result + (et * (ey - 1)) / (one + et + ey - ety)
-    return result
+        parts.append((et, ety, 1 + et + ey - ety))
+    return tuple(parts)
 
 
+@lru_cache(maxsize=None)
 def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
     """Two-variable function whose weighted coefficients are D_n^{(-k)}.
 
     1 + e^t(e^y - 1) / (1 + e^t + e^y - e^{t+y})
-      + e^{-t}(e^y - 1) / (1 + e^{-t} + e^y - e^{-t+y})
+      + e^{-t}(e^y - 1) / (1 + e^{-t} + e^y - e^{-t+y}),
+    with each numerator e^{st}(e^y - 1) taken as e^{st+y} - e^{st}.
     """
     if isinstance(orders, int):
         orders = (orders, orders)
-    return _cosecant_bivariate(orders)
+    result = se.biseries_constant(1, orders)
+    for et, ety, denominator in _bivariate_denominators(orders):
+        result = result + (ety - et) / denominator
+    return result

@@ -10,7 +10,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from . import series as se
 from .errors import IndexParity
@@ -151,10 +150,3 @@ def is_prime(n: int) -> bool:
 
 def primes_upto(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return comb(n, k)

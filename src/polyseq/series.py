@@ -13,7 +13,6 @@ weighted sum of cached rows.  All three grow for the life of the process.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -24,7 +23,6 @@ from .errors import (
     DivisionValuation,
     DivisionZeroConstant,
     IndexBeyondTruncation,
-    UsageError,
 )
 
 Scalar = Union[int, Fraction]
@@ -32,19 +30,9 @@ Scalar = Union[int, Fraction]
 DEFAULT_TRUNCATION = 24
 
 
-def default_truncation() -> int:
-    """Oracle truncation order; the POLYSEQ_TRUNCATION env var overrides 24."""
-    raw = os.environ.get("POLYSEQ_TRUNCATION", "").strip()
-    if not raw:
-        return DEFAULT_TRUNCATION
-    if not raw.isdecimal():
-        raise UsageError(f"POLYSEQ_TRUNCATION must be a non-negative integer, not {raw!r}")
-    return int(raw)
-
-
 def truncation_for(n: int) -> int:
-    """Series truncation covering index n; rounded up so sweeps share cache entries."""
-    need = max(n, default_truncation())
+    """Series truncation covering index n, at least 24; rounded up so sweeps share cache entries."""
+    need = max(n, DEFAULT_TRUNCATION)
     return ((need + 7) // 8) * 8
 
 

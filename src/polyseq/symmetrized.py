@@ -4,7 +4,8 @@ Stirling-first-kind-weighted sums of polynomial (shifted) family values that
 restore full duality between the order index and the weight at every
 symmetrization level n.  Level 0 and level 1 collapse to the plain B- and
 C-variants; the closed forms are manifestly symmetric, the definitional
-routes are not, which is what makes the duality checks meaningful.
+routes are not, which is what makes the duality checks meaningful.  Both
+closed forms are integer power-basis rows read by `families._evaluate_row`.
 """
 
 from __future__ import annotations
@@ -13,61 +14,64 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from . import families as fa
 from . import series as se
 from .errors import MethodDomain
-from .families import poly_bernoulli_polynomial
 from .sequences import stirling1, stirling2
 
 
 @lru_cache(maxsize=None)
-def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
+def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
+    """n! e^{x+y} / (e^x + e^y - e^{x+y})^{n+1}; weighted coefficients are the
+    symmetrized poly-Bernoulli numbers."""
     ex = se.biseries_exp(1, 0, orders)
     ey = se.biseries_exp(0, 1, orders)
     exy = se.biseries_exp(1, 1, orders)
     return (exy * factorial(n)) / (ex + ey - exy) ** (n + 1)
 
 
-def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
-    """n! e^{x+y} / (e^x + e^y - e^{x+y})^{n+1}; weighted coefficients are the
-    symmetrized poly-Bernoulli numbers."""
-    if isinstance(orders, int):
-        orders = (orders, orders)
-    return _sym_bernoulli_bivariate(n, orders)
+def _sym_row(m: int, n: int, dyadic: bool) -> fa.Row:
+    """Both closed forms at order m, level n as one row in b^l: sym-D when dyadic.
+
+    Each is sum_j (j+n)! S(m+1,j+1) j!S(l+1,j+1), sym-D's term j over 2^(n+j)
+    (here over 2^(n+m)), and j!S(l+1,j+1) = sum_b (-1)^(j+1-b) C(j,b-1) b^l.
+    """
+    w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
+    return fa._row(
+        0,
+        2 ** (n + m) if dyadic else 1,
+        (
+            (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
+            for b in range(1, m + 2)
+        ),
+    )
+
+
+def _first_kind_sum(n: int, l: int, value) -> Fraction:
+    """sum_{j<=n} s(n,j) value(l+j); first-kind Stirling numbers vanish past j = n."""
+    return sum(
+        (stirling1(n, j) * value(l + j) for j in range(n + 1) if stirling1(n, j)),
+        Fraction(0),
+    )
 
 
 def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:
     """Symmetrized poly-Bernoulli number at order m, weight -l, level n.
 
     definition: sum_{j<=n} s(n,j) B_m^{(-l-j)}(n) (the polynomial is evaluated
-    at x = n exactly; first-kind Stirling numbers vanish past j = n).
+    at x = n exactly).
     closed_form: sum_j n!(j!)^2 C(j+n,n) S(l+1,j+1) S(m+1,j+1).
     biseries: coefficient extraction from the two-variable function.
     """
     if min(m, l, n) < 0:
         raise ValueError("indices must be non-negative")
     if method == "definition":
-        return sum(
-            (
-                stirling1(n, j) * poly_bernoulli_polynomial(m, -(l + j), n)
-                for j in range(n + 1)
-                if stirling1(n, j)
-            ),
-            Fraction(0),
-        )
+        return _first_kind_sum(n, l, lambda w: fa.poly_bernoulli_polynomial(m, -w, n))
     if method == "closed_form":
-        total = Fraction(0)
-        for j in range(min(l, m) + 1):
-            total += (
-                factorial(n)
-                * factorial(j) ** 2
-                * comb(j + n, n)
-                * stirling2(l + 1, j + 1)
-                * stirling2(m + 1, j + 1)
-            )
-        return total
+        return fa._evaluate_row(_sym_row(m, n, False), (-l,))[0]
     if method == "biseries":
         size = ((max(l, m, 4) + 3) // 4) * 4
-        return sym_bernoulli_bivariate(n, size).egf(l, m)
+        return sym_bernoulli_bivariate(n, (size, size)).egf(l, m)
     raise MethodDomain(f"unknown symmetrized poly-Bernoulli method {method!r}")
 
 
@@ -78,8 +82,7 @@ def _copoly_hat_series(l: int, n: int, order: int) -> se.Series:
     The factor (e^t+1)^{1-n} multiplies for n = 0 and divides for n >= 2;
     the divisor's constant term 2^{n-1} is never zero.
     """
-    level1 = se.polylog_apply(1, -l, se.tanh_half(order + 1))
-    g = level1 / se.sinh_series(order + 1)
+    g = fa._series(fa.Family.TILDE_D, -l, order)
     if n == 0:
         g = g * (se.exp_scaled(1, order) + 1)
     elif n >= 2:
@@ -102,42 +105,21 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
     """
     if min(m, l, n) < 0:
         raise ValueError("indices must be non-negative")
+    if method not in ("definition", "closed_form"):
+        raise MethodDomain(f"unknown symmetrized polycosecant method {method!r}")
     if m % 2 == 1:
         return Fraction(0)
     if method == "definition":
-        return sum(
-            (
-                stirling1(n, j) * copoly_hat(m, l + j, n)
-                for j in range(n + 1)
-                if stirling1(n, j)
-            ),
-            Fraction(0),
-        )
-    if method == "closed_form":
-        total = Fraction(0)
-        for j in range(min(m, l) + 1):
-            # (j!)^2 / 2^{j-1}, written with a non-negative power of two
-            total += (
-                Fraction(2 * factorial(j) ** 2, 2**j)
-                * comb(j + n, n)
-                * stirling2(m + 1, j + 1)
-                * stirling2(l + 1, j + 1)
-            )
-        return total * Fraction(factorial(n), 2 ** (n + 1))
-    raise MethodDomain(f"unknown symmetrized polycosecant method {method!r}")
+        return _first_kind_sum(n, l, lambda w: copoly_hat(m, w, n))
+    return fa._evaluate_row(_sym_row(m, n, True), (-l,))[0]
 
 
 @lru_cache(maxsize=None)
 def sym_cosecant_halves(n: int, orders: tuple[int, int]) -> tuple[se.BiSeries, se.BiSeries]:
     """The two summands n! e^{+-t+y} / (1 + e^{+-t} + e^y - e^{+-t+y})^{n+1}."""
-    one = se.biseries_constant(1, orders)
-    ey = se.biseries_exp(0, 1, orders)
-    halves = []
-    for sign in (1, -1):
-        et = se.biseries_exp(sign, 0, orders)
-        ety = se.biseries_exp(sign, 1, orders)
-        halves.append((ety * factorial(n)) / (one + et + ey - ety) ** (n + 1))
-    return tuple(halves)
+    return tuple(
+        (ety * factorial(n)) / denominator ** (n + 1) for _, ety, denominator in fa._bivariate_denominators(orders)
+    )
 
 
 def sym_cosecant_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:

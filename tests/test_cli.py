@@ -156,18 +156,18 @@ def test_build_table_defaults_to_exact_strings():
     assert table.rows[0][1] == ["121", "16", "1", "0", "7/15", "176/225"]
 
 
-def test_module_entry_point_matches_direct_call(capsys):
+@pytest.mark.parametrize("module", ["polyseq", "polyseq.cli"])
+def test_module_entry_point_matches_direct_call(capsys, module):
     args = ["table", "--family", "Cosecant", "--n", "0..3", "--k=-2..1", "--format", "csv"]
     _, direct, _ = run_cli(capsys, *args)
     proc = subprocess.run(
-        [sys.executable, "-m", "polyseq.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", module, *args], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert proc.stdout == direct
 
 
-def test_truncation_env_var_respected(capsys, monkeypatch):
-    monkeypatch.setenv("POLYSEQ_TRUNCATION", "12")
+def test_tilde_cosecant_table_row(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "TildeD", "--n", "0..2", "--k=-1..0")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -179,21 +179,17 @@ def _oracle_diff_argv(nmax, kmin, kmax):
 
 
 @pytest.mark.parametrize(
-    "truncation,argv,message",
+    "argv,message",
     [
-        (None, ["table", "--family", "Cosecant", "--n", "x..2", "--k", "0..1"], "bad range"),
-        ("abc", _oracle_diff_argv("4", "-1", "1"), "POLYSEQ_TRUNCATION"),
-        ("-5", ["table", "--family", "TildeD", "--n", "0..2", "--k=-1..0"], "POLYSEQ_TRUNCATION"),
-        (None, _oracle_diff_argv("-1", "0", "1"), "--nmax must stay within 0..64"),
-        (None, _oracle_diff_argv("200", "0", "1"), "--nmax must stay within 0..64"),
-        (None, _oracle_diff_argv("4", "2", "-2"), "empty weight range 2..-2"),
-        (None, _oracle_diff_argv("4", "-33", "0"), "weights must stay within -32..32"),
-        (None, _oracle_diff_argv("4", "0", "33"), "weights must stay within -32..32"),
+        (["table", "--family", "Cosecant", "--n", "x..2", "--k", "0..1"], "bad range"),
+        (_oracle_diff_argv("-1", "0", "1"), "--nmax must stay within 0..64"),
+        (_oracle_diff_argv("200", "0", "1"), "--nmax must stay within 0..64"),
+        (_oracle_diff_argv("4", "2", "-2"), "empty weight range 2..-2"),
+        (_oracle_diff_argv("4", "-33", "0"), "weights must stay within -32..32"),
+        (_oracle_diff_argv("4", "0", "33"), "weights must stay within -32..32"),
     ],
     ids=[
         "unparsable-range",
-        "unparsable-truncation",
-        "negative-truncation",
         "oracle-diff-negative-nmax",
         "oracle-diff-nmax-above-max-order",
         "oracle-diff-reversed-weights",
@@ -201,9 +197,7 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "oracle-diff-kmax-above-max-weight",
     ],
 )
-def test_bad_input_exits_two(capsys, monkeypatch, truncation, argv, message):
-    if truncation is not None:
-        monkeypatch.setenv("POLYSEQ_TRUNCATION", truncation)
+def test_bad_input_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert message in err

@@ -15,7 +15,6 @@ from polyseq import (
     IndexBeyondTruncation,
     Series,
     biseries_exp,
-    default_truncation,
     polylog_apply,
     stirling2,
 )
@@ -140,13 +139,6 @@ def test_egf_beyond_truncation_raises():
 def test_mirror_flips_odd_coefficients():
     s = exp_scaled(1, 5)
     assert s.mirror() == exp_scaled(-1, 5)
-
-
-def test_default_truncation_env_override(monkeypatch):
-    monkeypatch.delenv("POLYSEQ_TRUNCATION", raising=False)
-    assert default_truncation() == 24
-    monkeypatch.setenv("POLYSEQ_TRUNCATION", "30")
-    assert default_truncation() == 30
 
 
 @st.composite

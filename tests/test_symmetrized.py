@@ -19,8 +19,9 @@ from polyseq import (
     sym_polycosecant,
     tilde_cosecant,
 )
+from polyseq import families as fa
 from polyseq.series import biseries_constant, biseries_exp
-from polyseq.symmetrized import sym_cosecant_halves
+from polyseq.symmetrized import _sym_row, sym_cosecant_halves
 
 
 def test_sym_bernoulli_three_routes_agree():
@@ -65,6 +66,23 @@ def test_sym_bernoulli_duality():
 def test_sym_bernoulli_unknown_method():
     with pytest.raises(MethodDomain):
         sym_poly_bernoulli(1, 1, 1, method="magic")
+    # the method name is checked before the odd-order zero of sym-D
+    for m in (2, 3):
+        with pytest.raises(MethodDomain):
+            sym_polycosecant(m, 1, 1, method="magic")
+
+
+def test_sym_rows_collapse_to_plain_rows():
+    # the rows hold for every weight l at once, so levels 0 and 1 are proved
+    # for all l at these orders.  C_m^{(-(l+1))} has exponent l+1, one more
+    # than sym-B's; D's row has shift 1, so at weight -(l+1) its exponent is l
+    for m in range(30):
+        assert _sym_row(m, 0, False) == fa._poly_bernoulli_row("B", m)
+        _, _, c_terms = fa._poly_bernoulli_row("C", m)
+        assert _sym_row(m, 1, False) == (0, 1, tuple((b, c * b) for b, c in c_terms))
+        if m % 2 == 0:
+            _, denominator, d_terms = fa._cosecant_row(m)
+            assert _sym_row(m, 1, True) == (0, 2 * denominator, d_terms)
 
 
 def test_hat_numbers_vanish_at_odd_order():
