@@ -5,8 +5,16 @@ Stirling numbers (integer arithmetic for non-positive weights where one
 exists), recurrences, and direct coefficient extraction from the defining
 generating function.  The default route per regime avoids rational blow-up;
 the series route stays available everywhere as the cross-check oracle.  The
-generating functions are one table, Family -> (level, inner, denominator),
-read by one cached expansion per (family, weight, order).
+generating functions are one table, Family -> (level, inner, denominator).
+Since division is linear, the expansion at weight k is sum_m scale m^-k
+Q_m with quotients Q_m = inner^m / denominator that no k changes.  One cached
+matrix per (family, order), `_series_rows`, holds n! scale Q_m[n] for every
+n <= order as an integer power-basis row in the bases m; it costs one series
+division, Q_1, and multiplications Q_{m+level} = Q_m inner^level.  The series
+route evaluates those rows like the closed forms below, and `_series` is the
+same rows read as a `Series` at one weight.  The rows come from series
+arithmetic on the generating function alone, never from Stirling numbers, so
+the oracle stays independent of the closed forms.
 
 The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
 sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
@@ -63,11 +71,36 @@ _GENERATING_FUNCTIONS = {
 
 
 @lru_cache(maxsize=None)
-def _series(family: Family, k: int, order: int) -> se.Series:
-    """The family's generating function at weight k, retained to the given order."""
+def _series_rows(family: Family, order: int) -> tuple[Row, ...]:
+    """Row n <= order, over the bases m, holds n! scale Q_m[n]: its value at k is index n at weight k.
+
+    Q_m = inner^m / denominator for each m the level's polylogarithm sums,
+    inner's retained order included, as `se.polylog_apply` does; scale is 2
+    at level two, where A_k(z) = Li_k(z) - Li_k(-z) doubles the odd powers.
+    """
     level, inner, denominator = _GENERATING_FUNCTIONS[family]
     z = inner(order + 1)
-    return se.polylog_apply(level, k, z) / denominator(order + 1, z)
+    step = z if level == 1 else z * z
+    quotient = z / denominator(order + 1, z)
+    bases = range(1, order + 2, level)
+    columns = []
+    for _ in bases:
+        if columns:
+            quotient = quotient * step
+        columns.append(quotient.coeffs)
+    rows = []
+    for n in range(order + 1):
+        weighted = [factorial(n) * level * q[n] for q in columns]
+        d = lcm(*[w.denominator for w in weighted])
+        rows.append(_row(0, d, ((m, w.numerator * (d // w.denominator)) for m, w in zip(bases, weighted))))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _series(family: Family, k: int, order: int) -> se.Series:
+    """The family's generating function at weight k, retained to the given order."""
+    rows = _series_rows(family, order)
+    return se.Series([_evaluate_row(row, (k,))[0] / factorial(n) for n, row in enumerate(rows)])
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +235,8 @@ def _cells(compute):
 
 
 def _by_series(family: Family):
-    """Route reading index n off the cached expansion of each weight k."""
-    return lambda n, ks: [_series(family, k, se.truncation_for(n)).egf(n) for k in ks]
+    """Route evaluating row n of the family's cached quotient matrix at every weight."""
+    return lambda n, ks: _evaluate_row(_series_rows(family, se.truncation_for(n))[n], ks)
 
 
 # ------------------------------------------------------------------ route table
@@ -375,7 +408,6 @@ def _bivariate_denominators(orders: tuple[int, int]) -> tuple[tuple[se.BiSeries,
     return tuple(parts)
 
 
-@lru_cache(maxsize=None)
 def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
     """Two-variable function whose weighted coefficients are D_n^{(-k)}.
 
@@ -385,6 +417,11 @@ def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
     """
     if isinstance(orders, int):
         orders = (orders, orders)
+    return _cosecant_bivariate(orders)
+
+
+@lru_cache(maxsize=None)
+def _cosecant_bivariate(orders: tuple[int, int]) -> se.BiSeries:
     result = se.biseries_constant(1, orders)
     for et, ety, denominator in _bivariate_denominators(orders):
         result = result + (ety - et) / denominator

@@ -7,8 +7,9 @@ operations are pure functions.
 
 Three caches hold work that no weight k changes: `tanh_half(order)`,
 `tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
-per (level, inner) series.  So each weight of a polylogarithm costs one
-weighted sum of cached rows.  All three grow for the life of the process.
+per (level, inner) series.  All three grow for the life of the process.
+`polylog_apply` is the public per-weight reference: the family expansions in
+`families` no longer call it, and the tests check them against it.
 """
 
 from __future__ import annotations

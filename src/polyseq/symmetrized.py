@@ -20,10 +20,16 @@ from .errors import MethodDomain
 from .sequences import stirling1, stirling2
 
 
-@lru_cache(maxsize=None)
 def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
     """n! e^{x+y} / (e^x + e^y - e^{x+y})^{n+1}; weighted coefficients are the
     symmetrized poly-Bernoulli numbers."""
+    if isinstance(orders, int):
+        orders = (orders, orders)
+    return _sym_bernoulli_bivariate(n, orders)
+
+
+@lru_cache(maxsize=None)
+def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
     ex = se.biseries_exp(1, 0, orders)
     ey = se.biseries_exp(0, 1, orders)
     exy = se.biseries_exp(1, 1, orders)

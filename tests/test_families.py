@@ -19,6 +19,7 @@ from polyseq import (
     family_row,
     family_value,
     k_shift_recurrence,
+    oracle_diff,
     poly_bernoulli,
     poly_bernoulli_polynomial,
     polycosecant,
@@ -30,7 +31,7 @@ from polyseq import (
 from polyseq import families as fa
 from polyseq.cli import build_table
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
-from polyseq.series import _reciprocal_power
+from polyseq.series import _reciprocal_power, polylog_apply, truncation_for
 
 GOLDEN_D4 = {2: F(176, 225), 1: F(7, 15), 0: 0, -1: 1, -2: 16, -3: 121}
 GOLDEN_B4 = {2: F(-199, 225), 1: F(-8, 15), 0: 1, -1: 8, -2: 41, -3: 200}
@@ -403,3 +404,58 @@ def test_table_rows_equal_per_cell_values_at_the_largest_order():
         table = build_table(family, (64, 64), k_range)
         cells = [str(family_value(family, 64, k)) for k in range(k_range[0], k_range[1] + 1)]
         assert table.rows == [(64, cells)], family
+
+
+def _as_powers(row):
+    """A row as {base b: the rational coefficient of b^-k}."""
+    shift, denominator, terms = row
+    return {b: F(c, b**shift * denominator) for b, c in terms}
+
+
+def test_series_rows_equal_the_closed_form_rows_at_every_weight():
+    # equal coefficients of b^-k prove closed form = series for every integer k
+    compared = 0
+    for family, (_, build, _) in _ROW_REFERENCES.items():
+        for n in range(33):
+            series_row = fa._series_rows(family, truncation_for(n))[n]
+            assert series_row[0] == 0 and all(isinstance(c, int) and c != 0 for _, c in series_row[2])
+            assert _as_powers(series_row) == _as_powers(build(n)), (family, n)
+            compared += 1
+    assert compared == 132
+
+
+@settings(deadline=None)
+@given(
+    family=st.sampled_from(list(Family)),
+    k=st.integers(-40, 40),
+    order=st.sampled_from([24, 32, 40]),
+)
+def test_series_rows_match_the_per_weight_expansion(family, k, order):
+    level, inner, denominator = fa._GENERATING_FUNCTIONS[family]
+    z = inner(order + 1)
+    want = polylog_apply(level, k, z) / denominator(order + 1, z)
+    rows = fa._series_rows(family, order)
+    assert [fa._evaluate_row(row, (k,))[0] for row in rows] == [want.egf(n) for n in range(order + 1)]
+    assert fa._series(family, k, order) == want
+
+
+def test_oracle_diff_catches_a_changed_series_row(monkeypatch):
+    rows = fa._series_rows(Family.COSECANT, 24)
+    shift, denominator, ((b, c), *rest) = rows[4]
+    changed = rows[:4] + ((shift, denominator, ((b, c + 1), *rest)),) + rows[5:]
+    real = fa._series_rows
+
+    def perturbed(family, order):
+        return changed if (family, order) == (Family.COSECANT, 24) else real(family, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fa, "_series_rows", perturbed)
+        report = oracle_diff("Cosecant", 6, -2, -2)
+    fa._series_rows.cache_clear()
+    fa._series.cache_clear()
+    assert report.verdict == "fail"
+    assert [w.instance for w in report.mismatches()] == [
+        "Cosecant(n=4, k=-2) explicit vs series",
+        "Cosecant(n=4, k=-2) sasaki vs series",
+    ]
+    assert oracle_diff("Cosecant", 6, -2, -2).verdict == "pass"

@@ -267,6 +267,17 @@ def test_biseries_symmetrized_weight_zero_level():
     assert f.egf(2, 2) == want
 
 
+def test_bivariate_functions_cache_an_int_order_under_its_tuple():
+    from polyseq import families, symmetrized
+
+    families._cosecant_bivariate.cache_clear()
+    symmetrized._sym_bernoulli_bivariate.cache_clear()
+    assert families.cosecant_bivariate(4) is families.cosecant_bivariate((4, 4))
+    assert symmetrized.sym_bernoulli_bivariate(1, 4) is symmetrized.sym_bernoulli_bivariate(1, (4, 4))
+    assert families._cosecant_bivariate.cache_info().currsize == 1
+    assert symmetrized._sym_bernoulli_bivariate.cache_info().currsize == 1
+
+
 def test_biseries_arith_and_errors():
     a = biseries_exp(1, 1, (3, 3))
     b = biseries_exp(1, 0, (3, 3))
