@@ -104,9 +104,11 @@ def _parse_range(raw: str) -> tuple[int, int]:
     return a, b
 
 
-def _check_weights(k_lo: int, k_hi: int) -> None:
+def _check_weights(family: Family, k_lo: int, k_hi: int) -> None:
     if abs(k_lo) > MAX_WEIGHT or abs(k_hi) > MAX_WEIGHT:
         raise UsageError(f"weights must stay within -{MAX_WEIGHT}..{MAX_WEIGHT}")
+    if family is Family.TILDE_D and k_hi > 0:
+        raise UsageError("the tilde-cosecant family is defined for weights <= 0")
 
 
 def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[int, int]) -> OutputTable:
@@ -115,9 +117,7 @@ def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[i
     k_lo, k_hi = k_range
     if n_lo < 0 or n_hi > MAX_ORDER:
         raise UsageError(f"order range must stay within 0..{MAX_ORDER}")
-    _check_weights(k_lo, k_hi)
-    if family is Family.TILDE_D and k_hi > 0:
-        raise UsageError("the tilde-cosecant family is defined for weights <= 0")
+    _check_weights(family, k_lo, k_hi)
     ks = range(k_lo, k_hi + 1)
     rows = [(n, [str(v) for v in family_row(family, n, ks)]) for n in range(n_lo, n_hi + 1)]
     return OutputTable(family, n_range, k_range, rows)
@@ -145,7 +145,7 @@ def _cmd_oracle_diff(args) -> int:
         raise UsageError(f"--nmax must stay within 0..{MAX_ORDER}")
     if args.kmin > args.kmax:
         raise UsageError(f"empty weight range {args.kmin}..{args.kmax}")
-    _check_weights(args.kmin, args.kmax)
+    _check_weights(family, args.kmin, args.kmax)
     report = cg.oracle_diff(family, args.nmax, args.kmin, args.kmax)
     if report.passed:
         note = report.params.get("note")

@@ -11,10 +11,9 @@ Q_m with quotients Q_m = inner^m / denominator that no k changes.  One cached
 matrix per (family, order), `_series_rows`, holds n! scale Q_m[n] for every
 n <= order as an integer power-basis row in the bases m; it costs one series
 division, Q_1, and multiplications Q_{m+level} = Q_m inner^level.  The series
-route evaluates those rows like the closed forms below, and `_series` is the
-same rows read as a `Series` at one weight.  The rows come from series
-arithmetic on the generating function alone, never from Stirling numbers, so
-the oracle stays independent of the closed forms.
+route evaluates those rows like the closed forms below.  The rows come from
+series arithmetic on the generating function alone, never from Stirling
+numbers, so the oracle stays independent of the closed forms.
 
 The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
 sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
@@ -23,6 +22,11 @@ and one evaluator, `_evaluate_row`, turns a row and a list of weights into
 values.  Every route takes (n, weights), so `family_row(family, n, ks)` builds
 a row once for all its weights, while `family_value` is the same call with
 one weight.
+
+A family's generating function times a fixed series (cosh t, sech t, sinh t,
+e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
+polynomials.  Each is one `_binomial_sum`, index n of that product in
+weighted coefficients, over family values at single weights.
 """
 
 from __future__ import annotations
@@ -94,18 +98,6 @@ def _series_rows(family: Family, order: int) -> tuple[Row, ...]:
         d = lcm(*[w.denominator for w in weighted])
         rows.append(_row(0, d, ((m, w.numerator * (d // w.denominator)) for m, w in zip(bases, weighted))))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _series(family: Family, k: int, order: int) -> se.Series:
-    """The family's generating function at weight k, retained to the given order."""
-    rows = _series_rows(family, order)
-    return se.Series([_evaluate_row(row, (k,))[0] / factorial(n) for n, row in enumerate(rows)])
-
-
-@lru_cache(maxsize=None)
-def _poly_bernoulli_polynomial_series(k: int, x: Fraction, order: int) -> se.Series:
-    return _series(Family.POLY_B, k, order) * se.exp_scaled(-x, order)
 
 
 # ---------------------------------------------------------------- power-basis rows
@@ -212,14 +204,18 @@ def _cotangent_stirling(n: int, k: int) -> Fraction:
     return total
 
 
+def _binomial_sum(n: int, a, value) -> Fraction:
+    """sum_j C(n, j) a(n - j) value(j), skipping the j where a(n - j) = 0.
+
+    With a and value read as weighted coefficients of A(t) and F(t), this is
+    index n of A(t) F(t): a family's generating function times a fixed series.
+    """
+    return sum((comb(n, j) * c * value(j) for j in range(n + 1) if (c := a(n - j))), Fraction(0))
+
+
 def _cotangent_from_cosecant(n: int, k: int) -> Fraction:
-    """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}."""
-    if n % 2 == 1:
-        return Fraction(0)
-    return sum(
-        (comb(n, 2 * i) * polycosecant(2 * i, k) for i in range(n // 2 + 1)),
-        Fraction(0),
-    )
+    """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}: the cosecant function times cosh t."""
+    return _binomial_sum(n, lambda i: 1 - i % 2, lambda j: polycosecant(j, k))
 
 
 # A route maps (n, weights) to the values at those weights.
@@ -351,7 +347,8 @@ def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
     """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}); B_n^{(k)}(0) = B_n^{(k)}."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    return _poly_bernoulli_polynomial_series(k, Fraction(x), se.truncation_for(n)).egf(n)
+    x = Fraction(x)
+    return _binomial_sum(n, lambda i: (-x) ** i, lambda j: poly_bernoulli("B", j, k, method="series"))
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:
@@ -369,26 +366,17 @@ def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
 
 
 def cosecant_from_cotangent(n: int, k: int) -> Fraction:
-    """D_n^{(k)} = sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n."""
+    """D_n^{(k)} = sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
     if n < 0 or n % 2 == 1:
         raise IndexParity("the cotangent-to-cosecant conversion addresses even indices")
-    return sum(
-        (
-            comb(n, 2 * i) * euler_number(n - 2 * i) * polycotangent(2 * i, k)
-            for i in range(n // 2 + 1)
-        ),
-        Fraction(0),
-    )
+    return _binomial_sum(n, euler_number, lambda j: polycotangent(j, k))
 
 
 def k_shift_recurrence(n: int, k: int) -> Fraction:
-    """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)}, which equals D_n^{(k-1)}."""
+    """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)} = D_n^{(k-1)}: index n+1 of sinh t times D's function."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    return sum(
-        (comb(n + 1, 2 * m + 1) * polycosecant(n - 2 * m, k) for m in range(n // 2 + 1)),
-        Fraction(0),
-    )
+    return _binomial_sum(n + 1, lambda i: i % 2, lambda j: polycosecant(j, k))
 
 
 def tilde_cosecant(m: int, k: int) -> Fraction:

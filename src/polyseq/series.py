@@ -9,7 +9,8 @@ Three caches hold work that no weight k changes: `tanh_half(order)`,
 `tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
 per (level, inner) series.  All three grow for the life of the process.
 `polylog_apply` is the public per-weight reference: the family expansions in
-`families` no longer call it, and the tests check them against it.
+`families` no longer call it, and the tests check them against it.  A
+family's product with a fixed series is a binomial sum there, not a `Series`.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class Series:
         if order >= self.order:
             return self
         return Series(self.coeffs[: order + 1])
-
-    def mirror(self) -> "Series":
-        """The series of t -> -t, i.e. c_n -> (-1)^n c_n."""
-        return Series(tuple(-c if n % 2 else c for n, c in enumerate(self.coeffs)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs

@@ -6,6 +6,8 @@ symmetrization level n.  Level 0 and level 1 collapse to the plain B- and
 C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are integer power-basis rows read by `families._evaluate_row`.
+The hat-numbers behind the cosecant definition are `families._binomial_sum`
+of TildeD values and the cached weighted coefficients of (e^t+1)^{1-n}.
 """
 
 from __future__ import annotations
@@ -82,25 +84,29 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
 
 
 @lru_cache(maxsize=None)
-def _copoly_hat_series(l: int, n: int, order: int) -> se.Series:
-    """Even part of (e^t+1)^{1-n} Li_{-l}(tanh(t/2)) / sinh t.
+def _hat_factor(n: int, order: int) -> tuple[Fraction, ...]:
+    """Weighted coefficients of (e^t+1)^{1-n} up to the given order.
 
-    The factor (e^t+1)^{1-n} multiplies for n = 0 and divides for n >= 2;
-    the divisor's constant term 2^{n-1} is never zero.
+    That is e^t + 1 at n = 0 and the reciprocal of (e^t+1)^{n-1} otherwise,
+    whose constant term 2^{n-1} is never zero.
     """
-    g = fa._series(fa.Family.TILDE_D, -l, order)
-    if n == 0:
-        g = g * (se.exp_scaled(1, order) + 1)
-    elif n >= 2:
-        g = g / (se.exp_scaled(1, order) + 1) ** (n - 1)
-    return (g + g.mirror()) * Fraction(1, 2)
+    base = se.exp_scaled(1, order) + 1
+    factor = base if n == 0 else se.constant(1, order) / base ** (n - 1)
+    return tuple(factorial(i) * c for i, c in enumerate(factor.coeffs))
 
 
 def copoly_hat(m: int, l: int, n: int) -> Fraction:
-    """Hat-numbers: weighted coefficients of the symmetrized cosecant kernel."""
+    """Hat-numbers: weighted coefficients of the symmetrized cosecant kernel.
+
+    The kernel is the even part of (e^t+1)^{1-n} Li_{-l}(tanh(t/2)) / sinh t,
+    so it vanishes at odd m and equals the product's coefficient at even m.
+    """
     if min(m, l, n) < 0:
         raise ValueError("indices must be non-negative")
-    return _copoly_hat_series(l, n, se.truncation_for(m)).egf(m)
+    if m % 2 == 1:
+        return Fraction(0)
+    factor = _hat_factor(n, se.truncation_for(m))
+    return fa._binomial_sum(m, factor.__getitem__, lambda j: fa.tilde_cosecant(j, -l))
 
 
 def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:

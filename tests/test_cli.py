@@ -174,6 +174,9 @@ def test_tilde_cosecant_table_row(capsys):
     assert rows[1] == ["0", "1/2", "1/2"]
 
 
+_TILDE_WEIGHTS = "the tilde-cosecant family is defined for weights <= 0"
+
+
 def _oracle_diff_argv(nmax, kmin, kmax):
     return ["oracle-diff", "--family", "Cosecant", "--nmax", nmax, "--kmin", kmin, "--kmax", kmax]
 
@@ -187,6 +190,10 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         (_oracle_diff_argv("4", "2", "-2"), "empty weight range 2..-2"),
         (_oracle_diff_argv("4", "-33", "0"), "weights must stay within -32..32"),
         (_oracle_diff_argv("4", "0", "33"), "weights must stay within -32..32"),
+        (["table", "--family", "TildeD", "--n", "0..3", "--k", "1..2"], _TILDE_WEIGHTS),
+        (["table", "--family", "TildeD", "--n", "0..3", "--k=-2..1"], _TILDE_WEIGHTS),
+        (["oracle-diff", "--family", "TildeD", "--nmax", "3", "--kmin", "1", "--kmax", "2"], _TILDE_WEIGHTS),
+        (["oracle-diff", "--family", "TildeD", "--nmax", "3", "--kmin=-2", "--kmax", "1"], _TILDE_WEIGHTS),
     ],
     ids=[
         "unparsable-range",
@@ -195,6 +202,10 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "oracle-diff-reversed-weights",
         "oracle-diff-kmin-below-max-weight",
         "oracle-diff-kmax-above-max-weight",
+        "table-tilde-positive-weights",
+        "table-tilde-weights-reaching-one",
+        "oracle-diff-tilde-positive-weights",
+        "oracle-diff-tilde-weights-reaching-one",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):

@@ -136,11 +136,6 @@ def test_egf_beyond_truncation_raises():
         sinh_series(3).egf(4)
 
 
-def test_mirror_flips_odd_coefficients():
-    s = exp_scaled(1, 5)
-    assert s.mirror() == exp_scaled(-1, 5)
-
-
 @st.composite
 def rational_series(draw, min_order=4, max_order=9):
     order = draw(st.integers(min_order, max_order))

@@ -1,6 +1,7 @@
 """Symmetrized poly-Bernoulli and polycosecant numbers and their dualities."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -20,7 +21,16 @@ from polyseq import (
     tilde_cosecant,
 )
 from polyseq import families as fa
-from polyseq.series import biseries_constant, biseries_exp
+from polyseq.series import (
+    Series,
+    biseries_constant,
+    biseries_exp,
+    exp_scaled,
+    polylog_apply,
+    sinh_series,
+    tanh_half,
+    truncation_for,
+)
 from polyseq.symmetrized import _sym_row, sym_cosecant_halves
 
 
@@ -90,6 +100,36 @@ def test_hat_numbers_vanish_at_odd_order():
         for l in range(5):
             for m in (1, 3, 5):
                 assert copoly_hat(m, l, n) == 0
+
+
+@lru_cache(maxsize=None)
+def _exp_plus_one_power(e, order):
+    return (exp_scaled(1, order) + 1) ** e
+
+
+@lru_cache(maxsize=None)
+def _old_copoly_hat_series(l, n, order):
+    """The hat-numbers' series as it was built before `families._binomial_sum`.
+
+    Even part of (e^t+1)^{1-n} Li_{-l}(tanh(t/2)) / sinh t, with the TildeD
+    series taken from polylog_apply and the even part as (g(t) + g(-t)) / 2.
+    """
+    g = polylog_apply(1, -l, tanh_half(order + 1)) / sinh_series(order + 1)
+    if n == 0:
+        g = g * (exp_scaled(1, order) + 1)
+    elif n >= 2:
+        g = g / _exp_plus_one_power(n - 1, order)
+    mirror = Series(tuple(-c if i % 2 else c for i, c in enumerate(g.coeffs)))
+    return (g + mirror) * F(1, 2)
+
+
+def test_hat_numbers_equal_the_series_they_replaced():
+    # m crosses the truncations 24, 32 and 40 that the hat factor is cached at
+    for n in range(6):
+        for l in range(11):
+            for m in range(41):
+                want = _old_copoly_hat_series(l, n, truncation_for(m)).egf(m)
+                assert copoly_hat(m, l, n) == want, (m, l, n)
 
 
 def test_hat_numbers_level_one_weight_shift():
