@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import congruences as cg
 from .errors import PolyseqError, UsageError
@@ -177,7 +178,15 @@ def _allow_negative_ranges(parser: argparse.ArgumentParser) -> None:
         parser._negative_number_matcher = matcher
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `polyseq` parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser as it was, and help and errors go to the
+    `sys.stdout` and `sys.stderr` in force when they are printed, so one
+    parser serves every call of `main`.  The `verify` epilog lists the
+    registry, which is fixed at import.
+    """
     parser = argparse.ArgumentParser(
         prog="polyseq",
         description="Exact tables and identity verification for poly-Bernoulli, "
@@ -220,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PolyseqError as exc:

@@ -19,9 +19,11 @@ The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
 sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
 on k.  A row builder per family returns (shift, denominator, ((b, c), ...))
 and one evaluator, `_evaluate_row`, turns a row and a list of weights into
-values.  Every route takes (n, weights), so `family_row(family, n, ks)` builds
-a row once for all its weights, while `family_value` is the same call with
-one weight.
+values.  It steps the powers across ascending weights: the terms c b^e of
+one weight come from the previous weight's by one small product per term,
+not a full power.  Every route takes (n, weights), so `family_row(family, n,
+ks)` builds a row once for all its weights, while `family_value` is the same
+call with one weight.
 
 A family's generating function times a fixed series (cosh t, sech t, sinh t,
 e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
@@ -154,22 +156,46 @@ def _poly_bernoulli_row(variant: str, n: int) -> Row:
     return _row(0, 1, ((b, a[b - 1] - a[b]) for b in range(1, n + 2)))
 
 
+def _powers(pairs, last, x: int) -> tuple[int, list[int]]:
+    """(x, [c * b^x for b, c in pairs]), stepped from `last`, the same list at an earlier exponent y.
+
+    Rising, it multiplies by b^(x - y); falling by one, it divides exactly by
+    b.  A larger fall starts again from c: dividing by a large b^(y - x)
+    costs more than the powers it would save.
+    """
+    if last is not None:
+        y, powered = last
+        if x >= y:
+            step = x - y
+            return x, [p * b**step for p, (b, _) in zip(powered, pairs)]
+        if x == y - 1:
+            return x, [p // b for p, (b, _) in zip(powered, pairs)]
+    return x, [c * b**x for b, c in pairs]
+
+
 def _evaluate_row(row: Row, ks) -> list[Fraction]:
-    """The row's value at each weight in `ks`: integer sums, then one Fraction each."""
+    """The row's value at each weight in `ks`: integer sums, then one Fraction each.
+
+    The terms of a weight are stepped from those of the previous weight on the
+    same side of exponent zero (see `_powers`), so consecutive weights cost
+    one small product or exact quotient per term instead of a full power.
+    """
     shift, denominator, terms = row
     values = []
-    scaled = None
+    low = high = None
     for k in ks:
         e = k + shift
         if e <= 0:
-            values.append(Fraction(sum(c * b**-e for b, c in terms), denominator))
+            low = _powers(terms, low, -e)
+            values.append(Fraction(sum(low[1]), denominator))
             continue
-        if scaled is None:
+        if high is None:
             # b^-e = (L/b)^e / L^e over the lcm L of the bases; a list again
             # (see _row), since lcm(*generator) builds a resized tuple
             lcm_all = lcm(*[b for b, _ in terms])
             scaled = [(lcm_all // b, c) for b, c in terms]
-        values.append(Fraction(sum(c * q**e for q, c in scaled), lcm_all**e * denominator))
+        high = _powers(scaled, high, e)
+        values.append(Fraction(sum(high[1]), lcm_all**e * denominator))
     return values
 
 
@@ -344,9 +370,15 @@ def poly_bernoulli(variant: str, n: int, k: int, method: str | None = None) -> F
 
 
 def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
-    """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}); B_n^{(k)}(0) = B_n^{(k)}."""
+    """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}); B_n^{(k)}(0) = B_n^{(k)}.
+
+    x is an int, a Fraction or a string such as "1/10"; a float is refused,
+    since it holds only the nearest double to the number it was written as.
+    """
     if n < 0:
         raise ValueError("order index must be non-negative")
+    if isinstance(x, float):
+        raise TypeError(f"x must be exact (an int, a Fraction or a string such as '1/10'), not the float {x!r}")
     x = Fraction(x)
     return _binomial_sum(n, lambda i: (-x) ** i, lambda j: poly_bernoulli("B", j, k, method="series"))
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyseq import congruences as cg
-from polyseq.cli import build_table, main
+from polyseq.cli import build_parser, build_table, main
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +151,33 @@ def test_output_is_byte_stable(capsys):
     assert v1 == v2
 
 
+def _main_captured(argv):
+    """(exit code, stdout, stderr) of one call of main, SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+    table = ["table", "--family", "Cotangent", "--n", "0..6", "--k=-3..3", "--format", "latex"]
+    first = _main_captured(table)
+    assert first[0] == 0 and first[1] and not first[2]
+    code, out, err = _main_captured(["table", "--family", "Cosecant", "--n", "0..2", "--k", "0", "--bogus"])
+    assert code == 2 and not out and "unrecognized arguments: --bogus" in err
+    assert _main_captured(table) == first
+    code, out, err = _main_captured(["verify", "--help"])
+    # help goes to the stdout in force at the call, and lists the registry
+    assert code == 0 and out.startswith("usage: polyseq verify") and not err
+    assert "identities: " + ", ".join(cg.registry_ids()) in " ".join(out.split())
+    assert _main_captured(table) == first
+    assert build_parser() is build_parser()
+
+
 def test_build_table_defaults_to_exact_strings():
     table = build_table("Cosecant", (4, 4), (-3, 2))
     assert table.rows[0][1] == ["121", "16", "1", "0", "7/15", "176/225"]
@@ -259,11 +286,6 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_any_argv_keeps_the_exit_code_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors and --help
-            code = exc.code
+    code, _, err = _main_captured(argv)
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv

@@ -3,7 +3,7 @@ method agreement, dualities, conversions, vanishing sums."""
 
 from fractions import Fraction as F
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +141,17 @@ def test_poly_bernoulli_polynomial_constant_term():
     for k in (-3, 0, 2):
         for x in (F(0), F(2, 3), F(-1)):
             assert poly_bernoulli_polynomial(0, k, x) == 1
+
+
+def test_poly_bernoulli_polynomial_takes_exact_x_only():
+    # B_n^{(1)}(x) = B_n(1 - x) with B_2(y) = y^2 - y + 1/6
+    assert poly_bernoulli_polynomial(2, 1, F(1, 10)) == F(23, 300)
+    assert poly_bernoulli_polynomial(2, 1, "1/10") == F(23, 300)
+    assert poly_bernoulli_polynomial(2, 1, 3) == F(37, 6)
+    with pytest.raises(TypeError, match="float"):
+        poly_bernoulli_polynomial(2, 1, 0.1)
+    with pytest.raises(TypeError, match="float"):
+        poly_bernoulli_polynomial(2, 1, 3.0)
 
 
 def test_dualities():
@@ -383,6 +394,46 @@ def test_power_rows_have_integer_entries_and_drop_zeros():
         assert fa._cosecant_row(n)[:2] == (1, 2**n)
         if n % 2:
             assert fa._cosecant_row(n)[2] == () and fa._cotangent_row(n)[2] == ()
+
+
+def _reference_evaluate_row(row, ks):
+    """`families._evaluate_row` as it was before it stepped powers between weights."""
+    shift, denominator, terms = row
+    values = []
+    scaled = None
+    for k in ks:
+        e = k + shift
+        if e <= 0:
+            values.append(F(sum(c * b**-e for b, c in terms), denominator))
+            continue
+        if scaled is None:
+            lcm_all = lcm(*[b for b, _ in terms])
+            scaled = [(lcm_all // b, c) for b, c in terms]
+        values.append(F(sum(c * q**e for q, c in scaled), lcm_all**e * denominator))
+    return values
+
+
+_WEIGHT_LISTS = {
+    "ascending": range(-32, 33),
+    "descending": range(32, -33, -1),
+    "duplicates": [4, 4, 5, 2, 9],
+    "gaps": [-30, -17, -16, -3, 0, 7, 8, 20, 32, 3],
+    "alternating signs": [-5, 5, -4, 4, -6, 6, -5, 5],
+    "single": [7],
+    "empty": [],
+    # D's shift is 1, so its exponent k + 1 changes side between k = -1 and 0
+    "across D's shift": [-3, -2, -1, 0, 1, 0, -1, -2, 1, -1],
+    "large |k|": [-300, -299, 299, 300, 150],
+}
+
+
+@pytest.mark.parametrize("name", _WEIGHT_LISTS)
+def test_evaluate_row_equals_the_unstepped_evaluator(name):
+    ks = list(_WEIGHT_LISTS[name])
+    rows = [build(n) for n in range(65) for _, build, _ in _ROW_REFERENCES.values()]
+    rows += [row for family in Family for row in fa._series_rows(family, 24)]
+    for row in rows:
+        assert fa._evaluate_row(row, ks) == _reference_evaluate_row(row, ks), (row[:2], ks)
 
 
 def test_family_row_equals_family_value_per_weight():
