@@ -23,12 +23,15 @@ values.  It steps the powers across ascending weights: the terms c b^e of
 one weight come from the previous weight's by one small product per term,
 not a full power.  Every route takes (n, weights), so `family_row(family, n,
 ks)` builds a row once for all its weights, while `family_value` is the same
-call with one weight.
+call with one weight.  `_sym_row` also builds both symmetrized closed forms;
+Sasaki's formula for D at k <= 0, the `sasaki` route, is its level-one
+cosecant row with shift 1 and half the denominator.
 
 A family's generating function times a fixed series (cosh t, sech t, sinh t,
 e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
 polynomials.  Each is one `_binomial_sum`, index n of that product in
-weighted coefficients, over family values at single weights.
+weighted coefficients, over family values (one series matrix's rows j <= n
+for the B-polynomials).
 """
 
 from __future__ import annotations
@@ -144,6 +147,29 @@ def _cotangent_row(n: int) -> Row:
     )
 
 
+def _sym_row(m: int, n: int, dyadic: bool) -> Row:
+    """Both symmetrized closed forms at order m, level n as one row in b^l: sym-D when dyadic.
+
+    Each is sum_j (j+n)! S(m+1,j+1) j!S(l+1,j+1), sym-D's term j over 2^(n+j)
+    (here over 2^(n+m)), and j!S(l+1,j+1) = sum_b (-1)^(j+1-b) C(j,b-1) b^l.
+    """
+    w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
+    return _row(
+        0,
+        2 ** (n + m) if dyadic else 1,
+        (
+            (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
+            for b in range(1, m + 2)
+        ),
+    )
+
+
+def _sasaki_row(n: int) -> Row:
+    """Sasaki's D_n^{(-k)} = sum_i i!(i-1)!/2^(i-1) S(k,i) S(n+1,i) = 2 sym-D at (n, k - 1, level 1)."""
+    _, denominator, terms = _sym_row(n, 1, True)
+    return 1, denominator // 2, terms
+
+
 def _poly_bernoulli_row(variant: str, n: int) -> Row:
     """Power form from expanding through powers of 1 - e^{-t}; valid for all k.
 
@@ -200,21 +226,6 @@ def _evaluate_row(row: Row, ks) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------- closed forms
-
-def _cosecant_sasaki(n: int, k: int) -> Fraction:
-    """Integer-only form for even n and weight -k <= 0.
-
-    The sum is empty at (n, k) = (0, 0) although the true value there is 1,
-    so that corner is excluded from this method's domain.
-    """
-    kk = -k
-    total = Fraction(0)
-    for i in range(1, min(n + 1, kk) + 1):
-        total += Fraction(factorial(i) * factorial(i - 1), 2 ** (i - 1)) * stirling2(
-            kk, i
-        ) * stirling2(n + 1, i)
-    return total
-
 
 def _cotangent_stirling(n: int, k: int) -> Fraction:
     """Four-part integer form for even n and weight k <= -1."""
@@ -284,7 +295,7 @@ ROUTES = {
         "series": ("oracle", _ANYWHERE, _by_series(Family.POLY_C)),
     },
     Family.COSECANT: {
-        "sasaki": ("closed", _SASAKI, _cells(_cosecant_sasaki)),
+        "sasaki": ("closed", _SASAKI, _power_row(_sasaki_row)),
         "explicit": ("closed", _ANYWHERE, _power_row(_cosecant_row)),
         "series": ("oracle", _ANYWHERE, _by_series(Family.COSECANT)),
     },
@@ -370,17 +381,12 @@ def poly_bernoulli(variant: str, n: int, k: int, method: str | None = None) -> F
 
 
 def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
-    """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}); B_n^{(k)}(0) = B_n^{(k)}.
-
-    x is an int, a Fraction or a string such as "1/10"; a float is refused,
-    since it holds only the nearest double to the number it was written as.
-    """
+    """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}) at exact, not float, x; B_n^{(k)}(0) = B_n^{(k)}."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    if isinstance(x, float):
-        raise TypeError(f"x must be exact (an int, a Fraction or a string such as '1/10'), not the float {x!r}")
-    x = Fraction(x)
-    return _binomial_sum(n, lambda i: (-x) ** i, lambda j: poly_bernoulli("B", j, k, method="series"))
+    x = se.exact(x, "x")
+    rows = _series_rows(Family.POLY_B, se.truncation_for(n))
+    return _binomial_sum(n, lambda i: (-x) ** i, lambda j: _evaluate_row(rows[j], (k,))[0])
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:

@@ -90,10 +90,10 @@ def _euler_polynomial_series(x: Fraction, order: int) -> se.Series:
 
 
 def euler_polynomial(m: int, x) -> Fraction:
-    """E_m(x) from 2 e^{xt} / (e^t + 1), evaluated at rational x."""
+    """E_m(x) from 2 e^{xt} / (e^t + 1), evaluated at rational x; a float x is refused."""
     if m < 0:
         raise ValueError("Euler-polynomial index must be non-negative")
-    return _euler_polynomial_series(Fraction(x), se.truncation_for(m)).egf(m)
+    return _euler_polynomial_series(se.exact(x, "x"), se.truncation_for(m)).egf(m)
 
 
 def tangent(kind: str, n: int) -> int:

@@ -38,6 +38,13 @@ def truncation_for(n: int) -> int:
     return ((need + 7) // 8) * 8
 
 
+def exact(value, name: str) -> Fraction:
+    """`value` as a Fraction; a float is refused, as it holds only the nearest double to what was written."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be an int, a Fraction or a string such as '1/10', not the float {value!r}")
+    return Fraction(value)
+
+
 class Series:
     """Truncated series sum_{n=0}^{order} c_n t^n with Fraction coefficients."""
 
@@ -162,15 +169,14 @@ class Series:
 
 
 def _power(base, exponent: int, one):
-    """base**exponent by repeated squaring, starting from the unit `one`."""
+    """base**exponent from the highest bit down: bit_length - 1 squarings, popcount - 1 more products."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("series powers take non-negative integer exponents")
-    result = one
-    while exponent:
-        if exponent & 1:
+    result = base if exponent else one
+    for bit in bin(exponent)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base
-        exponent >>= 1
     return result
 
 

@@ -5,7 +5,8 @@ restore full duality between the order index and the weight at every
 symmetrization level n.  Level 0 and level 1 collapse to the plain B- and
 C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
-closed forms are integer power-basis rows read by `families._evaluate_row`.
+closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
+level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
 The hat-numbers behind the cosecant definition are `families._binomial_sum`
 of TildeD values and the cached weighted coefficients of (e^t+1)^{1-n}.
 """
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from . import families as fa
 from . import series as se
 from .errors import MethodDomain
-from .sequences import stirling1, stirling2
+from .sequences import stirling1
 
 
 def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
@@ -36,23 +37,6 @@ def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
     ey = se.biseries_exp(0, 1, orders)
     exy = se.biseries_exp(1, 1, orders)
     return (exy * factorial(n)) / (ex + ey - exy) ** (n + 1)
-
-
-def _sym_row(m: int, n: int, dyadic: bool) -> fa.Row:
-    """Both closed forms at order m, level n as one row in b^l: sym-D when dyadic.
-
-    Each is sum_j (j+n)! S(m+1,j+1) j!S(l+1,j+1), sym-D's term j over 2^(n+j)
-    (here over 2^(n+m)), and j!S(l+1,j+1) = sum_b (-1)^(j+1-b) C(j,b-1) b^l.
-    """
-    w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
-    return fa._row(
-        0,
-        2 ** (n + m) if dyadic else 1,
-        (
-            (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
-            for b in range(1, m + 2)
-        ),
-    )
 
 
 def _first_kind_sum(n: int, l: int, value) -> Fraction:
@@ -76,7 +60,7 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     if method == "definition":
         return _first_kind_sum(n, l, lambda w: fa.poly_bernoulli_polynomial(m, -w, n))
     if method == "closed_form":
-        return fa._evaluate_row(_sym_row(m, n, False), (-l,))[0]
+        return fa._evaluate_row(fa._sym_row(m, n, False), (-l,))[0]
     if method == "biseries":
         size = ((max(l, m, 4) + 3) // 4) * 4
         return sym_bernoulli_bivariate(n, (size, size)).egf(l, m)
@@ -106,7 +90,8 @@ def copoly_hat(m: int, l: int, n: int) -> Fraction:
     if m % 2 == 1:
         return Fraction(0)
     factor = _hat_factor(n, se.truncation_for(m))
-    return fa._binomial_sum(m, factor.__getitem__, lambda j: fa.tilde_cosecant(j, -l))
+    rows = fa._series_rows(fa.Family.TILDE_D, se.truncation_for(m))
+    return fa._binomial_sum(m, factor.__getitem__, lambda j: fa._evaluate_row(rows[j], (-l,))[0])
 
 
 def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:
@@ -123,7 +108,7 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
         return Fraction(0)
     if method == "definition":
         return _first_kind_sum(n, l, lambda w: copoly_hat(m, w, n))
-    return fa._evaluate_row(_sym_row(m, n, True), (-l,))[0]
+    return fa._evaluate_row(fa._sym_row(m, n, True), (-l,))[0]
 
 
 @lru_cache(maxsize=None)

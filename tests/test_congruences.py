@@ -51,6 +51,16 @@ def test_reduce_mod_examples():
         reduce_mod(F(1, 3), 3, 1)
 
 
+def test_residue_primitives_take_exact_rationals_only():
+    # 0.1 is the double 3602879701896397/2^55, which has no factor 5 and is 2 mod 9
+    for q in (F(1, 10), "1/10"):
+        assert ord_p(q, 5) == -1
+        assert reduce_mod(q, 3, 2).value == 1  # 1/10 = 1 mod 9
+    for call in (lambda: ord_p(0.1, 5), lambda: reduce_mod(0.1, 3, 2), lambda: ord_p(4.0, 2)):
+        with pytest.raises(TypeError, match="float"):
+            call()
+
+
 def test_registry_lists_every_documented_identity():
     expected = {
         "KUMMER_BERNOULLI", "KUMMER_POLYB_B", "KUMMER_POLYB_C", "SUM_POLYB",

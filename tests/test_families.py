@@ -14,6 +14,7 @@ from polyseq import (
     IndexParity,
     MethodDomain,
     bernoulli,
+    copoly_hat,
     cosecant_bivariate,
     cosecant_from_cotangent,
     euler_number,
@@ -360,6 +361,35 @@ def _poly_bernoulli_stirling(variant, n, k):
     return total
 
 
+def _cosecant_sasaki(n, k):
+    """Integer-only form for even n and weight -k <= 0.
+
+    The sum is empty at (n, k) = (0, 0) although the true value there is 1,
+    so that corner is excluded from this method's domain.
+    """
+    kk = -k
+    total = F(0)
+    for i in range(1, min(n + 1, kk) + 1):
+        total += F(factorial(i) * factorial(i - 1), 2 ** (i - 1)) * stirling2(
+            kk, i
+        ) * stirling2(n + 1, i)
+    return total
+
+
+def test_sasaki_row_is_the_explicit_row():
+    # a power-basis row is unique, so equal rows prove Sasaki's formula equal
+    # to the explicit one at every weight of these orders
+    for n in range(0, 65, 2):
+        assert fa._sasaki_row(n) == fa._cosecant_row(n), n
+
+
+def test_sasaki_route_matches_its_per_cell_sum():
+    route = ROUTES[Family.COSECANT]["sasaki"][2]
+    for n in range(0, 41, 2):
+        ks = [k for k in range(-60, 1) if (n, k) != (0, 0)]
+        assert route(n, ks) == [_cosecant_sasaki(n, k) for k in ks], n
+
+
 _ROW_REFERENCES = {
     Family.COSECANT: ("explicit", fa._cosecant_row, _cosecant_explicit),
     Family.COTANGENT: ("explicit", fa._cotangent_row, _cotangent_explicit),
@@ -559,6 +589,13 @@ def test_conversions_and_k_shift_equal_the_sums_they_replaced():
             assert k_shift_recurrence(n, k) == _old_k_shift_recurrence(n, k), (n, k)
             if n % 2 == 0:
                 assert cosecant_from_cotangent(n, k) == _old_cosecant_from_cotangent(n, k), (n, k)
+
+
+def test_series_readers_build_one_matrix():
+    for call in (lambda: poly_bernoulli_polynomial(40, 3, 2), lambda: copoly_hat(40, 2, 2)):
+        fa._series_rows.cache_clear()
+        call()
+        assert fa._series_rows.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("x", [F(0), F(1), F(3), F(-2), F(1, 3), F(-5, 7)])

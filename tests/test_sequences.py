@@ -122,6 +122,13 @@ def test_euler_polynomial_values():
     assert euler_polynomial(1, 0) == F(-1, 2)
 
 
+def test_euler_polynomial_takes_exact_x_only():
+    # E_2(x) = x^2 - x
+    assert euler_polynomial(2, F(1, 10)) == euler_polynomial(2, "1/10") == F(-9, 100)
+    with pytest.raises(TypeError, match="float"):
+        euler_polynomial(2, 0.1)
+
+
 def test_euler_polynomial_functional_equation():
     # E_m(x) + E_m(x+1) = 2 x^m pins the whole polynomial family
     for m in range(9):

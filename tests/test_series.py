@@ -273,6 +273,27 @@ def test_bivariate_functions_cache_an_int_order_under_its_tuple():
     assert symmetrized._sym_bernoulli_bivariate.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize(
+    "base",
+    [exp_scaled(F(1, 3), 8) - monomial(8), biseries_exp(1, -2, (4, 3)) + biseries_exp(F(1, 2), 0, (4, 3))],
+    ids=["Series", "BiSeries"],
+)
+def test_power_takes_the_fewest_products(base, monkeypatch):
+    kind = type(base)
+    one = constant(1, base.order) if kind is Series else biseries_constant(1, base.orders)
+    want = one
+    for exponent in range(10):
+        products = []
+        real = kind.__mul__
+        monkeypatch.setattr(kind, "__mul__", lambda a, b: products.append(1) or real(a, b))
+        got = base**exponent
+        monkeypatch.undo()
+        assert got == want, exponent
+        # bit_length - 1 squarings and popcount - 1 further products
+        assert len(products) == (exponent.bit_length() + bin(exponent).count("1") - 2 if exponent else 0)
+        want = want * base
+
+
 def test_biseries_arith_and_errors():
     a = biseries_exp(1, 1, (3, 3))
     b = biseries_exp(1, 0, (3, 3))

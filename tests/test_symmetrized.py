@@ -31,7 +31,8 @@ from polyseq.series import (
     tanh_half,
     truncation_for,
 )
-from polyseq.symmetrized import _sym_row, sym_cosecant_halves
+from polyseq.families import _sym_row
+from polyseq.symmetrized import sym_cosecant_halves
 
 
 def test_sym_bernoulli_three_routes_agree():
