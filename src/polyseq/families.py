@@ -15,23 +15,33 @@ route evaluates those rows like the closed forms below.  The rows come from
 series arithmetic on the generating function alone, never from Stirling
 numbers, so the oracle stays independent of the closed forms.
 
-The explicit closed forms of B, C, D and beta share one shape, value(n, k) =
-sum_b c[b] b^-(k + shift) / denominator, with integer c that do not depend
-on k.  A row builder per family returns (shift, denominator, ((b, c), ...))
-and one evaluator, `_evaluate_row`, turns a row and a list of weights into
-values.  It steps the powers across ascending weights: the terms c b^e of
-one weight come from the previous weight's by one small product per term,
-not a full power.  Every route takes (n, weights), so `family_row(family, n,
-ks)` builds a row once for all its weights, while `family_value` is the same
-call with one weight.  `_sym_row` also builds both symmetrized closed forms;
-Sasaki's formula for D at k <= 0, the `sasaki` route, is its level-one
-cosecant row with shift 1 and half the denominator.
+The explicit closed forms of B, C, D, beta and TildeD share one shape,
+value(n, k) = sum_b c[b] b^-(k + shift) / denominator, with integer c that do
+not depend on k.  A row builder per family returns (shift, denominator, ((b,
+c), ...)) and one evaluator, `_evaluate_row`, turns a row and a list of
+weights into values.  It steps the powers across ascending weights: the terms
+c b^e of one weight come from the previous weight's by one small product per
+term, not a full power.  Every route takes (n, weights), so `family_row(family,
+n, ks)` builds a row once for all its weights, while `family_value` is the
+same call with one weight.  `_sym_row` also builds both symmetrized closed
+forms; Sasaki's formula for D at k <= 0, the `sasaki` route, is its level-one
+cosecant row with shift 1 and half the denominator.  TildeD's `explicit` route
+at k <= 0 is `_tilde_row`, a Stirling sum over the bases 1..n+1.
 
-A family's generating function times a fixed series (cosh t, sech t, sinh t,
-e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
-polynomials.  Each is one `_binomial_sum`, index n of that product in
-weighted coefficients, over family values (one series matrix's rows j <= n
-for the B-polynomials).
+Each `_power_row` route keeps one bounded LRU cache of its builder's rows.  A
+one-weight call (`family_value`, and so `poly_bernoulli`, `polycosecant`,
+`oracle_diff`) reads its row from that cache; a call with several weights
+(`family_row`, one table row) builds the row once and does not keep it, since
+no later lookup reads it again.
+
+A family's generating function times a fixed series (cosh t, sech t, sinh t)
+gives the conversions and the k-shift recurrence.  Each is index n of that
+product in weighted coefficients, sum_j C(n, j) a(n - j) F_j, and with F_j
+the cached explicit rows it is one row: `_row_sum` scales each row and puts
+them over a common denominator.  `_shift_by_one` gives the row of the value
+at k - 1, which is what the k-shift recurrence equals.  Where a variable x
+enters, in the poly-Bernoulli polynomials (e^{-xt}), the product stays one
+`_binomial_sum` over values of one series matrix's rows j <= n.
 """
 
 from __future__ import annotations
@@ -182,6 +192,39 @@ def _poly_bernoulli_row(variant: str, n: int) -> Row:
     return _row(0, 1, ((b, a[b - 1] - a[b]) for b in range(1, n + 2)))
 
 
+def _tilde_row(n: int) -> Row:
+    """TildeD_n^{(k)}: bases m = 1..n+1 over 2^(n+1).
+
+    Li_k(tanh(t/2)) / sinh t = sum_m m^-k 2e^t (e^t-1)^(m-1) / (e^t+1)^(m+1);
+    expanding 1/(e^t+1)^(m+1) in powers of (e^t-1)/2 and taking n![t^n]
+    e^t (e^t-1)^r = r! S(n+1, r+1) gives base m the coefficient sum_j (-1)^j
+    C(m+j, j) (m+j-1)! S(n+1, m+j) / 2^(m+j), here summed over r = m+j.
+    """
+    w = [0] + [factorial(r - 1) * stirling2(n + 1, r) * 2 ** (n + 1 - r) for r in range(1, n + 2)]
+    return _row(
+        0,
+        2 ** (n + 1),
+        ((m, sum((-1) ** (r - m) * comb(r, m) * w[r] for r in range(m, n + 2))) for m in range(1, n + 2)),
+    )
+
+
+def _row_sum(parts) -> Row:
+    """The row of sum scale * row over (scale, row) pairs whose rows share one shift, over their common denominator."""
+    denominator = lcm(*[d for _, (_, d, _) in parts])
+    coefficients: dict[int, int] = {}
+    for scale, (_, d, terms) in parts:
+        factor = scale * (denominator // d)
+        for b, c in terms:
+            coefficients[b] = coefficients.get(b, 0) + factor * c
+    return _row(parts[0][1][0], denominator, sorted(coefficients.items()))
+
+
+def _shift_by_one(row: Row) -> Row:
+    """The row whose value at weight k is `row`'s value at k - 1: each coefficient times its base."""
+    shift, denominator, terms = row
+    return _row(shift, denominator, ((b, c * b) for b, c in terms))
+
+
 def _powers(pairs, last, x: int) -> tuple[int, list[int]]:
     """(x, [c * b^x for b, c in pairs]), stepped from `last`, the same list at an earlier exponent y.
 
@@ -250,16 +293,21 @@ def _binomial_sum(n: int, a, value) -> Fraction:
     return sum((comb(n, j) * c * value(j) for j in range(n + 1) if (c := a(n - j))), Fraction(0))
 
 
-def _cotangent_from_cosecant(n: int, k: int) -> Fraction:
-    """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}: the cosecant function times cosh t."""
-    return _binomial_sum(n, lambda i: 1 - i % 2, lambda j: polycosecant(j, k))
-
-
 # A route maps (n, weights) to the values at those weights.
 
 def _power_row(build):
-    """Route that builds the k-independent row once per call and evaluates it."""
-    return lambda n, ks: _evaluate_row(build(n), ks)
+    """Route evaluating the builder's k-independent row.
+
+    A one-weight call reads the row from the route's bounded cache, `.rows`;
+    a call with several weights builds it afresh and does not keep it.
+    """
+    rows = lru_cache(maxsize=128)(build)
+
+    def route(n, ks):
+        return _evaluate_row(rows(n) if len(ks) == 1 else build(n), ks)
+
+    route.rows = rows
+    return route
 
 
 def _cells(compute):
@@ -270,6 +318,30 @@ def _cells(compute):
 def _by_series(family: Family):
     """Route evaluating row n of the family's cached quotient matrix at every weight."""
     return lambda n, ks: _evaluate_row(_series_rows(family, se.truncation_for(n))[n], ks)
+
+
+def _explicit_row(family: Family, n: int) -> Row:
+    """Row n of the family's `explicit` route, read through that route's cache."""
+    return ROUTES[family]["explicit"][2].rows(n)
+
+
+def _from_cosecant_row(n: int) -> Row:
+    """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}, the cosecant function times cosh t; empty at odd n."""
+    if n % 2 == 1:
+        return _row(1, 2**n, ())
+    return _row_sum([(comb(n, j), _explicit_row(Family.COSECANT, j)) for j in range(0, n + 1, 2)])
+
+
+def _cosecant_from_cotangent_row(n: int) -> Row:
+    """sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
+    return _row_sum(
+        [(comb(n, j) * euler_number(n - j), _explicit_row(Family.COTANGENT, j)) for j in range(0, n + 1, 2)]
+    )
+
+
+def _k_shift_row(n: int) -> Row:
+    """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)}: index n+1 of sinh t times D's function."""
+    return _row_sum([(comb(n + 1, j), _explicit_row(Family.COSECANT, j)) for j in range(n % 2, n + 1, 2)])
 
 
 # ------------------------------------------------------------------ route table
@@ -302,10 +374,11 @@ ROUTES = {
     Family.COTANGENT: {
         "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cells(_cotangent_stirling)),
         "explicit": ("closed", _ANYWHERE, _power_row(_cotangent_row)),
-        "from_cosecant": ("closed", _ANYWHERE, _cells(_cotangent_from_cosecant)),
+        "from_cosecant": ("closed", _ANYWHERE, _power_row(_from_cosecant_row)),
         "series": ("oracle", _ANYWHERE, _by_series(Family.COTANGENT)),
     },
     Family.TILDE_D: {
+        "explicit": ("closed", _NONPOSITIVE_WEIGHT, _power_row(_tilde_row)),
         "series": ("oracle", _NONPOSITIVE_WEIGHT, _by_series(Family.TILDE_D)),
     },
 }
@@ -321,7 +394,7 @@ def _method_at(family: Family, n: int, k: int, method: str | None) -> str:
         for name, (_, (_, holds), _) in routes.items():
             if holds(n, k):
                 return name
-        method = "series"  # no route holds only for TildeD at k > 0; its domain says why
+        method = "series"  # no route holds only for TildeD at k > 0; its domains say why
     if method not in routes:
         raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
     _, (needs, holds), _ = routes[method]
@@ -397,8 +470,8 @@ def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:
 def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
     """beta_n^{(k)}; zero at odd n.
 
-    Methods: explicit, stirling_negk (even index, weight <= -1), from_cosecant,
-    series.
+    Methods: stirling_negk (even index, weight <= -1), explicit, from_cosecant,
+    series; the default is the first of them whose domain holds.
     """
     return _value(Family.COTANGENT, n, k, method)
 
@@ -407,18 +480,18 @@ def cosecant_from_cotangent(n: int, k: int) -> Fraction:
     """D_n^{(k)} = sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
     if n < 0 or n % 2 == 1:
         raise IndexParity("the cotangent-to-cosecant conversion addresses even indices")
-    return _binomial_sum(n, euler_number, lambda j: polycotangent(j, k))
+    return _evaluate_row(_cosecant_from_cotangent_row(n), (k,))[0]
 
 
 def k_shift_recurrence(n: int, k: int) -> Fraction:
     """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)} = D_n^{(k-1)}: index n+1 of sinh t times D's function."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    return _binomial_sum(n + 1, lambda i: i % 2, lambda j: polycosecant(j, k))
+    return _evaluate_row(_k_shift_row(n), (k,))[0]
 
 
 def tilde_cosecant(m: int, k: int) -> Fraction:
-    """Coefficients of Li_k(tanh(t/2)) / sinh t for weight k <= 0 (series only)."""
+    """Coefficients of Li_k(tanh(t/2)) / sinh t for weight k <= 0, by the explicit Stirling row."""
     return _value(Family.TILDE_D, m, k, None)
 
 

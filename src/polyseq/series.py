@@ -10,7 +10,13 @@ Three caches hold work that no weight k changes: `tanh_half(order)`,
 per (level, inner) series.  All three grow for the life of the process.
 `polylog_apply` is the public per-weight reference: the family expansions in
 `families` no longer call it, and the tests check them against it.  A
-family's product with a fixed series is a binomial sum there, not a `Series`.
+family's product with a fixed series is a sum of rows or a binomial sum
+there, not a `Series`.
+
+The public constructors `constant`, `exp_scaled`, `biseries_constant` and
+`biseries_exp` refuse a float through `exact`.  `Series` and `BiSeries`
+themselves convert their coefficients unchecked, since every product and
+quotient passes through them.
 """
 
 from __future__ import annotations
@@ -181,7 +187,7 @@ def _power(base, exponent: int, one):
 
 
 def constant(value: Scalar, order: int) -> Series:
-    return Series((Fraction(value),) + (Fraction(0),) * order)
+    return Series((exact(value, "value"),) + (Fraction(0),) * order)
 
 
 def monomial(order: int) -> Series:
@@ -191,7 +197,7 @@ def monomial(order: int) -> Series:
 
 def exp_scaled(c: Scalar, order: int) -> Series:
     """e^{ct} truncated: coefficients c^n / n!."""
-    c = Fraction(c)
+    c = exact(c, "c")
     return Series(tuple(c**n / factorial(n) for n in range(order + 1)))
 
 
@@ -383,7 +389,7 @@ class BiSeries:
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:
     tt, ty = orders
     rows = [[Fraction(0)] * (ty + 1) for _ in range(tt + 1)]
-    rows[0][0] = Fraction(value)
+    rows[0][0] = exact(value, "value")
     return BiSeries(rows)
 
 
@@ -392,8 +398,8 @@ def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSerie
     if isinstance(orders, int):
         orders = (orders, orders)
     tt, ty = orders
-    a = Fraction(a)
-    b = Fraction(b)
+    a = exact(a, "a")
+    b = exact(b, "b")
     return BiSeries(
         tuple(
             tuple(a**m * b**l / (factorial(m) * factorial(l)) for l in range(ty + 1))

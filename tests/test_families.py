@@ -286,11 +286,12 @@ def test_family_dispatch():
     assert family_value("Cosecant", 4, -3) == 121
     assert family_value(Family.TILDE_D, 0, 0) == F(1, 2)
     assert family_value_by_method("PolyB_B", 3, -2, "series") == 46
-    assert applicable_methods("TildeD", 3, -1) == {"series": "oracle"}
+    assert applicable_methods("TildeD", 3, -1) == {"explicit": "closed", "series": "oracle"}
+    assert applicable_methods("TildeD", 3, 1) == {}
     assert "sasaki" not in applicable_methods("Cosecant", 0, 0)
     assert "sasaki" in applicable_methods("Cosecant", 2, 0)
     with pytest.raises(MethodDomain):
-        family_value_by_method("TildeD", 2, -1, "explicit")  # TildeD has only a series route
+        family_value_by_method("TildeD", 2, 1, "explicit")  # TildeD's routes need weight <= 0
     # every listed route agrees with the default; every other name is refused
     names = {name for routes in ROUTES.values() for name in routes} | {"no_such_method"}
     for family in Family:
@@ -604,3 +605,84 @@ def test_poly_bernoulli_polynomial_equals_the_series_product(x):
         for n in range(41):
             want = _old_poly_bernoulli_polynomial_series(k, x, truncation_for(n)).egf(n)
             assert poly_bernoulli_polynomial(n, k, x) == want, (n, k, x)
+
+
+def test_tilde_row_is_the_series_row_at_every_weight():
+    # equal coefficients of b^-k prove TildeD's closed form = its series at every integer k
+    for order in (24, 32, 40):
+        rows = fa._series_rows(Family.TILDE_D, order)
+        for n in range(order + 1):
+            assert _as_powers(fa._tilde_row(n)) == _as_powers(rows[n]), (order, n)
+    for n in range(13):
+        shift, denominator, terms = fa._tilde_row(n)
+        assert (shift, denominator) == (0, 2 ** (n + 1))
+        assert all(isinstance(c, int) and c != 0 for _, c in terms)
+
+
+def test_conversion_rows_prove_the_identities_at_every_weight():
+    for n in range(65):
+        # CONV_EQ5: beta_n = sum_i C(n,2i) D_{2i}, at every k
+        assert _as_powers(fa._from_cosecant_row(n)) == _as_powers(fa._cotangent_row(n)), n
+        # KSHIFT: sum_m C(n+1,2m+1) D_{n-2m}^{(k)} = D_n^{(k-1)}, at every k
+        assert _as_powers(fa._k_shift_row(n)) == _as_powers(fa._shift_by_one(fa._cosecant_row(n))), n
+        if n % 2 == 0:
+            # CONV_EQ6: D_n = sum_i C(n,2i) E_{n-2i} beta_{2i}, at every k
+            assert _as_powers(fa._cosecant_from_cotangent_row(n)) == _as_powers(fa._cosecant_row(n)), n
+    ks = range(-6, 7)
+    for row in (fa._cosecant_row(6), fa._cotangent_row(8), fa._tilde_row(5)):
+        assert fa._evaluate_row(fa._shift_by_one(row), ks) == fa._evaluate_row(row, [k - 1 for k in ks])
+
+
+def test_row_sum_scales_and_takes_the_common_denominator():
+    parts = [(3, (1, 4, ((1, 2), (3, 5)))), (-2, (1, 8, ((3, 1), (5, 7)))), (1, (1, 2, ((1, -1),)))]
+    assert fa._row_sum(parts) == (1, 8, ((1, 8), (3, 28), (5, -14)))
+    # terms that cancel are dropped
+    assert fa._row_sum([(1, (0, 2, ((1, 1), (2, 3)))), (1, (0, 2, ((2, -3),)))]) == (0, 2, ((1, 1),))
+    ks = range(-4, 5)
+    want = [3 * a - 2 * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
+    assert fa._evaluate_row(fa._row_sum(parts), ks) == want
+
+
+def test_single_weight_lookups_read_one_cached_row():
+    rows = ROUTES[Family.POLY_B]["stirling"][2].rows
+    rows.cache_clear()
+    poly_bernoulli("B", 10, -3)
+    first = rows.cache_info()
+    assert (first.hits, first.misses, first.currsize) == (0, 1, 1)
+    for k in range(-5, 6):
+        poly_bernoulli("B", 10, k)
+    repeated = rows.cache_info()
+    assert (repeated.hits, repeated.misses, repeated.currsize) == (11, 1, 1)
+    # a table row builds its own row and keeps nothing, even where one is cached
+    for n in (10, 11, 40):
+        family_row("PolyB_B", n, range(-5, 6))
+    assert rows.cache_info() == repeated
+    # every row cache is bounded
+    cached = [route.rows for routes in ROUTES.values() for _, _, route in routes.values() if hasattr(route, "rows")]
+    assert len(cached) == 7
+    assert {rows.cache_info().maxsize for rows in cached} == {128}
+
+
+def test_tilde_lookups_build_no_series_matrix():
+    fa._series_rows.cache_clear()
+    values = [tilde_cosecant(n, k) for k in (-24, -1, 0) for n in range(41)]
+    assert fa._series_rows.cache_info().currsize == 0
+    rows = fa._series_rows(Family.TILDE_D, 40)
+    assert values == [fa._evaluate_row(rows[n], (k,))[0] for k in (-24, -1, 0) for n in range(41)]
+
+
+def test_oracle_diff_catches_a_changed_tilde_row(monkeypatch):
+    kind, domain, _ = ROUTES[Family.TILDE_D]["explicit"]
+
+    def perturbed(n):
+        shift, denominator, ((b, c), *rest) = fa._tilde_row(n)
+        return (shift, denominator, ((b, c + 1 if n == 4 else c), *rest))
+
+    with monkeypatch.context() as patch:
+        # a route of its own, so the planted row never enters the real route's cache
+        patch.setitem(ROUTES[Family.TILDE_D], "explicit", (kind, domain, fa._power_row(perturbed)))
+        report = oracle_diff("TildeD", 6, -2, -2)
+    ROUTES[Family.TILDE_D]["explicit"][2].rows.cache_clear()
+    assert report.verdict == "fail"
+    assert [w.instance for w in report.mismatches()] == ["TildeD(n=4, k=-2) explicit vs series"]
+    assert oracle_diff("TildeD", 6, -2, -2).verdict == "pass"

@@ -328,3 +328,22 @@ def test_biseries_constant_and_truncate():
     assert c.orders == (2, 3)
     assert c.egf(0, 0) == 5
     assert c.truncate((1, 1)).orders == (1, 1)
+
+
+def test_public_constructors_take_exact_rationals_only():
+    # 0.1 is the double 3602879701896397/2^55, not 1/10
+    for q in (F(1, 10), "1/10"):
+        assert biseries_exp(q, 0, (1, 1)).coefficient(1, 0) == F(1, 10)
+        assert exp_scaled(q, 1).coefficient(1) == F(1, 10)
+        assert constant(q, 1).coefficient(0) == F(1, 10)
+        assert biseries_constant(q, (1, 1)).coefficient(0, 0) == F(1, 10)
+    calls = (
+        lambda: biseries_exp(0.1, 0, (1, 1)),
+        lambda: biseries_exp(0, 0.5, 2),
+        lambda: exp_scaled(0.1, 3),
+        lambda: constant(1.0, 3),
+        lambda: biseries_constant(0.25, (1, 1)),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="float"):
+            call()
