@@ -34,14 +34,14 @@ one-weight call (`family_value`, and so `poly_bernoulli`, `polycosecant`,
 (`family_row`, one table row) builds the row once and does not keep it, since
 no later lookup reads it again.
 
-A family's generating function times a fixed series (cosh t, sech t, sinh t)
-gives the conversions and the k-shift recurrence.  Each is index n of that
-product in weighted coefficients, sum_j C(n, j) a(n - j) F_j, and with F_j
-the cached explicit rows it is one row: `_row_sum` scales each row and puts
-them over a common denominator.  `_shift_by_one` gives the row of the value
-at k - 1, which is what the k-shift recurrence equals.  Where a variable x
-enters, in the poly-Bernoulli polynomials (e^{-xt}), the product stays one
-`_binomial_sum` over values of one series matrix's rows j <= n.
+A family's generating function times a fixed series (cosh t, sech t, sinh t,
+e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
+polynomials B_n^{(k)}(x): index n of the product, sum_j C(n,j) a(n-j) F_j, is
+one row, the cached rows F_j scaled by `_row_sum` (by rationals where x
+enters) over a common denominator.  `_rising(row, n)` multiplies each c_b by
+b(b+1)...(b+n-1), so its value at k is sum_j s(n,j) times the row's at k - j:
+the k-shift sum at n = 1, and the symmetrized definitions.  Every closed form
+and definition is thus a row, and `_series_rows` feeds only the `series` route.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from . import series as se
 from .errors import IndexParity, MethodDomain
@@ -209,20 +209,23 @@ def _tilde_row(n: int) -> Row:
 
 
 def _row_sum(parts) -> Row:
-    """The row of sum scale * row over (scale, row) pairs whose rows share one shift, over their common denominator."""
-    denominator = lcm(*[d for _, (_, d, _) in parts])
+    """The row of sum scale * row over (scale, row) pairs sharing one shift, over the lcm of d * scale.denominator."""
+    denominator = lcm(*[d * scale.denominator for scale, (_, d, _) in parts])
     coefficients: dict[int, int] = {}
     for scale, (_, d, terms) in parts:
-        factor = scale * (denominator // d)
+        factor = scale.numerator * (denominator // (d * scale.denominator))
         for b, c in terms:
             coefficients[b] = coefficients.get(b, 0) + factor * c
     return _row(parts[0][1][0], denominator, sorted(coefficients.items()))
 
 
-def _shift_by_one(row: Row) -> Row:
-    """The row whose value at weight k is `row`'s value at k - 1: each coefficient times its base."""
+def _rising(row: Row, n: int) -> Row:
+    """Each c_b times b(b+1)...(b+n-1) = sum_j s(n,j) b^j: the value at k is sum_j s(n,j) (row's value at k - j).
+
+    At n = 1 that is the row's value at k - 1.
+    """
     shift, denominator, terms = row
-    return _row(shift, denominator, ((b, c * b) for b, c in terms))
+    return _row(shift, denominator, ((b, c * prod(range(b, b + n))) for b, c in terms))
 
 
 def _powers(pairs, last, x: int) -> tuple[int, list[int]]:
@@ -284,15 +287,6 @@ def _cotangent_stirling(n: int, k: int) -> Fraction:
     return total
 
 
-def _binomial_sum(n: int, a, value) -> Fraction:
-    """sum_j C(n, j) a(n - j) value(j), skipping the j where a(n - j) = 0.
-
-    With a and value read as weighted coefficients of A(t) and F(t), this is
-    index n of A(t) F(t): a family's generating function times a fixed series.
-    """
-    return sum((comb(n, j) * c * value(j) for j in range(n + 1) if (c := a(n - j))), Fraction(0))
-
-
 # A route maps (n, weights) to the values at those weights.
 
 def _power_row(build):
@@ -320,28 +314,31 @@ def _by_series(family: Family):
     return lambda n, ks: _evaluate_row(_series_rows(family, se.truncation_for(n))[n], ks)
 
 
-def _explicit_row(family: Family, n: int) -> Row:
-    """Row n of the family's `explicit` route, read through that route's cache."""
-    return ROUTES[family]["explicit"][2].rows(n)
+def _cached_row(family: Family, n: int, method: str = "explicit") -> Row:
+    """Row n of one of the family's row routes, by default `explicit`, read through that route's cache."""
+    return ROUTES[family][method][2].rows(n)
 
 
 def _from_cosecant_row(n: int) -> Row:
     """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}, the cosecant function times cosh t; empty at odd n."""
     if n % 2 == 1:
         return _row(1, 2**n, ())
-    return _row_sum([(comb(n, j), _explicit_row(Family.COSECANT, j)) for j in range(0, n + 1, 2)])
+    return _row_sum([(comb(n, j), _cached_row(Family.COSECANT, j)) for j in range(0, n + 1, 2)])
 
 
 def _cosecant_from_cotangent_row(n: int) -> Row:
     """sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
-    return _row_sum(
-        [(comb(n, j) * euler_number(n - j), _explicit_row(Family.COTANGENT, j)) for j in range(0, n + 1, 2)]
-    )
+    return _row_sum([(comb(n, j) * euler_number(n - j), _cached_row(Family.COTANGENT, j)) for j in range(0, n + 1, 2)])
 
 
 def _k_shift_row(n: int) -> Row:
     """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)}: index n+1 of sinh t times D's function."""
-    return _row_sum([(comb(n + 1, j), _explicit_row(Family.COSECANT, j)) for j in range(n % 2, n + 1, 2)])
+    return _row_sum([(comb(n + 1, j), _cached_row(Family.COSECANT, j)) for j in range(n % 2, n + 1, 2)])
+
+
+def _bernoulli_polynomial_row(n: int, x: Fraction) -> Row:
+    """B_n^{(k)}(x) = sum_j C(n,j) (-x)^(n-j) B_j^{(k)}: e^{-xt} times B's function, over B's cached rows."""
+    return _row_sum([(comb(n, j) * (-x) ** (n - j), _cached_row(Family.POLY_B, j, "stirling")) for j in range(n + 1)])
 
 
 # ------------------------------------------------------------------ route table
@@ -457,9 +454,7 @@ def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
     """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}) at exact, not float, x; B_n^{(k)}(0) = B_n^{(k)}."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    x = se.exact(x, "x")
-    rows = _series_rows(Family.POLY_B, se.truncation_for(n))
-    return _binomial_sum(n, lambda i: (-x) ** i, lambda j: _evaluate_row(rows[j], (k,))[0])
+    return _evaluate_row(_bernoulli_polynomial_row(n, se.exact(x, "x")), (k,))[0]
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from . import series as se
 from .errors import IndexParity
@@ -85,15 +86,19 @@ def euler_number(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _euler_polynomial_series(x: Fraction, order: int) -> se.Series:
-    return (se.exp_scaled(x, order) * 2) / (se.exp_scaled(1, order) + 1)
+def _euler_at_zero(order: int) -> tuple[Fraction, ...]:
+    """E_j(0) for j <= order: the weighted coefficients of 2 / (e^t + 1)."""
+    series = se.constant(2, order) / (se.exp_scaled(1, order) + 1)
+    return tuple(series.egf(j) for j in range(order + 1))
 
 
 def euler_polynomial(m: int, x) -> Fraction:
-    """E_m(x) from 2 e^{xt} / (e^t + 1), evaluated at rational x; a float x is refused."""
+    """E_m(x) = sum_j C(m,j) x^(m-j) E_j(0), from 2 e^{xt} / (e^t + 1), at rational x; a float x is refused."""
     if m < 0:
         raise ValueError("Euler-polynomial index must be non-negative")
-    return _euler_polynomial_series(se.exact(x, "x"), se.truncation_for(m)).egf(m)
+    x = se.exact(x, "x")
+    at_zero = _euler_at_zero(se.truncation_for(m))
+    return sum((comb(m, j) * x ** (m - j) * at_zero[j] for j in range(m + 1)), Fraction(0))
 
 
 def tangent(kind: str, n: int) -> int:

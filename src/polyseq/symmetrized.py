@@ -7,20 +7,20 @@ C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
-The hat-numbers behind the cosecant definition are `families._binomial_sum`
-of TildeD values and the cached weighted coefficients of (e^t+1)^{1-n}.
+The hat-numbers are one row, TildeD's cached rows scaled by the cached
+weighted coefficients of (e^t+1)^{1-n}; each definition, a first-kind Stirling
+sum over weights, is `families._rising` of that row or of the B-polynomial row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import families as fa
 from . import series as se
 from .errors import MethodDomain
-from .sequences import stirling1
 
 
 def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
@@ -39,26 +39,18 @@ def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
     return (exy * factorial(n)) / (ex + ey - exy) ** (n + 1)
 
 
-def _first_kind_sum(n: int, l: int, value) -> Fraction:
-    """sum_{j<=n} s(n,j) value(l+j); first-kind Stirling numbers vanish past j = n."""
-    return sum(
-        (stirling1(n, j) * value(l + j) for j in range(n + 1) if stirling1(n, j)),
-        Fraction(0),
-    )
-
-
 def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:
     """Symmetrized poly-Bernoulli number at order m, weight -l, level n.
 
     definition: sum_{j<=n} s(n,j) B_m^{(-l-j)}(n) (the polynomial is evaluated
-    at x = n exactly).
+    at x = n exactly), the `_rising` of the B-polynomial row at weight -l.
     closed_form: sum_j n!(j!)^2 C(j+n,n) S(l+1,j+1) S(m+1,j+1).
     biseries: coefficient extraction from the two-variable function.
     """
     if min(m, l, n) < 0:
         raise ValueError("indices must be non-negative")
     if method == "definition":
-        return _first_kind_sum(n, l, lambda w: fa.poly_bernoulli_polynomial(m, -w, n))
+        return fa._evaluate_row(fa._rising(fa._bernoulli_polynomial_row(m, n), n), (-l,))[0]
     if method == "closed_form":
         return fa._evaluate_row(fa._sym_row(m, n, False), (-l,))[0]
     if method == "biseries":
@@ -79,6 +71,12 @@ def _hat_factor(n: int, order: int) -> tuple[Fraction, ...]:
     return tuple(factorial(i) * c for i, c in enumerate(factor.coeffs))
 
 
+def _hat_row(m: int, n: int) -> fa.Row:
+    """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
+    factor = _hat_factor(n, se.truncation_for(m))
+    return fa._row_sum([(comb(m, j) * factor[m - j], fa._cached_row(fa.Family.TILDE_D, j)) for j in range(m + 1)])
+
+
 def copoly_hat(m: int, l: int, n: int) -> Fraction:
     """Hat-numbers: weighted coefficients of the symmetrized cosecant kernel.
 
@@ -89,15 +87,14 @@ def copoly_hat(m: int, l: int, n: int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if m % 2 == 1:
         return Fraction(0)
-    factor = _hat_factor(n, se.truncation_for(m))
-    rows = fa._series_rows(fa.Family.TILDE_D, se.truncation_for(m))
-    return fa._binomial_sum(m, factor.__getitem__, lambda j: fa._evaluate_row(rows[j], (-l,))[0])
+    return fa._evaluate_row(_hat_row(m, n), (-l,))[0]
 
 
 def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:
     """Symmetrized polycosecant number; zero at odd order index m.
 
-    definition: sum_{j<=n} s(n,j) hat-number at weight -(l+j).
+    definition: sum_{j<=n} s(n,j) hat-number at weight -(l+j), the `_rising`
+    of the hat-number row at weight -l.
     closed_form: (n!/2^{n+1}) sum_j ((j!)^2/2^{j-1}) C(j+n,n) S(m+1,j+1) S(l+1,j+1).
     """
     if min(m, l, n) < 0:
@@ -107,7 +104,7 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
     if m % 2 == 1:
         return Fraction(0)
     if method == "definition":
-        return _first_kind_sum(n, l, lambda w: copoly_hat(m, w, n))
+        return fa._evaluate_row(fa._rising(_hat_row(m, n), n), (-l,))[0]
     return fa._evaluate_row(fa._sym_row(m, n, True), (-l,))[0]
 
 

@@ -28,6 +28,7 @@ from polyseq import (
     polycotangent,
     stirling1,
     stirling2,
+    sym_polycosecant,
     tilde_cosecant,
 )
 from polyseq import families as fa
@@ -592,11 +593,15 @@ def test_conversions_and_k_shift_equal_the_sums_they_replaced():
                 assert cosecant_from_cotangent(n, k) == _old_cosecant_from_cotangent(n, k), (n, k)
 
 
-def test_series_readers_build_one_matrix():
-    for call in (lambda: poly_bernoulli_polynomial(40, 3, 2), lambda: copoly_hat(40, 2, 2)):
+def test_b_polynomials_hat_numbers_and_definitions_build_no_series_matrix():
+    for call in (
+        lambda: poly_bernoulli_polynomial(40, 3, 2),
+        lambda: copoly_hat(40, 2, 2),
+        lambda: sym_polycosecant(12, 3, 2, method="definition"),
+    ):
         fa._series_rows.cache_clear()
         call()
-        assert fa._series_rows.cache_info().currsize == 1
+        assert fa._series_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("x", [F(0), F(1), F(3), F(-2), F(1, 3), F(-5, 7)])
@@ -624,13 +629,13 @@ def test_conversion_rows_prove_the_identities_at_every_weight():
         # CONV_EQ5: beta_n = sum_i C(n,2i) D_{2i}, at every k
         assert _as_powers(fa._from_cosecant_row(n)) == _as_powers(fa._cotangent_row(n)), n
         # KSHIFT: sum_m C(n+1,2m+1) D_{n-2m}^{(k)} = D_n^{(k-1)}, at every k
-        assert _as_powers(fa._k_shift_row(n)) == _as_powers(fa._shift_by_one(fa._cosecant_row(n))), n
+        assert _as_powers(fa._k_shift_row(n)) == _as_powers(fa._rising(fa._cosecant_row(n), 1)), n
         if n % 2 == 0:
             # CONV_EQ6: D_n = sum_i C(n,2i) E_{n-2i} beta_{2i}, at every k
             assert _as_powers(fa._cosecant_from_cotangent_row(n)) == _as_powers(fa._cosecant_row(n)), n
     ks = range(-6, 7)
     for row in (fa._cosecant_row(6), fa._cotangent_row(8), fa._tilde_row(5)):
-        assert fa._evaluate_row(fa._shift_by_one(row), ks) == fa._evaluate_row(row, [k - 1 for k in ks])
+        assert fa._evaluate_row(fa._rising(row, 1), ks) == fa._evaluate_row(row, [k - 1 for k in ks])
 
 
 def test_row_sum_scales_and_takes_the_common_denominator():
@@ -641,6 +646,21 @@ def test_row_sum_scales_and_takes_the_common_denominator():
     ks = range(-4, 5)
     want = [3 * a - 2 * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
+    # a Fraction scale's denominator joins the common one: lcm(4*3, 8*2, 2*1) = 48
+    parts = [(F(1, 3), (1, 4, ((1, 2), (3, 5)))), (F(-5, 2), (1, 8, ((3, 1), (5, 7)))), (1, (1, 2, ((1, -1),)))]
+    assert fa._row_sum(parts) == (1, 48, ((1, -16), (3, 5), (5, -105)))
+    want = [a / 3 - F(5, 2) * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
+    assert fa._evaluate_row(fa._row_sum(parts), ks) == want
+
+
+def test_rising_sums_the_row_against_first_kind_stirling_weights():
+    ks = range(-6, 7)
+    for row in (fa._cosecant_row(6), fa._cotangent_row(8), fa._tilde_row(5), fa._poly_bernoulli_row("C", 7)):
+        assert fa._rising(row, 0) == row
+        for n in range(1, 5):
+            values = fa._evaluate_row(fa._rising(row, n), ks)
+            want = [sum(stirling1(n, j) * fa._evaluate_row(row, (k - j,))[0] for j in range(n + 1)) for k in ks]
+            assert values == want, (row[:2], n)
 
 
 def test_single_weight_lookups_read_one_cached_row():

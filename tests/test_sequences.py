@@ -18,8 +18,9 @@ from polyseq import (
     tangent,
     totient,
 )
+from polyseq import sequences
 from polyseq.sequences import is_prime, primes_upto
-from polyseq.series import tanh_series
+from polyseq.series import exp_scaled, tanh_series, truncation_for
 
 
 def _partitions_into_blocks(n, m):
@@ -134,6 +135,28 @@ def test_euler_polynomial_functional_equation():
     for m in range(9):
         for x in (F(0), F(1, 2), F(-2), F(3, 7)):
             assert euler_polynomial(m, x) + euler_polynomial(m, x + 1) == 2 * x**m
+
+
+def _old_euler_polynomial(m, x):
+    """E_m(x) as the series product 2 e^{xt} / (e^t + 1) it was read from before."""
+    order = truncation_for(m)
+    return ((exp_scaled(x, order) * 2) / (exp_scaled(1, order) + 1)).egf(m)
+
+
+def test_euler_polynomial_equals_the_series_product():
+    for x in (F(0), F(1), F(-3), F(1, 2), F(-5, 7), F(22, 3)):
+        for m in range(41):
+            assert euler_polynomial(m, x) == _old_euler_polynomial(m, x), (m, x)
+
+
+def test_euler_polynomial_keeps_one_cache_entry_per_order():
+    # a sweep over x keeps the weighted coefficients of 2 / (e^t + 1) once per order, not a series per x
+    sequences._euler_at_zero.cache_clear()
+    for i in range(300):
+        euler_polynomial(6, F(i, 7))
+    assert sequences._euler_at_zero.cache_info().currsize == 1
+    euler_polynomial(30, 2)
+    assert sequences._euler_at_zero.cache_info().currsize == 2
 
 
 def test_euler_polynomial_links_to_euler_numbers():

@@ -32,7 +32,7 @@ from polyseq.series import (
     truncation_for,
 )
 from polyseq.families import _sym_row
-from polyseq.symmetrized import sym_cosecant_halves
+from polyseq.symmetrized import _hat_row, sym_cosecant_halves
 
 
 def test_sym_bernoulli_three_routes_agree():
@@ -131,6 +131,39 @@ def test_hat_numbers_equal_the_series_they_replaced():
             for m in range(41):
                 want = _old_copoly_hat_series(l, n, truncation_for(m)).egf(m)
                 assert copoly_hat(m, l, n) == want, (m, l, n)
+
+
+def _as_powers(row):
+    """A row as {base b: the rational coefficient of b^-k}."""
+    shift, denominator, terms = row
+    return {b: F(c, b**shift * denominator) for b, c in terms}
+
+
+def test_definition_rows_are_the_closed_form_rows_at_every_weight():
+    # equal coefficients of b^l prove definition = closed form at every l,
+    # so both symmetrized dualities hold at these (m, n) for every weight
+    for n in range(7):
+        for m in range(25):
+            definition = fa._rising(fa._bernoulli_polynomial_row(m, n), n)
+            assert _as_powers(definition) == _as_powers(_sym_row(m, n, False)), (m, n)
+            if m % 2 == 0:
+                definition = fa._rising(_hat_row(m, n), n)
+                assert _as_powers(definition) == _as_powers(_sym_row(m, n, True)), (m, n)
+
+
+def _old_first_kind_sum(n, l, value):
+    """sum_{j<=n} s(n,j) value(l+j), one weight at a time, as both definitions were summed before their rows."""
+    return sum((stirling1(n, j) * value(l + j) for j in range(n + 1) if stirling1(n, j)), F(0))
+
+
+def test_definitions_equal_the_per_weight_sums_they_replaced():
+    for n in range(6):
+        for m in range(13):
+            for l in range(9):
+                want = _old_first_kind_sum(n, l, lambda w: fa.poly_bernoulli_polynomial(m, -w, n))
+                assert sym_poly_bernoulli(m, l, n, method="definition") == want, (m, l, n)
+                want = _old_first_kind_sum(n, l, lambda w: copoly_hat(m, w, n))
+                assert sym_polycosecant(m, l, n, method="definition") == want, (m, l, n)
 
 
 def test_hat_numbers_level_one_weight_shift():
