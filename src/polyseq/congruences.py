@@ -38,7 +38,7 @@ from .families import (
     polycotangent,
 )
 from .sequences import bernoulli, is_prime, primes_upto, stirling1, stirling2, tangent, totient
-from .series import exact
+from .series import _exact
 from .symmetrized import (
     sym_bernoulli_bivariate,
     sym_cosecant_bivariate,
@@ -58,7 +58,7 @@ def _check_base(p: int) -> None:
 def ord_p(q, p: int) -> int:
     """p-adic valuation of a nonzero rational, for p >= 2; a float q is refused."""
     _check_base(p)
-    q = exact(q, "q")
+    q = _exact(q, "q")
     if q == 0:
         raise ZeroValuation("the zero rational has no finite p-adic order")
     order = 0
@@ -91,7 +91,7 @@ def reduce_mod(q, p: int, N: int) -> Residue:
     _check_base(p)
     if N < 0:
         raise ValueError(f"N = {N} must be >= 0")
-    q = exact(q, "q")
+    q = _exact(q, "q")
     modulus = p**N
     if q != 0 and ord_p(q, p) < 0:
         raise NotPIntegral(f"{q} has a factor {p} in its denominator")

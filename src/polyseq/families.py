@@ -8,11 +8,12 @@ the series route stays available everywhere as the cross-check oracle.  The
 generating functions are one table, Family -> (level, inner, denominator).
 Since division is linear, the expansion at weight k is sum_m scale m^-k
 Q_m with quotients Q_m = inner^m / denominator that no k changes.  One cached
-matrix per (family, order), `_series_rows`, holds n! scale Q_m[n] for every
-n <= order as an integer power-basis row in the bases m; it costs one series
-division, Q_1, and multiplications Q_{m+level} = Q_m inner^level.  The series
-route evaluates those rows like the closed forms below.  The rows come from
-series arithmetic on the generating function alone, never from Stirling
+matrix per family, `_series_rows`, holds n! scale Q_m[n] for every n <= order
+as an integer power-basis row in the bases m; it costs one series division,
+Q_1, and multiplications Q_{m+level} = Q_m inner^level.  Only the largest
+matrix asked for is kept, and smaller orders read their rows from it.  The
+series route evaluates those rows like the closed forms below.  The rows come
+from series arithmetic on the generating function alone, never from Stirling
 numbers, so the oracle stays independent of the closed forms.
 
 The explicit closed forms of B, C, D, beta and TildeD share one shape,
@@ -89,8 +90,22 @@ _GENERATING_FUNCTIONS = {
 }
 
 
-@lru_cache(maxsize=None)
+# Family -> the largest quotient matrix built so far.  Row n is the same at
+# every order >= n: Q_m has valuation m - 1, so the columns m > n + 1 that a
+# larger order adds are zero at index n, and `_row` drops zero terms.  So
+# every smaller order reads its rows from that one matrix.
+_SERIES_MATRICES: dict[Family, tuple[Row, ...]] = {}
+
+
 def _series_rows(family: Family, order: int) -> tuple[Row, ...]:
+    """Rows 0..order of the family's quotient matrix, built at this order only if none as large exists."""
+    rows = _SERIES_MATRICES.get(family)
+    if rows is None or len(rows) <= order:
+        rows = _SERIES_MATRICES[family] = _build_series_rows(family, order)
+    return rows[: order + 1]
+
+
+def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     """Row n <= order, over the bases m, holds n! scale Q_m[n]: its value at k is index n at weight k.
 
     Q_m = inner^m / denominator for each m the level's polylogarithm sums,
@@ -454,7 +469,7 @@ def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
     """B_n^{(k)}(x) from e^{-xt} Li_k(1 - e^{-t}) / (1 - e^{-t}) at exact, not float, x; B_n^{(k)}(0) = B_n^{(k)}."""
     if n < 0:
         raise ValueError("order index must be non-negative")
-    return _evaluate_row(_bernoulli_polynomial_row(n, se.exact(x, "x")), (k,))[0]
+    return _evaluate_row(_bernoulli_polynomial_row(n, se._exact(x, "x")), (k,))[0]
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:

@@ -96,7 +96,7 @@ def euler_polynomial(m: int, x) -> Fraction:
     """E_m(x) = sum_j C(m,j) x^(m-j) E_j(0), from 2 e^{xt} / (e^t + 1), at rational x; a float x is refused."""
     if m < 0:
         raise ValueError("Euler-polynomial index must be non-negative")
-    x = se.exact(x, "x")
+    x = se._exact(x, "x")
     at_zero = _euler_at_zero(se.truncation_for(m))
     return sum((comb(m, j) * x ** (m - j) * at_zero[j] for j in range(m + 1)), Fraction(0))
 

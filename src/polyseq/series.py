@@ -1,9 +1,15 @@
 """Exact truncated formal power series over rationals, in one and two variables.
 
-Coefficients are stored as ordinary power-series coefficients; the
-factorial-weighted view a_n = n! * c_n is applied only on extraction, so
-convolutions stay denominator-light.  All values are immutable and all
-operations are pure functions.
+Coefficients are stored as ordinary power-series coefficients, one `Fraction`
+each; the factorial-weighted view a_n = n! * c_n is applied only on
+extraction.  All values are immutable and all operations are pure functions.
+
+Products and quotients run on integers.  Each operand is written as integer
+numerators over the lcm of its denominators: a product is then an integer
+convolution over the product of the two denominators, and a quotient's
+numerators come from a fraction-free recurrence in powers of the divisor's
+lead coefficient (see `Series.__truediv__`).  Only the result becomes
+`Fraction`s, one per coefficient, so no gcd is taken inside a convolution.
 
 Three caches hold work that no weight k changes: `tanh_half(order)`,
 `tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
@@ -13,17 +19,18 @@ per (level, inner) series.  All three grow for the life of the process.
 family's product with a fixed series is a sum of rows or a binomial sum
 there, not a `Series`.
 
-The public constructors `constant`, `exp_scaled`, `biseries_constant` and
-`biseries_exp` refuse a float through `exact`.  `Series` and `BiSeries`
-themselves convert their coefficients unchecked, since every product and
-quotient passes through them.
+A float is refused through `_exact` by the public constructors `constant`,
+`exp_scaled`, `biseries_constant` and `biseries_exp`, and by the scalar
+operands of `+`, `-`, `*` and `/`.  `Series` and `BiSeries` convert outside
+input in `__init__` unchecked; arithmetic builds its results from the new
+`Fraction`s through `_series` and `_biseries`, without converting them again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 from .errors import (
@@ -44,11 +51,33 @@ def truncation_for(n: int) -> int:
     return ((need + 7) // 8) * 8
 
 
-def exact(value, name: str) -> Fraction:
+def _exact(value, name: str) -> Fraction:
     """`value` as a Fraction; a float is refused, as it holds only the nearest double to what was written."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an int, a Fraction or a string such as '1/10', not the float {value!r}")
     return Fraction(value)
+
+
+_ZERO = Fraction(0)
+
+
+def _numerators(rows) -> tuple[list[list[int]], int]:
+    """Each row of Fractions as integer numerators over the lcm of all their denominators, and that lcm."""
+    d = lcm(*[c.denominator for row in rows for c in row])
+    return [[c.numerator * (d // c.denominator) for c in row] for row in rows], d
+
+
+def _over(numerators, denominator: int) -> tuple[Fraction, ...]:
+    """One Fraction per integer numerator over the common denominator."""
+    return tuple([Fraction(x, denominator) if x else _ZERO for x in numerators])
+
+
+def _lead_powers(lead: int, count: int) -> list[int]:
+    """lead^0 .. lead^count."""
+    powers = [1]
+    for _ in range(count):
+        powers.append(powers[-1] * lead)
+    return powers
 
 
 class Series:
@@ -100,43 +129,49 @@ class Series:
         return f"Series(order={self.order}, [{shown}{tail}])"
 
     def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs))
+        return _series(tuple([-c for c in self.coeffs]))
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
-            n = min(len(self.coeffs), len(other.coeffs))
-            return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
-        return Series((self.coeffs[0] + other,) + self.coeffs[1:])
+            return _series(tuple([x + y for x, y in zip(self.coeffs, other.coeffs)]))
+        return _series((self.coeffs[0] + _exact(other, "a scalar operand"),) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Series":
-        return self + (-other if isinstance(other, Series) else -Fraction(other))
+        return self + (-other if isinstance(other, Series) else -_exact(other, "a scalar operand"))
 
     def __rsub__(self, other) -> "Series":
         return (-self) + other
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
-            f = Fraction(other)
-            return Series(tuple(c * f for c in self.coeffs))
+            f = _exact(other, "a scalar operand")
+            return _series(tuple([c * f for c in self.coeffs]))
         n = min(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return Series(out)
+        (a,), da = _numerators([self.coeffs[:n]])
+        (b,), db = _numerators([other.coeffs[:n]])
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    if i + j >= n:
+                        break
+                    out[i + j] += x * y
+        return _series(_over(out, da * db))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Series":
+        """Quotient on integer numerators A over d_a and B over d_b, after cancelling t^v.
+
+        With b0 = B_0, coefficient i is d_b N_i / (d_a b0^(i+1)), where the
+        integers N_i = A_i b0^i - sum_{j<i} N_j B_{i-j} b0^(i-1-j) are the
+        long division's numerators over b0^(i+1).
+        """
         if not isinstance(other, Series):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / _exact(other, "a scalar divisor"))
         v = other.valuation()
         if v is None:
             raise DivisionValuation("divisor has no nonzero coefficient within its truncation")
@@ -147,17 +182,20 @@ class Series:
         n = min(len(self.coeffs), len(other.coeffs)) - v
         if n < 1:
             raise DivisionValuation("no coefficients survive the valuation shift at this truncation")
-        a = self.coeffs[v : v + n]
-        b = other.coeffs[v : v + n]
-        lead = b[0]
-        out = [Fraction(0)] * n
+        (a,), da = _numerators([self.coeffs[v : v + n]])
+        (b,), db = _numerators([other.coeffs[v : v + n]])
+        powers = _lead_powers(b[0], n)
+        terms = [(j, y * powers[j - 1]) for j, y in enumerate(b) if j and y]
+        nums = []
         for i in range(n):
-            acc = a[i]
-            for j in range(i):
-                if out[j] != 0 and b[i - j] != 0:
-                    acc -= out[j] * b[i - j]
-            out[i] = acc / lead
-        return Series(out)
+            acc = a[i] * powers[i]
+            for j, y in terms:
+                if j > i:
+                    break
+                if nums[i - j]:
+                    acc -= nums[i - j] * y
+            nums.append(acc)
+        return _series(tuple([Fraction(db * x, da * powers[i + 1]) if x else _ZERO for i, x in enumerate(nums)]))
 
     def __pow__(self, exponent: int) -> "Series":
         return _power(self, exponent, constant(1, self.order))
@@ -174,6 +212,13 @@ class Series:
         return acc
 
 
+def _series(coeffs: tuple[Fraction, ...]) -> Series:
+    """A Series over coefficients that are already Fractions, without converting them again."""
+    out = object.__new__(Series)
+    out.coeffs = coeffs
+    return out
+
+
 def _power(base, exponent: int, one):
     """base**exponent from the highest bit down: bit_length - 1 squarings, popcount - 1 more products."""
     if not isinstance(exponent, int) or exponent < 0:
@@ -187,7 +232,7 @@ def _power(base, exponent: int, one):
 
 
 def constant(value: Scalar, order: int) -> Series:
-    return Series((exact(value, "value"),) + (Fraction(0),) * order)
+    return Series((_exact(value, "value"),) + (Fraction(0),) * order)
 
 
 def monomial(order: int) -> Series:
@@ -197,7 +242,7 @@ def monomial(order: int) -> Series:
 
 def exp_scaled(c: Scalar, order: int) -> Series:
     """e^{ct} truncated: coefficients c^n / n!."""
-    c = exact(c, "c")
+    c = _exact(c, "c")
     return Series(tuple(c**n / factorial(n) for n in range(order + 1)))
 
 
@@ -305,7 +350,7 @@ class BiSeries:
         return f"BiSeries(orders={self.orders})"
 
     def __neg__(self):
-        return BiSeries(tuple(tuple(-c for c in row) for row in self.coeffs))
+        return _biseries(tuple([tuple([-c for c in row]) for row in self.coeffs]))
 
     def _common(self, other: "BiSeries") -> tuple[int, int]:
         return (
@@ -315,63 +360,87 @@ class BiSeries:
 
     def __add__(self, other):
         if not isinstance(other, BiSeries):
-            rows = [list(r) for r in self.coeffs]
-            rows[0][0] += Fraction(other)
-            return BiSeries(rows)
-        nt, ny = self._common(other)
-        return BiSeries(
-            tuple(
-                tuple(self.coeffs[m][l] + other.coeffs[m][l] for l in range(ny))
-                for m in range(nt)
-            )
+            first = self.coeffs[0]
+            return _biseries(((first[0] + _exact(other, "a scalar operand"),) + first[1:],) + self.coeffs[1:])
+        return _biseries(
+            tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self.coeffs, other.coeffs)])
         )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, BiSeries) else -Fraction(other))
+        return self + (-other if isinstance(other, BiSeries) else -_exact(other, "a scalar operand"))
 
     def __mul__(self, other):
         if not isinstance(other, BiSeries):
-            f = Fraction(other)
-            return BiSeries(tuple(tuple(c * f for c in row) for row in self.coeffs))
+            f = _exact(other, "a scalar operand")
+            return _biseries(tuple([tuple([c * f for c in row]) for row in self.coeffs]))
         nt, ny = self._common(other)
-        out = [[Fraction(0)] * ny for _ in range(nt)]
-        for m in range(nt):
-            for l in range(ny):
-                a = self.coeffs[m][l]
-                if a == 0:
+        a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
+        b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
+        terms = [(i, [(j, y) for j, y in enumerate(row) if y]) for i, row in enumerate(b)]
+        terms = [(i, row) for i, row in terms if row]
+        out = [[0] * ny for _ in range(nt)]
+        for m, arow in enumerate(a):
+            for l, x in enumerate(arow):
+                if not x:
                     continue
-                for i in range(nt - m):
-                    row = other.coeffs[i]
-                    for j in range(ny - l):
-                        b = row[j]
-                        if b != 0:
-                            out[m + i][l + j] += a * b
-        return BiSeries(out)
+                for i, brow in terms:
+                    if m + i >= nt:
+                        break
+                    orow = out[m + i]
+                    for j, y in brow:
+                        if l + j >= ny:
+                            break
+                        orow[l + j] += x * y
+        d = da * db
+        return _biseries(tuple([_over(row, d) for row in out]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
+        """Quotient on integer numerators, as `Series.__truediv__` with b0's power indexed by m + l.
+
+        Coefficient (m, l) is d_b N_{m,l} / (d_a b0^(m+l+1)), where N_{m,l} =
+        A_{m,l} b0^(m+l) - sum_{(i,j) != (0,0)} N_{m-i,l-j} B_{i,j} b0^(i+j-1):
+        each step of the recurrence raises m + l by i + j >= 1.
+        """
         if not isinstance(other, BiSeries):
-            return self * (Fraction(1) / Fraction(other))
-        lead = other.coeffs[0][0]
-        if lead == 0:
+            return self * (1 / _exact(other, "a scalar divisor"))
+        if other.coeffs[0][0] == 0:
             raise DivisionZeroConstant("bivariate divisor has zero constant coefficient")
         nt, ny = self._common(other)
-        out = [[Fraction(0)] * ny for _ in range(nt)]
-        for m in range(nt):
-            for l in range(ny):
-                acc = self.coeffs[m][l]
-                for i in range(m + 1):
-                    brow = other.coeffs
-                    for j in range(l + 1):
-                        if (i, j) != (0, 0):
-                            q = out[m - i][l - j]
-                            if q != 0 and brow[i][j] != 0:
-                                acc -= q * brow[i][j]
-                out[m][l] = acc / lead
-        return BiSeries(out)
+        a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
+        b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
+        powers = _lead_powers(b[0][0], nt + ny - 1)
+        terms = [
+            (i, [(j, y * powers[i + j - 1]) for j, y in enumerate(row) if y and i + j]) for i, row in enumerate(b)
+        ]
+        terms = [(i, row) for i, row in terms if row]
+        nums = []
+        for m, arow in enumerate(a):
+            nrow = []
+            nums.append(nrow)
+            for l, x in enumerate(arow):
+                acc = x * powers[m + l]
+                for i, brow in terms:
+                    if i > m:
+                        break
+                    prev = nums[m - i]
+                    for j, y in brow:
+                        if j > l:
+                            break
+                        if prev[l - j]:
+                            acc -= prev[l - j] * y
+                nrow.append(acc)
+        return _biseries(
+            tuple(
+                [
+                    tuple([Fraction(db * x, da * powers[m + l + 1]) if x else _ZERO for l, x in enumerate(row)])
+                    for m, row in enumerate(nums)
+                ]
+            )
+        )
 
     def __pow__(self, exponent: int) -> "BiSeries":
         return _power(self, exponent, biseries_constant(1, self.orders))
@@ -386,10 +455,17 @@ class BiSeries:
         )
 
 
+def _biseries(rows: tuple[tuple[Fraction, ...], ...]) -> BiSeries:
+    """A BiSeries over a grid of Fractions of equal width, without converting them again."""
+    out = object.__new__(BiSeries)
+    out.coeffs = rows
+    return out
+
+
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:
     tt, ty = orders
     rows = [[Fraction(0)] * (ty + 1) for _ in range(tt + 1)]
-    rows[0][0] = exact(value, "value")
+    rows[0][0] = _exact(value, "value")
     return BiSeries(rows)
 
 
@@ -398,8 +474,8 @@ def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSerie
     if isinstance(orders, int):
         orders = (orders, orders)
     tt, ty = orders
-    a = exact(a, "a")
-    b = exact(b, "b")
+    a = _exact(a, "a")
+    b = _exact(b, "b")
     return BiSeries(
         tuple(
             tuple(a**m * b**l / (factorial(m) * factorial(l)) for l in range(ty + 1))

@@ -7,9 +7,10 @@ C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
-The hat-numbers are one row, TildeD's cached rows scaled by the cached
-weighted coefficients of (e^t+1)^{1-n}; each definition, a first-kind Stirling
-sum over weights, is `families._rising` of that row or of the B-polynomial row.
+The hat-numbers are one row, TildeD's cached rows scaled by the weighted
+coefficients of (e^t+1)^{1-n}, which are second-kind Stirling sums; each
+definition, a first-kind Stirling sum over weights, is `families._rising` of
+that row or of the B-polynomial row.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import comb, factorial
 from . import families as fa
 from . import series as se
 from .errors import MethodDomain
+from .sequences import stirling2
 
 
 def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
@@ -59,21 +61,27 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     raise MethodDomain(f"unknown symmetrized poly-Bernoulli method {method!r}")
 
 
-@lru_cache(maxsize=None)
-def _hat_factor(n: int, order: int) -> tuple[Fraction, ...]:
-    """Weighted coefficients of (e^t+1)^{1-n} up to the given order.
+def _hat_factor(n: int, m: int) -> list[Fraction]:
+    """Weighted coefficients h_0..h_m of (e^t+1)^{1-n}.
 
-    That is e^t + 1 at n = 0 and the reciprocal of (e^t+1)^{n-1} otherwise,
-    whose constant term 2^{n-1} is never zero.
+    e^t + 1 = 2(1 + u) with u = (e^t-1)/2, so (e^t+1)^{1-n} = sum_r C(1-n,r)
+    2^{1-n-r} (e^t-1)^r, and (e^t-1)^r has weighted coefficients r! S(i,r):
+    h_i = sum_r r! C(1-n,r) 2^{1-n-r} S(i,r), with the generalized binomial,
+    so r! C(1-n,r) is the falling factorial (1-n)(-n)...(2-n-r).
     """
-    base = se.exp_scaled(1, order) + 1
-    factor = base if n == 0 else se.constant(1, order) / base ** (n - 1)
-    return tuple(factorial(i) * c for i, c in enumerate(factor.coeffs))
+    falling = [1]
+    for r in range(m):
+        falling.append(falling[-1] * (1 - n - r))
+    # over 2^(n+i): h_i = sum_r r! C(1-n,r) S(i,r) 2^(i+1-r) / 2^(n+i)
+    return [
+        Fraction(sum(falling[r] * stirling2(i, r) << (i + 1 - r) for r in range(i + 1)), 1 << (n + i))
+        for i in range(m + 1)
+    ]
 
 
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
-    factor = _hat_factor(n, se.truncation_for(m))
+    factor = _hat_factor(n, m)
     return fa._row_sum([(comb(m, j) * factor[m - j], fa._cached_row(fa.Family.TILDE_D, j)) for j in range(m + 1)])
 
 

@@ -522,6 +522,27 @@ def test_series_rows_match_the_per_weight_expansion(family, k, order):
     assert [fa._evaluate_row(row, (k,))[0] for row in rows] == [want.egf(n) for n in range(order + 1)]
 
 
+def test_a_series_sweep_keeps_one_matrix_per_family():
+    fa._SERIES_MATRICES.clear()
+    for family in (Family.COSECANT, Family.POLY_C):
+        values = [family_value_by_method(family, n, -3, "series") for n in range(41)]
+        assert [values[n] for n in (4, 40)] == [family_value(family, n, -3) for n in (4, 40)]
+    # orders 24, 32 and 40 were asked for; only the order-40 matrix is kept
+    assert {family: len(rows) for family, rows in fa._SERIES_MATRICES.items()} == {
+        Family.COSECANT: 41,
+        Family.POLY_C: 41,
+    }
+    for family in (Family.COSECANT, Family.POLY_C):
+        for order in (24, 32, 40):
+            assert fa._series_rows(family, order) == fa._build_series_rows(family, order), (family, order)
+    assert len(fa._SERIES_MATRICES) == 2
+    # a larger order replaces the family's matrix; a smaller one reads it
+    rows = fa._series_rows(Family.COSECANT, 48)
+    assert fa._SERIES_MATRICES[Family.COSECANT] is rows
+    assert fa._series_rows(Family.COSECANT, 24) == rows[:25]
+    assert fa._SERIES_MATRICES[Family.COSECANT] is rows
+
+
 def test_oracle_diff_catches_a_changed_series_row(monkeypatch):
     rows = fa._series_rows(Family.COSECANT, 24)
     shift, denominator, ((b, c), *rest) = rows[4]
@@ -534,7 +555,7 @@ def test_oracle_diff_catches_a_changed_series_row(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(fa, "_series_rows", perturbed)
         report = oracle_diff("Cosecant", 6, -2, -2)
-    fa._series_rows.cache_clear()
+    fa._SERIES_MATRICES.clear()
     assert report.verdict == "fail"
     assert [w.instance for w in report.mismatches()] == [
         "Cosecant(n=4, k=-2) explicit vs series",
@@ -599,9 +620,9 @@ def test_b_polynomials_hat_numbers_and_definitions_build_no_series_matrix():
         lambda: copoly_hat(40, 2, 2),
         lambda: sym_polycosecant(12, 3, 2, method="definition"),
     ):
-        fa._series_rows.cache_clear()
+        fa._SERIES_MATRICES.clear()
         call()
-        assert fa._series_rows.cache_info().currsize == 0
+        assert fa._SERIES_MATRICES == {}
 
 
 @pytest.mark.parametrize("x", [F(0), F(1), F(3), F(-2), F(1, 3), F(-5, 7)])
@@ -684,9 +705,9 @@ def test_single_weight_lookups_read_one_cached_row():
 
 
 def test_tilde_lookups_build_no_series_matrix():
-    fa._series_rows.cache_clear()
+    fa._SERIES_MATRICES.clear()
     values = [tilde_cosecant(n, k) for k in (-24, -1, 0) for n in range(41)]
-    assert fa._series_rows.cache_info().currsize == 0
+    assert fa._SERIES_MATRICES == {}
     rows = fa._series_rows(Family.TILDE_D, 40)
     assert values == [fa._evaluate_row(rows[n], (k,))[0] for k in (-24, -1, 0) for n in range(41)]
 

@@ -1,5 +1,6 @@
 """Series engine: elementary constructors, arithmetic, polylogarithms, grids."""
 
+import operator
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -347,3 +348,223 @@ def test_public_constructors_take_exact_rationals_only():
     for call in calls:
         with pytest.raises(TypeError, match="float"):
             call()
+
+
+# ------------------------------------------------------------- integer kernels
+# The four products and quotients as they were before they ran on integers:
+# one Fraction operation, with its gcd, per term of the convolution.  Kept
+# verbatim, scalar branches aside, as the reference for the integer kernels.
+
+
+def _fraction_series_mul(self, other):
+    n = min(len(self.coeffs), len(other.coeffs))
+    out = [F(0)] * n
+    for i in range(n):
+        a = self.coeffs[i]
+        if a == 0:
+            continue
+        for j in range(n - i):
+            b = other.coeffs[j]
+            if b != 0:
+                out[i + j] += a * b
+    return Series(out)
+
+
+def _fraction_series_div(self, other):
+    v = other.valuation()
+    if v is None:
+        raise DivisionValuation("divisor has no nonzero coefficient within its truncation")
+    va = self.valuation()
+    if va is not None and va < v:
+        raise DivisionValuation(f"dividend valuation {va} is below divisor valuation {v}")
+    # cancel t^v on both sides; the quotient keeps min(Ta, Tb) - v terms
+    n = min(len(self.coeffs), len(other.coeffs)) - v
+    if n < 1:
+        raise DivisionValuation("no coefficients survive the valuation shift at this truncation")
+    a = self.coeffs[v : v + n]
+    b = other.coeffs[v : v + n]
+    lead = b[0]
+    out = [F(0)] * n
+    for i in range(n):
+        acc = a[i]
+        for j in range(i):
+            if out[j] != 0 and b[i - j] != 0:
+                acc -= out[j] * b[i - j]
+        out[i] = acc / lead
+    return Series(out)
+
+
+def _common(self, other):
+    return (
+        min(len(self.coeffs), len(other.coeffs)),
+        min(len(self.coeffs[0]), len(other.coeffs[0])),
+    )
+
+
+def _fraction_biseries_mul(self, other):
+    nt, ny = _common(self, other)
+    out = [[F(0)] * ny for _ in range(nt)]
+    for m in range(nt):
+        for l in range(ny):
+            a = self.coeffs[m][l]
+            if a == 0:
+                continue
+            for i in range(nt - m):
+                row = other.coeffs[i]
+                for j in range(ny - l):
+                    b = row[j]
+                    if b != 0:
+                        out[m + i][l + j] += a * b
+    return BiSeries(out)
+
+
+def _fraction_biseries_div(self, other):
+    lead = other.coeffs[0][0]
+    if lead == 0:
+        raise DivisionZeroConstant("bivariate divisor has zero constant coefficient")
+    nt, ny = _common(self, other)
+    out = [[F(0)] * ny for _ in range(nt)]
+    for m in range(nt):
+        for l in range(ny):
+            acc = self.coeffs[m][l]
+            for i in range(m + 1):
+                brow = other.coeffs
+                for j in range(l + 1):
+                    if (i, j) != (0, 0):
+                        q = out[m - i][l - j]
+                        if q != 0 and brow[i][j] != 0:
+                            acc -= q * brow[i][j]
+            out[m][l] = acc / lead
+    return BiSeries(out)
+
+
+def _outcome(op, a, b):
+    """op(a, b), or the type and message of the division error it raised."""
+    try:
+        result = op(a, b)
+    except (DivisionValuation, DivisionZeroConstant) as error:
+        return type(error), str(error)
+    rows = result.coeffs if isinstance(result, BiSeries) else (result.coeffs,)
+    assert all(type(c) is F for row in rows for c in row)
+    return result
+
+
+# non-dyadic and negative coefficients, zeros often
+_coefficients = st.one_of(st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 45)))
+
+
+@st.composite
+def kernel_series(draw, max_order=11):
+    """A Series of any order 0..max_order, with a run of zeros and a few leading zeros."""
+    order = draw(st.integers(0, max_order))
+    coeffs = draw(st.lists(_coefficients, min_size=order + 1, max_size=order + 1))
+    start = draw(st.integers(0, order))
+    run = draw(st.integers(0, order + 1 - start))
+    coeffs[start : start + run] = [F(0)] * run
+    leading = draw(st.integers(0, 3))
+    return Series(([F(0)] * leading + coeffs)[: order + 1])
+
+
+@st.composite
+def kernel_grids(draw):
+    """A BiSeries of independent t- and y-orders, with a zeroed block of rows or columns."""
+    tt, ty = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(_coefficients, min_size=ty + 1, max_size=ty + 1)) for _ in range(tt + 1)]
+    if draw(st.booleans()):
+        first, count = draw(st.integers(0, tt)), draw(st.integers(0, tt + 1))
+        for m in range(first, min(first + count, tt + 1)):
+            rows[m] = [F(0)] * (ty + 1)
+    else:
+        first, count = draw(st.integers(0, ty)), draw(st.integers(0, ty + 1))
+        for row in rows:
+            row[first : first + count] = [F(0)] * len(row[first : first + count])
+    return BiSeries(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series(), kernel_series())
+def test_series_kernels_equal_the_fraction_loops(a, b):
+    assert _outcome(operator.mul, a, b) == _fraction_series_mul(a, b)
+    assert _outcome(operator.truediv, a, b) == _outcome(_fraction_series_div, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series(), kernel_series(), st.integers(0, 4))
+def test_series_quotient_shifts_the_valuation_as_the_fraction_loop(a, b, v):
+    # a dividend whose valuation is at least the divisor's, so most quotients exist
+    vb = b.valuation()
+    a = Series([F(0)] * (v + (vb or 0)) + list(a.coeffs))
+    assert _outcome(operator.truediv, a, b) == _outcome(_fraction_series_div, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_grids(), kernel_grids())
+def test_biseries_kernels_equal_the_fraction_loops(a, b):
+    assert _outcome(operator.mul, a, b) == _fraction_biseries_mul(a, b)
+    assert _outcome(operator.truediv, a, b) == _outcome(_fraction_biseries_div, a, b)
+    if b.coeffs[0][0] == 0:  # a divisor with a constant term, as most quotients need
+        b = b + F(-7, 3)
+        assert _outcome(operator.truediv, a, b) == _fraction_biseries_div(a, b)
+
+
+def test_division_errors_keep_their_messages():
+    with pytest.raises(DivisionValuation, match="^divisor has no nonzero coefficient within its truncation$"):
+        monomial(3) / constant(0, 3)
+    with pytest.raises(DivisionValuation, match="^dividend valuation 0 is below divisor valuation 1$"):
+        constant(1, 3) / monomial(3)
+    with pytest.raises(DivisionValuation, match="^no coefficients survive the valuation shift at this truncation$"):
+        Series([0]) / Series([0, 0, 1])
+    with pytest.raises(DivisionZeroConstant, match="^bivariate divisor has zero constant coefficient$"):
+        biseries_exp(1, 1, (2, 3)) / (biseries_exp(1, 1, (2, 3)) - 1)
+
+
+def test_generating_function_quotients_equal_the_fraction_loops():
+    # the divisions and powers the oracle's matrices and sweeps take, at their sizes
+    order = 25
+    z = tanh_half(order)
+    assert z / sinh_series(order) == _fraction_series_div(z, sinh_series(order))
+    assert z / tanh_series(order) == _fraction_series_div(z, tanh_series(order))
+    assert (z * z) * z == _fraction_series_mul(_fraction_series_mul(z, z), z)
+    orders = (8, 6)
+    et, ey, ety = biseries_exp(1, 0, orders), biseries_exp(0, 1, orders), biseries_exp(1, 1, orders)
+    denominator = 1 + et + ey - ety
+    assert (ety - et) / denominator == _fraction_biseries_div(ety - et, denominator)
+    cube = _fraction_biseries_mul(_fraction_biseries_mul(denominator, denominator), denominator)
+    assert denominator**3 == cube
+    assert (ety * 6) / denominator**3 == _fraction_biseries_div(ety * 6, cube)
+
+
+_SCALAR_OPERATORS = {
+    "+": operator.add,
+    "radd": lambda x, q: q + x,
+    "-": operator.sub,
+    "rsub": lambda x, q: q - x,
+    "*": operator.mul,
+    "rmul": lambda x, q: q * x,
+    "/": operator.truediv,
+}
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    # BiSeries has no reflected subtraction
+    [(kind, name) for kind in ("Series", "BiSeries") for name in _SCALAR_OPERATORS if kind == "Series" or name != "rsub"],
+)
+def test_scalar_operands_refuse_floats(kind, name):
+    op = _SCALAR_OPERATORS[name]
+    x = exp_scaled(F(2, 3), 4) if kind == "Series" else biseries_exp(F(2, 3), -1, (2, 3))
+    # 0.1 is the double 3602879701896397/2^55, not 1/10
+    with pytest.raises(TypeError, match="float 0.1"):
+        op(x, 0.1)
+    for q in (3, F(-2, 5), F("1/10")):
+        got = op(x, q)
+        grid = got.coeffs if kind == "BiSeries" else (got.coeffs,)
+        cells = x.coeffs if kind == "BiSeries" else (x.coeffs,)
+        assert all(type(c) is F for row in grid for c in row)
+        want = [[op(c, q) if name in ("*", "rmul", "/") else c for c in row] for row in cells]
+        if name not in ("*", "rmul", "/"):
+            want[0][0] = op(cells[0][0], q)
+        if name == "rsub":
+            want = [[-c for c in row] for row in want]
+            want[0][0] = q - cells[0][0]
+        assert [list(row) for row in grid] == want, q

@@ -25,6 +25,7 @@ from polyseq.series import (
     Series,
     biseries_constant,
     biseries_exp,
+    constant,
     exp_scaled,
     polylog_apply,
     sinh_series,
@@ -32,7 +33,7 @@ from polyseq.series import (
     truncation_for,
 )
 from polyseq.families import _sym_row
-from polyseq.symmetrized import _hat_row, sym_cosecant_halves
+from polyseq.symmetrized import _hat_factor, _hat_row, sym_cosecant_halves
 
 
 def test_sym_bernoulli_three_routes_agree():
@@ -124,8 +125,24 @@ def _old_copoly_hat_series(l, n, order):
     return (g + mirror) * F(1, 2)
 
 
+def _series_hat_factor(n, order):
+    """Weighted coefficients of (e^t+1)^{1-n} as `symmetrized._hat_factor` built them from series."""
+    base = exp_scaled(1, order) + 1
+    factor = base if n == 0 else constant(1, order) / base ** (n - 1)
+    return tuple(factorial(i) * c for i, c in enumerate(factor.coeffs))
+
+
+def test_hat_factor_stirling_sum_equals_the_series():
+    for n in range(9):
+        want = _series_hat_factor(n, 40)
+        for m in range(41):
+            assert _hat_factor(n, m) == list(want[: m + 1]), (n, m)
+    # levels past any series truncation the sweeps use
+    assert _hat_factor(60, 3) == list(_series_hat_factor(60, 3))
+
+
 def test_hat_numbers_equal_the_series_they_replaced():
-    # m crosses the truncations 24, 32 and 40 that the hat factor is cached at
+    # m crosses the series truncations 24, 32 and 40
     for n in range(6):
         for l in range(11):
             for m in range(41):
