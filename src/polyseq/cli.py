@@ -10,13 +10,10 @@ are exact rational strings; no floating point anywhere.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from . import congruences as cg
@@ -36,13 +33,14 @@ class OutputTable:
     k_range: tuple[int, int]
     rows: list[tuple[int, list[str]]]  # (n, cells in increasing k)
 
+    def _ks(self) -> range:
+        return range(self.k_range[0], self.k_range[1] + 1)
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n"] + [str(k) for k in range(self.k_range[0], self.k_range[1] + 1)])
-        for n, cells in self.rows:
-            writer.writerow([str(n)] + cells)
-        return buf.getvalue()
+        # a cell is str(Fraction) and a header an int, so no field ever needs quoting
+        lines = [",".join(["n", *map(str, self._ks())])]
+        lines += [",".join([str(n), *cells]) for n, cells in self.rows]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -54,12 +52,10 @@ class OutputTable:
         return json.dumps(payload, sort_keys=True) + "\n"
 
     def to_latex(self) -> str:
-        ks = range(self.k_range[0], self.k_range[1] + 1)
+        ks = self._ks()
         lines = [
-            "\\begin{tabular}{r|" + "r" * len(list(ks)) + "}",
-            "$n \\backslash k$ & "
-            + " & ".join(f"${k}$" for k in range(self.k_range[0], self.k_range[1] + 1))
-            + " \\\\",
+            "\\begin{tabular}{r|" + "r" * len(ks) + "}",
+            "$n \\backslash k$ & " + " & ".join(f"${k}$" for k in ks) + " \\\\",
             "\\hline",
         ]
         for n, cells in self.rows:
@@ -78,11 +74,12 @@ class OutputTable:
 
 
 def _latex_cell(cell: str) -> str:
-    q = Fraction(cell)
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    """A `str(Fraction)` cell in LaTeX, read off the string: "-a/b" -> -\\frac{a}{b}."""
+    numerator, slash, denominator = cell.partition("/")
+    if not slash:
+        return cell
+    sign, digits = ("-", numerator[1:]) if numerator.startswith("-") else ("", numerator)
+    return f"{sign}\\frac{{{digits}}}{{{denominator}}}"
 
 
 def _parse_family(raw: str) -> Family:

@@ -371,6 +371,9 @@ class BiSeries:
     def __sub__(self, other):
         return self + (-other if isinstance(other, BiSeries) else -_exact(other, "a scalar operand"))
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if not isinstance(other, BiSeries):
             f = _exact(other, "a scalar operand")

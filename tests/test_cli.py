@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import re
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyseq import congruences as cg
-from polyseq.cli import build_parser, build_table, main
+from polyseq.cli import MAX_ORDER, MAX_WEIGHT, OutputTable, build_parser, build_table, main
+from polyseq.families import Family
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +75,98 @@ def test_formats_parse_back_to_identical_values(capsys):
     from_json = [(row["n"], [F(c) for c in row["cells"]]) for row in payload["rows"]]
     from_latex = _parse_latex_cells(latex_out)
     assert from_csv == from_json == from_latex
+
+
+# The renderers that `OutputTable` used before it joined the cell strings
+# itself, kept verbatim as references: `csv.writer` quoting as needed, and each
+# LaTeX cell parsed back into a Fraction.
+
+
+def _csv_writer_to_csv(self) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n"] + [str(k) for k in range(self.k_range[0], self.k_range[1] + 1)])
+    for n, cells in self.rows:
+        writer.writerow([str(n)] + cells)
+    return buf.getvalue()
+
+
+def _fraction_latex_cell(cell: str) -> str:
+    q = F(cell)
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+def _fraction_to_latex(self) -> str:
+    ks = range(self.k_range[0], self.k_range[1] + 1)
+    lines = [
+        "\\begin{tabular}{r|" + "r" * len(list(ks)) + "}",
+        "$n \\backslash k$ & "
+        + " & ".join(f"${k}$" for k in range(self.k_range[0], self.k_range[1] + 1))
+        + " \\\\",
+        "\\hline",
+    ]
+    for n, cells in self.rows:
+        lines.append(f"${n}$ & " + " & ".join(f"${_fraction_latex_cell(c)}$" for c in cells) + " \\\\")
+    lines.append("\\end{tabular}")
+    return "\n".join(lines) + "\n"
+
+
+_TABLE_FAMILIES = ("PolyB_B", "PolyB_C", "Cosecant", "Cotangent", "TildeD")
+_CELL = re.compile(r"-?\d+(/\d+)?")
+
+
+def _k_max(family):
+    return 0 if family == "TildeD" else MAX_WEIGHT
+
+
+@functools.cache
+def _full_grid(family):
+    """The largest table the CLI accepts for a family."""
+    return build_table(family, (0, MAX_ORDER), (-MAX_WEIGHT, _k_max(family)))
+
+
+def _assert_renders_like_the_references(table):
+    assert table.render("csv") == _csv_writer_to_csv(table)
+    assert table.render("latex") == _fraction_to_latex(table)
+
+
+@pytest.mark.parametrize("family", _TABLE_FAMILIES)
+def test_full_grid_renders_byte_identical_to_the_references(family):
+    table = _full_grid(family)
+    assert len(table.rows) == MAX_ORDER + 1
+    # every field is an integer or a signed fraction, which QUOTE_MINIMAL never quotes
+    assert all(_CELL.fullmatch(cell) for _, cells in table.rows for cell in cells)
+    _assert_renders_like_the_references(table)
+
+
+@st.composite
+def _sub_table(draw):
+    family = draw(st.sampled_from(_TABLE_FAMILIES))
+    n_lo, n_hi = sorted(draw(st.lists(st.integers(0, MAX_ORDER), min_size=2, max_size=2)))
+    k_lo, k_hi = sorted(draw(st.lists(st.integers(-MAX_WEIGHT, _k_max(family)), min_size=2, max_size=2)))
+    grid = _full_grid(family)
+    cols = slice(k_lo + MAX_WEIGHT, k_hi + MAX_WEIGHT + 1)
+    rows = [(n, cells[cols]) for n, cells in grid.rows[n_lo : n_hi + 1]]
+    return OutputTable(grid.family, (n_lo, n_hi), (k_lo, k_hi), rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sub_table())
+def test_drawn_ranges_render_byte_identical_to_the_references(table):
+    _assert_renders_like_the_references(table)
+    rebuilt = build_table(table.family, (table.n_range[1], table.n_range[1]), table.k_range)
+    assert rebuilt.rows == table.rows[-1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.fractions().map(str), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_drawn_fraction_cells_render_byte_identical_to_the_references(rows):
+    table = OutputTable(Family.COSECANT, (0, len(rows) - 1), (-1, 1), list(enumerate(rows)))
+    assert all(_CELL.fullmatch(cell) for row in rows for cell in row)
+    _assert_renders_like_the_references(table)
 
 
 def test_table_usage_errors(capsys):

@@ -545,11 +545,7 @@ _SCALAR_OPERATORS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind,name",
-    # BiSeries has no reflected subtraction
-    [(kind, name) for kind in ("Series", "BiSeries") for name in _SCALAR_OPERATORS if kind == "Series" or name != "rsub"],
-)
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in ("Series", "BiSeries") for name in _SCALAR_OPERATORS])
 def test_scalar_operands_refuse_floats(kind, name):
     op = _SCALAR_OPERATORS[name]
     x = exp_scaled(F(2, 3), 4) if kind == "Series" else biseries_exp(F(2, 3), -1, (2, 3))
