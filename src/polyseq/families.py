@@ -115,13 +115,8 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     level, inner, denominator = _GENERATING_FUNCTIONS[family]
     z = inner(order + 1)
     step = z if level == 1 else z * z
-    quotient = z / denominator(order + 1, z)
     bases = range(1, order + 2, level)
-    columns = []
-    for _ in bases:
-        if columns:
-            quotient = quotient * step
-        columns.append(quotient.coeffs)
+    columns = [q.coeffs for q in se._geometric(z / denominator(order + 1, z), step, len(bases))]
     rows = []
     for n in range(order + 1):
         weighted = [factorial(n) * level * q[n] for q in columns]

@@ -3,6 +3,9 @@
 Coefficients are stored as ordinary power-series coefficients, one `Fraction`
 each; the factorial-weighted view a_n = n! * c_n is applied only on
 extraction.  All values are immutable and all operations are pure functions.
+The constructors build one `Fraction` per coefficient from integers: e^{ct}
+at c = p/q has p^n / (q^n n!), and e^{at+by} at a = p/q, b = r/s has
+p^m r^l / (q^m s^l m! l!); every zero coefficient is the shared `_ZERO`.
 
 Products and quotients run on integers.  Each operand is written as integer
 numerators over the lcm of its denominators: a product is then an integer
@@ -23,7 +26,8 @@ A float is refused through `_exact` by the public constructors `constant`,
 `exp_scaled`, `biseries_constant` and `biseries_exp`, and by the scalar
 operands of `+`, `-`, `*` and `/`.  `Series` and `BiSeries` convert outside
 input in `__init__` unchecked; arithmetic builds its results from the new
-`Fraction`s through `_series` and `_biseries`, without converting them again.
+`Fraction`s through `_series` and `_biseries`, without converting them again,
+and so do the constructors, `truncate` and `partial_y`.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ def _exact(value, name: str) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"{name} must be an int, a Fraction or a string such as '1/10', not the float {value!r}")
     return Fraction(value)
+
+
+def _check_orders(*orders: int) -> None:
+    """Refuse a negative truncation order, which would leave no constant coefficient."""
+    if min(orders) < 0:
+        raise ValueError("a series needs at least the constant coefficient")
 
 
 _ZERO = Fraction(0)
@@ -115,7 +125,8 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1])
+        _check_orders(order)
+        return _series(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
@@ -232,26 +243,40 @@ def _power(base, exponent: int, one):
 
 
 def constant(value: Scalar, order: int) -> Series:
-    return Series((_exact(value, "value"),) + (Fraction(0),) * order)
+    return _series((_exact(value, "value"),) + (_ZERO,) * order)
 
 
 def monomial(order: int) -> Series:
     """The series t, truncated at the given order."""
-    return Series(tuple(Fraction(1) if n == 1 else Fraction(0) for n in range(order + 1)))
+    _check_orders(order)
+    return _series(tuple([Fraction(1) if n == 1 else _ZERO for n in range(order + 1)]))
+
+
+def _exp_terms(c: Fraction, order: int) -> list[tuple[int, int]]:
+    """(p^n, q^n n!) for n = 0..order, where c = p/q: the numerator and denominator of c^n / n!."""
+    _check_orders(order)
+    p, q = c.numerator, c.denominator
+    terms = [(1, 1)]
+    for n in range(1, order + 1):
+        num, den = terms[-1]
+        terms.append((num * p, den * q * n))
+    return terms
 
 
 def exp_scaled(c: Scalar, order: int) -> Series:
     """e^{ct} truncated: coefficients c^n / n!."""
-    c = _exact(c, "c")
-    return Series(tuple(c**n / factorial(n) for n in range(order + 1)))
+    terms = _exp_terms(_exact(c, "c"), order)
+    return _series(tuple([Fraction(num, den) if num else _ZERO for num, den in terms]))
 
 
 def sinh_series(order: int) -> Series:
-    return Series(tuple(Fraction(1, factorial(n)) if n % 2 else Fraction(0) for n in range(order + 1)))
+    _check_orders(order)
+    return _series(tuple([Fraction(1, factorial(n)) if n % 2 else _ZERO for n in range(order + 1)]))
 
 
 def cosh_series(order: int) -> Series:
-    return Series(tuple(Fraction(0) if n % 2 else Fraction(1, factorial(n)) for n in range(order + 1)))
+    _check_orders(order)
+    return _series(tuple([_ZERO if n % 2 else Fraction(1, factorial(n)) for n in range(order + 1)]))
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +324,16 @@ def polylog_apply(level: int, k: int, inner: Series) -> Series:
 def _polylog_powers(level: int, inner: Series) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
     """(m, coefficients of inner^m) for each m the level's sum takes, up to inner's order."""
     step = inner if level == 1 else inner * inner
-    power = inner
-    rows = []
-    for m in range(1, inner.order + 1, level):
-        if rows:
-            power = power * step
-        rows.append((m, power.coeffs))
-    return tuple(rows)
+    ms = range(1, inner.order + 1, level)
+    return tuple([(m, power.coeffs) for m, power in zip(ms, _geometric(inner, step, len(ms)))])
+
+
+def _geometric(start, step, count: int) -> list:
+    """start, start * step, start * step^2, ...: count terms, each one product from the last."""
+    terms = [start][:count]
+    for _ in range(count - 1):
+        terms.append(terms[-1] * step)
+    return terms
 
 
 class BiSeries:
@@ -338,7 +366,8 @@ class BiSeries:
 
     def truncate(self, orders: tuple[int, int]) -> "BiSeries":
         tt, ty = orders
-        return BiSeries(tuple(row[: ty + 1] for row in self.coeffs[: tt + 1]))
+        _check_orders(tt, ty)
+        return _biseries(tuple([row[: ty + 1] for row in self.coeffs[: tt + 1]]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiSeries) and self.coeffs == other.coeffs
@@ -453,9 +482,7 @@ class BiSeries:
         tt, ty = self.orders
         if ty == 0:
             raise IndexBeyondTruncation("cannot differentiate a series with y-order 0")
-        return BiSeries(
-            tuple(tuple((l + 1) * row[l + 1] for l in range(ty)) for row in self.coeffs)
-        )
+        return _biseries(tuple([tuple([(l + 1) * row[l + 1] for l in range(ty)]) for row in self.coeffs]))
 
 
 def _biseries(rows: tuple[tuple[Fraction, ...], ...]) -> BiSeries:
@@ -467,9 +494,9 @@ def _biseries(rows: tuple[tuple[Fraction, ...], ...]) -> BiSeries:
 
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:
     tt, ty = orders
-    rows = [[Fraction(0)] * (ty + 1) for _ in range(tt + 1)]
-    rows[0][0] = _exact(value, "value")
-    return BiSeries(rows)
+    _check_orders(tt, ty)
+    zeros = (_ZERO,) * (ty + 1)
+    return _biseries(((_exact(value, "value"),) + zeros[1:],) + (zeros,) * tt)
 
 
 def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSeries:
@@ -477,11 +504,8 @@ def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSerie
     if isinstance(orders, int):
         orders = (orders, orders)
     tt, ty = orders
-    a = _exact(a, "a")
-    b = _exact(b, "b")
-    return BiSeries(
-        tuple(
-            tuple(a**m * b**l / (factorial(m) * factorial(l)) for l in range(ty + 1))
-            for m in range(tt + 1)
-        )
+    a, b = _exact(a, "a"), _exact(b, "b")
+    t_terms, y_terms = _exp_terms(a, tt), _exp_terms(b, ty)
+    return _biseries(
+        tuple([tuple([Fraction(p * r, q * s) if p and r else _ZERO for r, s in y_terms]) for p, q in t_terms])
     )

@@ -21,6 +21,7 @@ from polyseq import (
 )
 from polyseq import series as series_module
 from polyseq.series import (
+    _exact,
     biseries_constant,
     constant,
     cosh_series,
@@ -347,6 +348,123 @@ def test_public_constructors_take_exact_rationals_only():
     )
     for call in calls:
         with pytest.raises(TypeError, match="float"):
+            call()
+
+
+# ------------------------------------------------------------- constructors
+# The constructors, truncations and partial_y as they were before they built
+# each coefficient from integers: Fraction powers and quotients, converted
+# again by Series and BiSeries.  Kept verbatim, with Fraction written F, as
+# the reference for the integer constructors.
+
+
+def _fraction_constant(value, order):
+    return Series((_exact(value, "value"),) + (F(0),) * order)
+
+
+def _fraction_monomial(order):
+    return Series(tuple(F(1) if n == 1 else F(0) for n in range(order + 1)))
+
+
+def _fraction_exp_scaled(c, order):
+    c = _exact(c, "c")
+    return Series(tuple(c**n / factorial(n) for n in range(order + 1)))
+
+
+def _fraction_sinh_series(order):
+    return Series(tuple(F(1, factorial(n)) if n % 2 else F(0) for n in range(order + 1)))
+
+
+def _fraction_cosh_series(order):
+    return Series(tuple(F(0) if n % 2 else F(1, factorial(n)) for n in range(order + 1)))
+
+
+def _fraction_biseries_constant(value, orders):
+    tt, ty = orders
+    rows = [[F(0)] * (ty + 1) for _ in range(tt + 1)]
+    rows[0][0] = _exact(value, "value")
+    return BiSeries(rows)
+
+
+def _fraction_biseries_exp(a, b, orders):
+    if isinstance(orders, int):
+        orders = (orders, orders)
+    tt, ty = orders
+    a = _exact(a, "a")
+    b = _exact(b, "b")
+    return BiSeries(
+        tuple(
+            tuple(a**m * b**l / (factorial(m) * factorial(l)) for l in range(ty + 1))
+            for m in range(tt + 1)
+        )
+    )
+
+
+def _fraction_series_truncate(self, order):
+    if order >= self.order:
+        return self
+    return Series(self.coeffs[: order + 1])
+
+
+def _fraction_biseries_truncate(self, orders):
+    tt, ty = orders
+    return BiSeries(tuple(row[: ty + 1] for row in self.coeffs[: tt + 1]))
+
+
+def _fraction_partial_y(self):
+    tt, ty = self.orders
+    return BiSeries(
+        tuple(tuple((l + 1) * row[l + 1] for l in range(ty)) for row in self.coeffs)
+    )
+
+
+# ints and Fractions, zero, negative and non-dyadic values often
+_scalars = st.one_of(
+    st.sampled_from([0, -1, F(0), F(-2, 3), F(5, 7)]),
+    st.integers(-7, 7),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalars, _scalars, st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
+def test_constructors_equal_the_fraction_constructors(a, b, tt, ty, cut):
+    series, grid = exp_scaled(a, tt), biseries_exp(a, b, (tt, ty))
+    pairs = [
+        (series, _fraction_exp_scaled(a, tt)),
+        (grid, _fraction_biseries_exp(a, b, (tt, ty))),
+        (biseries_exp(a, b, tt), _fraction_biseries_exp(a, b, tt)),
+        (sinh_series(tt), _fraction_sinh_series(tt)),
+        (cosh_series(tt), _fraction_cosh_series(tt)),
+        (constant(a, tt), _fraction_constant(a, tt)),
+        (monomial(tt), _fraction_monomial(tt)),
+        (biseries_constant(a, (tt, ty)), _fraction_biseries_constant(a, (tt, ty))),
+        (series.truncate(cut), _fraction_series_truncate(series, cut)),
+        (grid.truncate((cut, cut)), _fraction_biseries_truncate(grid, (cut, cut))),
+    ]
+    if ty:
+        pairs.append((grid.partial_y(), _fraction_partial_y(grid)))
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        rows = got.coeffs if isinstance(got, BiSeries) else (got.coeffs,)
+        # no int may pass _series or _biseries unconverted
+        assert all(type(c) is F for row in rows for c in row)
+
+
+def test_constructors_refuse_negative_orders():
+    calls = (
+        lambda: exp_scaled(F(-2, 3), -1),
+        lambda: sinh_series(-1),
+        lambda: cosh_series(-1),
+        lambda: monomial(-1),
+        lambda: biseries_exp(1, 1, (-1, 2)),
+        lambda: biseries_exp(1, 1, (2, -1)),
+        lambda: biseries_constant(1, (0, -1)),
+        lambda: exp_scaled(1, 3).truncate(-1),
+        lambda: biseries_exp(1, 1, 3).truncate((1, -2)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="at least the constant coefficient"):
             call()
 
 
