@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
@@ -159,19 +159,7 @@ class ValuationReport:
     branch: str
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "index": self.index,
-            "b": str(self.b),
-            "d": str(self.d),
-            "beta_hat": str(self.beta_hat),
-            "ord_b": self.ord_b,
-            "ord_d": self.ord_d,
-            "ord_beta_hat": self.ord_beta_hat,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "branch": self.branch,
-        }
+        return {**asdict(self), "b": str(self.b), "d": str(self.d), "beta_hat": str(self.beta_hat)}
 
 
 class _Checker:

@@ -119,9 +119,8 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     columns = [q.coeffs for q in se._geometric(z / denominator(order + 1, z), step, len(bases))]
     rows = []
     for n in range(order + 1):
-        weighted = [factorial(n) * level * q[n] for q in columns]
-        d = lcm(*[w.denominator for w in weighted])
-        rows.append(_row(0, d, ((m, w.numerator * (d // w.denominator)) for m, w in zip(bases, weighted))))
+        (numerators,), d = se._numerators([[factorial(n) * level * q[n] for q in columns]])
+        rows.append(_row(0, d, zip(bases, numerators)))
     return tuple(rows)
 
 

@@ -8,11 +8,13 @@ at c = p/q has p^n / (q^n n!), and e^{at+by} at a = p/q, b = r/s has
 p^m r^l / (q^m s^l m! l!); every zero coefficient is the shared `_ZERO`.
 
 Products and quotients run on integers.  Each operand is written as integer
-numerators over the lcm of its denominators: a product is then an integer
-convolution over the product of the two denominators, and a quotient's
-numerators come from a fraction-free recurrence in powers of the divisor's
-lead coefficient (see `Series.__truediv__`).  Only the result becomes
-`Fraction`s, one per coefficient, so no gcd is taken inside a convolution.
+numerators over the lcm of its denominators, and one `_product` and one
+`_quotient` on grids of those numerators serve both classes, a `Series`
+being the one-row grid.  A product is an integer convolution over the
+product of the two denominators; a quotient's numerators come from a
+fraction-free recurrence in powers of the divisor's lead coefficient (see
+`_quotient`).  Only the result becomes `Fraction`s, one per coefficient, so
+no gcd is taken inside a convolution.
 
 Three caches hold work that no weight k changes: `tanh_half(order)`,
 `tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
@@ -90,6 +92,58 @@ def _lead_powers(lead: int, count: int) -> list[int]:
     return powers
 
 
+def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two equal-shaped grids of integer numerators, truncated to that shape."""
+    nt, ny = len(a), len(a[0])
+    terms = [(i, [(j, y) for j, y in enumerate(row) if y]) for i, row in enumerate(b)]
+    terms = [(i, row) for i, row in terms if row]
+    out = [[0] * ny for _ in range(nt)]
+    for m, arow in enumerate(a):
+        for l, x in enumerate(arow):
+            if not x:
+                continue
+            for i, brow in terms:
+                if m + i >= nt:
+                    break
+                orow = out[m + i]
+                for j, y in brow:
+                    if l + j >= ny:
+                        break
+                    orow[l + j] += x * y
+    return out
+
+
+def _quotient(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Numerators N of a / b on equal-shaped integer grids, and the powers b0^0 .. b0^(rows + columns - 1) of b0 = b[0][0].
+
+    Cell (m, l) of a / b is N_{m,l} / b0^(m+l+1), where N_{m,l} =
+    a_{m,l} b0^(m+l) - sum_{(i,j) != (0,0)} N_{m-i,l-j} b_{i,j} b0^(i+j-1):
+    each step of the long division raises m + l by i + j >= 1.  With a over
+    d_a and b over d_b, the cell is d_b N_{m,l} / (d_a b0^(m+l+1)).
+    """
+    nt, ny = len(a), len(a[0])
+    powers = _lead_powers(b[0][0], nt + ny - 1)
+    terms = [(i, [(j, y * powers[i + j - 1]) for j, y in enumerate(row) if y and i + j]) for i, row in enumerate(b)]
+    terms = [(i, row) for i, row in terms if row]
+    nums = []
+    for m, arow in enumerate(a):
+        nrow = []
+        nums.append(nrow)
+        for l, x in enumerate(arow):
+            acc = x * powers[m + l]
+            for i, brow in terms:
+                if i > m:
+                    break
+                prev = nums[m - i]
+                for j, y in brow:
+                    if j > l:
+                        break
+                    if prev[l - j]:
+                        acc -= prev[l - j] * y
+            nrow.append(acc)
+    return nums, powers
+
+
 class Series:
     """Truncated series sum_{n=0}^{order} c_n t^n with Fraction coefficients."""
 
@@ -160,27 +214,14 @@ class Series:
             f = _exact(other, "a scalar operand")
             return _series(tuple([c * f for c in self.coeffs]))
         n = min(len(self.coeffs), len(other.coeffs))
-        (a,), da = _numerators([self.coeffs[:n]])
-        (b,), db = _numerators([other.coeffs[:n]])
-        terms = [(j, y) for j, y in enumerate(b) if y]
-        out = [0] * n
-        for i, x in enumerate(a):
-            if x:
-                for j, y in terms:
-                    if i + j >= n:
-                        break
-                    out[i + j] += x * y
+        a, da = _numerators([self.coeffs[:n]])
+        b, db = _numerators([other.coeffs[:n]])
+        (out,) = _product(a, b)
         return _series(_over(out, da * db))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Series":
-        """Quotient on integer numerators A over d_a and B over d_b, after cancelling t^v.
-
-        With b0 = B_0, coefficient i is d_b N_i / (d_a b0^(i+1)), where the
-        integers N_i = A_i b0^i - sum_{j<i} N_j B_{i-j} b0^(i-1-j) are the
-        long division's numerators over b0^(i+1).
-        """
         if not isinstance(other, Series):
             return self * (1 / _exact(other, "a scalar divisor"))
         v = other.valuation()
@@ -193,19 +234,9 @@ class Series:
         n = min(len(self.coeffs), len(other.coeffs)) - v
         if n < 1:
             raise DivisionValuation("no coefficients survive the valuation shift at this truncation")
-        (a,), da = _numerators([self.coeffs[v : v + n]])
-        (b,), db = _numerators([other.coeffs[v : v + n]])
-        powers = _lead_powers(b[0], n)
-        terms = [(j, y * powers[j - 1]) for j, y in enumerate(b) if j and y]
-        nums = []
-        for i in range(n):
-            acc = a[i] * powers[i]
-            for j, y in terms:
-                if j > i:
-                    break
-                if nums[i - j]:
-                    acc -= nums[i - j] * y
-            nums.append(acc)
+        a, da = _numerators([self.coeffs[v : v + n]])
+        b, db = _numerators([other.coeffs[v : v + n]])
+        (nums,), powers = _quotient(a, b)
         return _series(tuple([Fraction(db * x, da * powers[i + 1]) if x else _ZERO for i, x in enumerate(nums)]))
 
     def __pow__(self, exponent: int) -> "Series":
@@ -243,6 +274,7 @@ def _power(base, exponent: int, one):
 
 
 def constant(value: Scalar, order: int) -> Series:
+    _check_orders(order)
     return _series((_exact(value, "value"),) + (_ZERO,) * order)
 
 
@@ -281,11 +313,9 @@ def cosh_series(order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def tanh_half(order: int) -> Series:
-    """tanh(t/2) as sinh(t/2) / cosh(t/2), never via floating point."""
-    half = Fraction(1, 2)
-    sinh_h = (exp_scaled(half, order) - exp_scaled(-half, order)) * half
-    cosh_h = (exp_scaled(half, order) + exp_scaled(-half, order)) * half
-    return sinh_h / cosh_h
+    """tanh(t/2) as (e^t - 1) / (e^t + 1), never via floating point."""
+    e = exp_scaled(1, order)
+    return (e - 1) / (e + 1)
 
 
 @lru_cache(maxsize=None)
@@ -410,33 +440,11 @@ class BiSeries:
         nt, ny = self._common(other)
         a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
         b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
-        terms = [(i, [(j, y) for j, y in enumerate(row) if y]) for i, row in enumerate(b)]
-        terms = [(i, row) for i, row in terms if row]
-        out = [[0] * ny for _ in range(nt)]
-        for m, arow in enumerate(a):
-            for l, x in enumerate(arow):
-                if not x:
-                    continue
-                for i, brow in terms:
-                    if m + i >= nt:
-                        break
-                    orow = out[m + i]
-                    for j, y in brow:
-                        if l + j >= ny:
-                            break
-                        orow[l + j] += x * y
-        d = da * db
-        return _biseries(tuple([_over(row, d) for row in out]))
+        return _biseries(tuple([_over(row, da * db) for row in _product(a, b)]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
-        """Quotient on integer numerators, as `Series.__truediv__` with b0's power indexed by m + l.
-
-        Coefficient (m, l) is d_b N_{m,l} / (d_a b0^(m+l+1)), where N_{m,l} =
-        A_{m,l} b0^(m+l) - sum_{(i,j) != (0,0)} N_{m-i,l-j} B_{i,j} b0^(i+j-1):
-        each step of the recurrence raises m + l by i + j >= 1.
-        """
         if not isinstance(other, BiSeries):
             return self * (1 / _exact(other, "a scalar divisor"))
         if other.coeffs[0][0] == 0:
@@ -444,27 +452,7 @@ class BiSeries:
         nt, ny = self._common(other)
         a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
         b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
-        powers = _lead_powers(b[0][0], nt + ny - 1)
-        terms = [
-            (i, [(j, y * powers[i + j - 1]) for j, y in enumerate(row) if y and i + j]) for i, row in enumerate(b)
-        ]
-        terms = [(i, row) for i, row in terms if row]
-        nums = []
-        for m, arow in enumerate(a):
-            nrow = []
-            nums.append(nrow)
-            for l, x in enumerate(arow):
-                acc = x * powers[m + l]
-                for i, brow in terms:
-                    if i > m:
-                        break
-                    prev = nums[m - i]
-                    for j, y in brow:
-                        if j > l:
-                            break
-                        if prev[l - j]:
-                            acc -= prev[l - j] * y
-                nrow.append(acc)
+        nums, powers = _quotient(a, b)
         return _biseries(
             tuple(
                 [

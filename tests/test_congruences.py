@@ -363,6 +363,31 @@ def test_valuation_report():
             assert verify("DENOM_ORDER", p=p, n=n).passed
 
 
+def _listed_valuation_dict(rep):
+    # ValuationReport.to_dict as it was written out field by field
+    return {
+        "p": rep.p,
+        "index": rep.index,
+        "b": str(rep.b),
+        "d": str(rep.d),
+        "beta_hat": str(rep.beta_hat),
+        "ord_b": rep.ord_b,
+        "ord_d": rep.ord_d,
+        "ord_beta_hat": rep.ord_beta_hat,
+        "alpha": rep.alpha,
+        "gamma": rep.gamma,
+        "branch": rep.branch,
+    }
+
+
+def test_valuation_dict_equals_the_listed_fields():
+    # same keys in the same order, so `polyseq valuation` prints the same bytes
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 65):
+            rep = valuation_report(p, n)
+            assert list(rep.to_dict().items()) == list(_listed_valuation_dict(rep).items())
+
+
 def test_oracle_diff():
     report = oracle_diff("Cosecant", 8, -4, 3)
     assert report.passed

@@ -184,6 +184,19 @@ def test_cached_tanh_matches_a_fresh_division(order):
     assert tanh_series(order) == sinh_series(order) / cosh_series(order)
 
 
+def _sinh_cosh_tanh_half(order):
+    # tanh(t/2) as it was built before it became one quotient of e^t - 1 by e^t + 1
+    half = F(1, 2)
+    sinh_h = (exp_scaled(half, order) - exp_scaled(-half, order)) * half
+    cosh_h = (exp_scaled(half, order) + exp_scaled(-half, order)) * half
+    return sinh_h / cosh_h
+
+
+def test_tanh_half_equals_the_sinh_cosh_quotient():
+    for order in range(65):
+        assert tanh_half(order).coeffs == _sinh_cosh_tanh_half(order).coeffs, order
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_series(), rational_series())
 def test_div_mul_roundtrip(a, b):
@@ -453,6 +466,7 @@ def test_constructors_equal_the_fraction_constructors(a, b, tt, ty, cut):
 
 def test_constructors_refuse_negative_orders():
     calls = (
+        lambda: constant(1, -1),
         lambda: exp_scaled(F(-2, 3), -1),
         lambda: sinh_series(-1),
         lambda: cosh_series(-1),
