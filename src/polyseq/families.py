@@ -520,11 +520,6 @@ def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
     """
     if isinstance(orders, int):
         orders = (orders, orders)
-    return _cosecant_bivariate(orders)
-
-
-@lru_cache(maxsize=None)
-def _cosecant_bivariate(orders: tuple[int, int]) -> se.BiSeries:
     result = se.biseries_constant(1, orders)
     for et, ety, denominator in _bivariate_denominators(orders):
         result = result + (ety - et) / denominator

@@ -1,8 +1,11 @@
 """Classical sequences: Stirling numbers, Bernoulli, Euler, tangent numbers, totient.
 
 Stirling triangles are memoized as growing row tables; a lock keeps row
-extension idempotent under concurrent use.  Rational-valued sequences are
-extracted from the series engine and cached.
+extension idempotent under concurrent use.  The weighted coefficients of
+(e^t+1)^{1-n} are one second-kind Stirling sum, `_exp_plus_one_numerators`;
+its n = 2 case, the Euler-polynomial values E_j(0), is cached per truncation
+and gives the Bernoulli, Euler and tangent numbers as integer sums, with no
+series.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from . import series as se
 from .errors import IndexParity
+from .series import _exact, truncation_for
 
 _lock = threading.Lock()
 
@@ -53,66 +56,63 @@ def stirling1(n: int, m: int) -> int:
     return _STIRLING1_ROWS[n][m]
 
 
-def _integral(value: Fraction, name: str) -> int:
-    """The integer `value`; a fraction here is an internal bug, so no PolyseqError."""
-    if value.denominator != 1:
-        raise AssertionError(f"{name} came out as the non-integer {value}")
-    return value.numerator
+def _exp_plus_one_numerators(n: int, m: int) -> list[int]:
+    """Integers N_0..N_m with N_i / 2^(n+i) the weighted coefficients of (e^t+1)^{1-n}.
+
+    e^t + 1 = 2(1 + u) with u = (e^t-1)/2, so (e^t+1)^{1-n} = sum_r C(1-n,r)
+    2^{1-n-r} (e^t-1)^r, and (e^t-1)^r has weighted coefficients r! S(i,r):
+    N_i = sum_r r! C(1-n,r) S(i,r) 2^{i+1-r}, with the generalized binomial,
+    so r! C(1-n,r) is the falling factorial (1-n)(-n)...(2-n-r).
+    """
+    falling = [1]
+    for r in range(m):
+        falling.append(falling[-1] * (1 - n - r))
+    return [sum(falling[r] * stirling2(i, r) << (i + 1 - r) for r in range(i + 1)) for i in range(m + 1)]
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_series(order: int) -> se.Series:
-    t = se.monomial(order + 1)
-    return t / (se.exp_scaled(1, order + 1) - 1)
+def _euler_at_zero(order: int) -> tuple[int, ...]:
+    """2^j E_j(0) for j <= order, E_j(0) the weighted coefficients of 2 / (e^t + 1) = 2 (e^t+1)^{-1}."""
+    return tuple(numerator >> 1 for numerator in _exp_plus_one_numerators(2, order))
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n as the weighted coefficient of t / (e^t - 1); B_1 = -1/2."""
+    """B_n, the weighted coefficient of t / (e^t - 1), as -n E_{n-1}(0) / (2 (2^n - 1)) for n >= 1; B_1 = -1/2."""
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    return _bernoulli_series(se.truncation_for(n)).egf(n)
-
-
-@lru_cache(maxsize=None)
-def _sech_series(order: int) -> se.Series:
-    return se.constant(1, order) / se.cosh_series(order)
+    if n == 0:
+        return Fraction(1)
+    return Fraction(-n * _euler_at_zero(truncation_for(n))[n - 1], (1 << n) * ((1 << n) - 1))
 
 
 def euler_number(n: int) -> int:
-    """E_n from 1 / cosh t; integer valued, zero at odd n."""
+    """E_n, the weighted coefficient of 1 / cosh t, as 2^n E_n(1/2) = sum_j C(n,j) 2^j E_j(0); zero at odd n."""
     if n < 0:
         raise ValueError("Euler-number index must be non-negative")
-    return _integral(_sech_series(se.truncation_for(n)).egf(n), f"E_{n}")
-
-
-@lru_cache(maxsize=None)
-def _euler_at_zero(order: int) -> tuple[Fraction, ...]:
-    """E_j(0) for j <= order: the weighted coefficients of 2 / (e^t + 1)."""
-    series = se.constant(2, order) / (se.exp_scaled(1, order) + 1)
-    return tuple(series.egf(j) for j in range(order + 1))
+    at_zero = _euler_at_zero(truncation_for(n))
+    return sum(comb(n, j) * at_zero[j] for j in range(n + 1))
 
 
 def euler_polynomial(m: int, x) -> Fraction:
     """E_m(x) = sum_j C(m,j) x^(m-j) E_j(0), from 2 e^{xt} / (e^t + 1), at rational x; a float x is refused."""
     if m < 0:
         raise ValueError("Euler-polynomial index must be non-negative")
-    x = se._exact(x, "x")
-    at_zero = _euler_at_zero(se.truncation_for(m))
-    return sum((comb(m, j) * x ** (m - j) * at_zero[j] for j in range(m + 1)), Fraction(0))
+    x = _exact(x, "x")
+    at_zero = _euler_at_zero(truncation_for(m))
+    return sum((comb(m, j) * x ** (m - j) * Fraction(at_zero[j], 1 << j) for j in range(m + 1)), Fraction(0))
 
 
 def tangent(kind: str, n: int) -> int:
-    """Tangent numbers: T at odd index 2n+1 from the tan series, tilde at even index.
+    """Tangent numbers: T at odd index 2n+1, tilde at even index.
 
-    tanh t = sum (-1)^n T_{2n+1} t^{2n+1} / (2n+1)!, so T flips the sign of the
-    tanh coefficient.  The tilde variant is 1 at index 0 and (-1)^{n-1} T_{2n+1}
-    at index 2n, which packages 1 + tanh^2 t.
+    tanh t = 1 - 2 / (e^{2t} + 1) = sum (-1)^n T_{2n+1} t^{2n+1} / (2n+1)!, so
+    T_{2n+1} = (-1)^{n+1} 2^{2n+1} E_{2n+1}(0).  The tilde variant is 1 at
+    index 0 and (-1)^{n-1} T_{2n+1} at index 2n, which packages 1 + tanh^2 t.
     """
     if kind == "T":
         if n < 1 or n % 2 == 0:
             raise IndexParity("tangent numbers T live at odd index 2n+1")
-        half = (n - 1) // 2
-        return _integral((-1) ** half * se.tanh_series(se.truncation_for(n)).egf(n), f"T_{n}")
+        return (-1) ** ((n + 1) // 2) * _euler_at_zero(truncation_for(n))[n]
     if kind == "tilde":
         if n < 0 or n % 2 == 1:
             raise IndexParity("tilde tangent numbers live at even index 2n")

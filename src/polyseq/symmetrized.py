@@ -8,7 +8,8 @@ routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
 The hat-numbers are one row, TildeD's cached rows scaled by the weighted
-coefficients of (e^t+1)^{1-n}, which are second-kind Stirling sums; each
+coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
+`sequences._exp_plus_one_numerators`; each
 definition, a first-kind Stirling sum over weights, is `families._rising` of
 that row or of the B-polynomial row.
 """
@@ -22,7 +23,7 @@ from math import comb, factorial
 from . import families as fa
 from . import series as se
 from .errors import MethodDomain
-from .sequences import stirling2
+from .sequences import _exp_plus_one_numerators
 
 
 def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:
@@ -61,27 +62,9 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     raise MethodDomain(f"unknown symmetrized poly-Bernoulli method {method!r}")
 
 
-def _hat_factor(n: int, m: int) -> list[Fraction]:
-    """Weighted coefficients h_0..h_m of (e^t+1)^{1-n}.
-
-    e^t + 1 = 2(1 + u) with u = (e^t-1)/2, so (e^t+1)^{1-n} = sum_r C(1-n,r)
-    2^{1-n-r} (e^t-1)^r, and (e^t-1)^r has weighted coefficients r! S(i,r):
-    h_i = sum_r r! C(1-n,r) 2^{1-n-r} S(i,r), with the generalized binomial,
-    so r! C(1-n,r) is the falling factorial (1-n)(-n)...(2-n-r).
-    """
-    falling = [1]
-    for r in range(m):
-        falling.append(falling[-1] * (1 - n - r))
-    # over 2^(n+i): h_i = sum_r r! C(1-n,r) S(i,r) 2^(i+1-r) / 2^(n+i)
-    return [
-        Fraction(sum(falling[r] * stirling2(i, r) << (i + 1 - r) for r in range(i + 1)), 1 << (n + i))
-        for i in range(m + 1)
-    ]
-
-
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
-    factor = _hat_factor(n, m)
+    factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]
     return fa._row_sum([(comb(m, j) * factor[m - j], fa._cached_row(fa.Family.TILDE_D, j)) for j in range(m + 1)])
 
 
@@ -116,7 +99,6 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
     return fa._evaluate_row(fa._sym_row(m, n, True), (-l,))[0]
 
 
-@lru_cache(maxsize=None)
 def sym_cosecant_halves(n: int, orders: tuple[int, int]) -> tuple[se.BiSeries, se.BiSeries]:
     """The two summands n! e^{+-t+y} / (1 + e^{+-t} + e^y - e^{+-t+y})^{n+1}."""
     return tuple(

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import re
@@ -235,6 +236,22 @@ def test_valuation_cli(capsys):
     assert row4["branch"] == "(p-1) | 2n"
     code, _, err = run_cli(capsys, "valuation", "--p", "4", "--n", "1..2")
     assert code == 2
+
+
+# sha256 of the stdout of `polyseq valuation --p P --n 1..64`, the whole half-index range
+_VALUATION_DIGESTS = {
+    3: "c2ac055008c7ca6356768c2e5395a363913428e5bf421df3827a6b2a459f1dcf",
+    5: "ef9f76ff59ba5fb5f1e1c1a4977fae9c573f328d26fc222f5711c6bf630b1cf4",
+    7: "3a8ce5db968a6fa0dc573bac3ff561db3f8381fee3b317a12e550ed91c01f60d",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_VALUATION_DIGESTS))
+def test_valuation_range_is_byte_identical_to_the_golden_digest(capsys, p):
+    code, out, _ = run_cli(capsys, "valuation", "--p", str(p), "--n", f"1..{MAX_ORDER}")
+    assert code == 0
+    assert len(out.splitlines()) == MAX_ORDER
+    assert hashlib.sha256(out.encode()).hexdigest() == _VALUATION_DIGESTS[p]
 
 
 def test_output_is_byte_stable(capsys):

@@ -1,9 +1,7 @@
 """Stirling triangles, Bernoulli/Euler/tangent numbers, totient."""
 
-import subprocess
-import sys
 from fractions import Fraction as F
-from itertools import combinations
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
@@ -13,6 +11,7 @@ from polyseq import (
     bernoulli,
     euler_number,
     euler_polynomial,
+    poly_bernoulli,
     stirling1,
     stirling2,
     tangent,
@@ -20,7 +19,7 @@ from polyseq import (
 )
 from polyseq import sequences
 from polyseq.sequences import is_prime, primes_upto
-from polyseq.series import exp_scaled, tanh_series, truncation_for
+from polyseq.series import constant, cosh_series, exp_scaled, monomial, tanh_series, truncation_for
 
 
 def _partitions_into_blocks(n, m):
@@ -173,23 +172,65 @@ def test_tangent_values():
     assert tangent("tilde", 6) == 272
 
 
-def test_integrality_checks_survive_optimized_mode():
-    # plant non-integral coefficients: E_2 and T_3 both read off as 2/3
-    script = """
-from fractions import Fraction
-from polyseq import sequences
-from polyseq.series import Series
-planted = Series([0, 0, Fraction(1, 3), Fraction(1, 9)] + [0] * 40)
-sequences._sech_series = sequences.se.tanh_series = lambda order: planted
-for call in (lambda: sequences.euler_number(2), lambda: sequences.tangent("T", 3)):
-    try:
-        print(call())
-    except AssertionError as exc:
-        print(type(exc).__name__)
-"""
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["AssertionError", "AssertionError"]
+# the series that `bernoulli`, `euler_number`, `tangent` and `_euler_at_zero` read before they became
+# integer sums over one table of Euler-polynomial values, kept as references
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_series(order):
+    t = monomial(order + 1)
+    return t / (exp_scaled(1, order + 1) - 1)
+
+
+def _series_bernoulli(n):
+    return _bernoulli_series(truncation_for(n)).egf(n)
+
+
+@lru_cache(maxsize=None)
+def _sech_series(order):
+    return constant(1, order) / cosh_series(order)
+
+
+def _series_euler_number(n):
+    return _sech_series(truncation_for(n)).egf(n)
+
+
+def _series_tangent(n):
+    half = (n - 1) // 2
+    return (-1) ** half * tanh_series(truncation_for(n)).egf(n)
+
+
+@lru_cache(maxsize=None)
+def _series_euler_at_zero(order):
+    series = constant(2, order) / (exp_scaled(1, order) + 1)
+    return tuple(series.egf(j) for j in range(order + 1))
+
+
+def test_integer_sums_equal_the_series_they_replaced():
+    for n in range(65):
+        assert bernoulli(n) == _series_bernoulli(n), n
+        assert euler_number(n) == _series_euler_number(n), n
+        if n % 2:
+            assert tangent("T", n) == _series_tangent(n), n
+    # 2^j E_j(0) at every truncation an index n <= 64 reaches
+    for order in sorted({truncation_for(n) for n in range(65)}):
+        scaled = tuple(2**j * v for j, v in enumerate(_series_euler_at_zero(order)))
+        assert sequences._euler_at_zero(order) == scaled, order
+
+
+def test_bernoulli_is_the_poly_bernoulli_number_at_weight_one():
+    # B_n^{(1)} = (-1)^n B_n, as Li_1(1 - e^{-t}) = t; the poly-Bernoulli number is a Stirling closed form
+    for n in range(131):
+        assert bernoulli(n) == (-1) ** n * poly_bernoulli("B", n, 1), n
+
+
+def test_euler_and_tangent_numbers_are_ints():
+    for n in range(0, 40):
+        assert type(euler_number(n)) is int
+    for n in range(1, 40, 2):
+        assert type(tangent("T", n)) is int
+    for n in range(0, 40, 2):
+        assert type(tangent("tilde", n)) is int
 
 
 def test_tangent_parity_errors():

@@ -33,7 +33,8 @@ from polyseq.series import (
     truncation_for,
 )
 from polyseq.families import _sym_row
-from polyseq.symmetrized import _hat_factor, _hat_row, sym_cosecant_halves
+from polyseq.sequences import _exp_plus_one_numerators
+from polyseq.symmetrized import _hat_row, sym_cosecant_halves
 
 
 def test_sym_bernoulli_three_routes_agree():
@@ -126,10 +127,15 @@ def _old_copoly_hat_series(l, n, order):
 
 
 def _series_hat_factor(n, order):
-    """Weighted coefficients of (e^t+1)^{1-n} as `symmetrized._hat_factor` built them from series."""
+    """Weighted coefficients of (e^t+1)^{1-n} as the hat-numbers built them from series."""
     base = exp_scaled(1, order) + 1
     factor = base if n == 0 else constant(1, order) / base ** (n - 1)
     return tuple(factorial(i) * c for i, c in enumerate(factor.coeffs))
+
+
+def _hat_factor(n, m):
+    """h_0..h_m as the hat-numbers read them, N_i / 2^(n+i) from the Stirling numerators N_i."""
+    return [F(numerator, 2 ** (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]
 
 
 def test_hat_factor_stirling_sum_equals_the_series():
