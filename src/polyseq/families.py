@@ -25,13 +25,21 @@ c b^e of one weight come from the previous weight's by one small product per
 term, not a full power.  Every route takes (n, weights), so `family_row(family,
 n, ks)` builds a row once for all its weights, while `family_value` is the
 same call with one weight.  `_sym_row` also builds both symmetrized closed
-forms; Sasaki's formula for D at k <= 0, the `sasaki` route, is its level-one
-cosecant row with shift 1 and half the denominator.  TildeD's `explicit` route
-at k <= 0 is `_tilde_row`, a Stirling sum over the bases 1..n+1.
+forms; Sasaki's formula for D at k <= 0, the `sasaki` route, is twice its
+level-one cosecant row, at shift 1.  TildeD's `explicit` route at k <= 0 is
+`_tilde_row`, a Stirling sum over the bases 1..n+1.
+
+Every row is in lowest terms (`_row`): bases ascending, no zero c_b, no common
+factor of the denominator and the c_b, and the shift folded into the c_b where
+each c_b divides by b^shift.  Two rows that are equal tuples are then the same
+function of k, and two rows at shift 0, as every row of the route table is for
+n <= 64, are equal tuples exactly when they are the same function.
+So `oracle_diff` compares each closed form's row with the series row once per
+order, through `_route_row`, and evaluates a method only where they differ.
 
 Each `_power_row` route keeps one bounded LRU cache of its builder's rows.  A
-one-weight call (`family_value`, and so `poly_bernoulli`, `polycosecant`,
-`oracle_diff`) reads its row from that cache; a call with several weights
+one-weight call (`family_value`, and so `poly_bernoulli`, `polycosecant`) and
+`_route_row` read the row from that cache; a call with several weights
 (`family_row`, one table row) builds the row once and does not keep it, since
 no later lookup reads it again.
 
@@ -50,7 +58,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from . import series as se
 from .errors import IndexParity, MethodDomain
@@ -132,14 +140,31 @@ Row = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def _row(shift: int, denominator: int, terms) -> Row:
+    """The row in lowest terms: bases ascending, no zero c_b, the denominator
+    and the c_b divided by their gcd, then the shift folded into the c_b where
+    every c_b divides by b^shift (the quotients keep the gcd 1).
+
+    Reducing first makes the result depend only on the function of k and the
+    given shift, so rows given at one shift are equal tuples exactly when they
+    are the same function.  A row given at shift 0 is not unfolded: 2^-k / 2
+    at shift 0 and 2^-(k+1) at shift 1 stay two tuples.
+    """
+    terms = sorted([(b, c) for b, c in terms if c])
+    common = gcd(denominator, *[c for _, c in terms])
+    if common > 1:
+        denominator //= common
+        terms = [(b, c // common) for b, c in terms]
+    if shift > 0 and all(c % b**shift == 0 for b, c in terms):
+        terms = [(b, c // b**shift) for b, c in terms]
+        shift = 0
     # tuple() of a list, not of a generator: CPython sizes a generator's tuple
     # by a guess and resizes it, so each freed row would park on the free list
     # of its own size, where no later allocation takes it from
-    return shift, denominator, tuple([(b, c) for b, c in terms if c])
+    return shift, denominator, tuple(terms)
 
 
 def _cosecant_row(n: int) -> Row:
-    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1, exponent k+1."""
+    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1, exponent k+1, which `_row` folds into the c_b."""
     w = [(-1) ** (j + 1) * factorial(j) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(n + 2)]
     return _row(
         1,
@@ -186,7 +211,7 @@ def _sym_row(m: int, n: int, dyadic: bool) -> Row:
 def _sasaki_row(n: int) -> Row:
     """Sasaki's D_n^{(-k)} = sum_i i!(i-1)!/2^(i-1) S(k,i) S(n+1,i) = 2 sym-D at (n, k - 1, level 1)."""
     _, denominator, terms = _sym_row(n, 1, True)
-    return 1, denominator // 2, terms
+    return _row(1, denominator, [(b, 2 * c) for b, c in terms])
 
 
 def _poly_bernoulli_row(variant: str, n: int) -> Row:
@@ -218,14 +243,21 @@ def _tilde_row(n: int) -> Row:
 
 
 def _row_sum(parts) -> Row:
-    """The row of sum scale * row over (scale, row) pairs sharing one shift, over the lcm of d * scale.denominator."""
+    """The row of sum scale * row over (scale, row) pairs, over the lcm of d * scale.denominator.
+
+    It takes the largest shift among the parts: a part at a smaller shift s
+    carries c_b b^(shift - s) there, which is the same function of k.
+    """
+    shift = max(s for _, (s, _, _) in parts)
     denominator = lcm(*[d * scale.denominator for scale, (_, d, _) in parts])
     coefficients: dict[int, int] = {}
-    for scale, (_, d, terms) in parts:
+    for scale, (s, d, terms) in parts:
         factor = scale.numerator * (denominator // (d * scale.denominator))
+        if s < shift:
+            terms = [(b, c * b ** (shift - s)) for b, c in terms]
         for b, c in terms:
             coefficients[b] = coefficients.get(b, 0) + factor * c
-    return _row(parts[0][1][0], denominator, sorted(coefficients.items()))
+    return _row(shift, denominator, coefficients.items())
 
 
 def _rising(row: Row, n: int) -> Row:
@@ -320,34 +352,43 @@ def _cells(compute):
 
 def _by_series(family: Family):
     """Route evaluating row n of the family's cached quotient matrix at every weight."""
-    return lambda n, ks: _evaluate_row(_series_rows(family, se.truncation_for(n))[n], ks)
+    return lambda n, ks: _evaluate_row(_route_row(family, n, "series"), ks)
 
 
-def _cached_row(family: Family, n: int, method: str = "explicit") -> Row:
-    """Row n of one of the family's row routes, by default `explicit`, read through that route's cache."""
-    return ROUTES[family][method][2].rows(n)
+def _route_row(family: Family, n: int, method: str) -> Row | None:
+    """The row whose value at every weight is the method's value at (n, k).
+
+    A row route's row comes through that route's cache and the series row
+    from the family's matrix; a cell route has no row, and gives None.
+    """
+    if method == "series":
+        return _series_rows(family, se.truncation_for(n))[n]
+    rows = getattr(ROUTES[family][method][2], "rows", None)
+    return None if rows is None else rows(n)
 
 
 def _from_cosecant_row(n: int) -> Row:
     """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}, the cosecant function times cosh t; empty at odd n."""
     if n % 2 == 1:
         return _row(1, 2**n, ())
-    return _row_sum([(comb(n, j), _cached_row(Family.COSECANT, j)) for j in range(0, n + 1, 2)])
+    return _row_sum([(comb(n, j), _route_row(Family.COSECANT, j, "explicit")) for j in range(0, n + 1, 2)])
 
 
 def _cosecant_from_cotangent_row(n: int) -> Row:
     """sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
-    return _row_sum([(comb(n, j) * euler_number(n - j), _cached_row(Family.COTANGENT, j)) for j in range(0, n + 1, 2)])
+    return _row_sum(
+        [(comb(n, j) * euler_number(n - j), _route_row(Family.COTANGENT, j, "explicit")) for j in range(0, n + 1, 2)]
+    )
 
 
 def _k_shift_row(n: int) -> Row:
     """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)}: index n+1 of sinh t times D's function."""
-    return _row_sum([(comb(n + 1, j), _cached_row(Family.COSECANT, j)) for j in range(n % 2, n + 1, 2)])
+    return _row_sum([(comb(n + 1, j), _route_row(Family.COSECANT, j, "explicit")) for j in range(n % 2, n + 1, 2)])
 
 
 def _bernoulli_polynomial_row(n: int, x: Fraction) -> Row:
     """B_n^{(k)}(x) = sum_j C(n,j) (-x)^(n-j) B_j^{(k)}: e^{-xt} times B's function, over B's cached rows."""
-    return _row_sum([(comb(n, j) * (-x) ** (n - j), _cached_row(Family.POLY_B, j, "stirling")) for j in range(n + 1)])
+    return _row_sum([(comb(n, j) * (-x) ** (n - j), _route_row(Family.POLY_B, j, "stirling")) for j in range(n + 1)])
 
 
 # ------------------------------------------------------------------ route table

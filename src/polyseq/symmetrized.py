@@ -65,7 +65,8 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
     factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]
-    return fa._row_sum([(comb(m, j) * factor[m - j], fa._cached_row(fa.Family.TILDE_D, j)) for j in range(m + 1)])
+    tilde = fa.Family.TILDE_D
+    return fa._row_sum([(comb(m, j) * factor[m - j], fa._route_row(tilde, j, "explicit")) for j in range(m + 1)])
 
 
 def copoly_hat(m: int, l: int, n: int) -> Fraction:

@@ -3,7 +3,7 @@ method agreement, dualities, conversions, vanishing sums."""
 
 from fractions import Fraction as F
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +33,8 @@ from polyseq import (
 )
 from polyseq import families as fa
 from polyseq.cli import build_table
+from polyseq.congruences import Report, _Checker
+from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
 from polyseq.series import _reciprocal_power, constant, exp_scaled, polylog_apply, truncation_for
 
@@ -423,7 +425,9 @@ def test_power_rows_have_integer_entries_and_drop_zeros():
             shift, denominator, terms = build(n)
             assert isinstance(denominator, int) and denominator > 0
             assert all(isinstance(c, int) and c != 0 for _, c in terms)
-        assert fa._cosecant_row(n)[:2] == (1, 2**n)
+        # in lowest terms D's shift folds into its coefficients and its
+        # denominator 2^n reduces to 2 to the number of binary ones of n
+        assert fa._cosecant_row(n)[:2] == (0, 1 if n % 2 else 2 ** bin(n).count("1"))
         if n % 2:
             assert fa._cosecant_row(n)[2] == () and fa._cotangent_row(n)[2] == ()
 
@@ -641,7 +645,8 @@ def test_tilde_row_is_the_series_row_at_every_weight():
             assert _as_powers(fa._tilde_row(n)) == _as_powers(rows[n]), (order, n)
     for n in range(13):
         shift, denominator, terms = fa._tilde_row(n)
-        assert (shift, denominator) == (0, 2 ** (n + 1))
+        # in lowest terms the denominator 2^(n+1) reduces to 2^(1 + the number of binary ones of n)
+        assert (shift, denominator) == (0, 2 ** (1 + bin(n).count("1")))
         assert all(isinstance(c, int) and c != 0 for _, c in terms)
 
 
@@ -661,9 +666,15 @@ def test_conversion_rows_prove_the_identities_at_every_weight():
 
 def test_row_sum_scales_and_takes_the_common_denominator():
     parts = [(3, (1, 4, ((1, 2), (3, 5)))), (-2, (1, 8, ((3, 1), (5, 7)))), (1, (1, 2, ((1, -1),)))]
-    assert fa._row_sum(parts) == (1, 8, ((1, 8), (3, 28), (5, -14)))
+    # over 8 the row is (8, 28, -14); in lowest terms the common factor 2 goes,
+    # and since 3 does not divide 14 the shift stays
+    assert fa._row_sum(parts) == (1, 4, ((1, 4), (3, 14), (5, -7)))
     # terms that cancel are dropped
     assert fa._row_sum([(1, (0, 2, ((1, 1), (2, 3)))), (1, (0, 2, ((2, -3),)))]) == (0, 2, ((1, 1),))
+    # parts meet at the larger shift: 3^-(k+1) + 3^-k = 4 3^-(k+1), and 4 keeps the shift
+    mixed = [(1, (1, 1, ((3, 1),))), (1, (0, 1, ((3, 1),)))]
+    assert fa._row_sum(mixed) == (1, 1, ((3, 4),))
+    assert fa._evaluate_row(fa._row_sum(mixed), range(-4, 5)) == [4 / F(3) ** (k + 1) for k in range(-4, 5)]
     ks = range(-4, 5)
     want = [3 * a - 2 * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
@@ -727,3 +738,123 @@ def test_oracle_diff_catches_a_changed_tilde_row(monkeypatch):
     assert report.verdict == "fail"
     assert [w.instance for w in report.mismatches()] == ["TildeD(n=4, k=-2) explicit vs series"]
     assert oracle_diff("TildeD", 6, -2, -2).verdict == "pass"
+
+
+def test_oracle_diff_catches_a_changed_closed_form_row(monkeypatch):
+    kind, domain, _ = ROUTES[Family.COSECANT]["explicit"]
+
+    def perturbed(n):
+        row = fa._cosecant_row(n)
+        if n == 4:
+            shift, denominator, ((b, c), *rest) = row
+            row = (shift, denominator, ((b, c + 1), *rest))
+        return row
+
+    with monkeypatch.context() as patch:
+        # a route of its own, so the planted row never enters the real route's cache
+        patch.setitem(ROUTES[Family.COSECANT], "explicit", (kind, domain, fa._power_row(perturbed)))
+        report = oracle_diff("Cosecant", 6, -2, -2)
+    ROUTES[Family.COSECANT]["explicit"][2].rows.cache_clear()
+    assert report.verdict == "fail"
+    assert [w.instance for w in report.mismatches()] == ["Cosecant(n=4, k=-2) explicit vs series"]
+    assert oracle_diff("Cosecant", 6, -2, -2).verdict == "pass"
+
+
+def test_every_row_route_is_the_series_row_at_every_weight():
+    # rows in lowest terms are equal tuples, so each closed form equals the
+    # series at every integer weight of these orders, not only at sampled ones
+    compared = 0
+    for family, routes in ROUTES.items():
+        for method, (_, _, route) in routes.items():
+            if not hasattr(route, "rows"):
+                continue
+            for n in range(0, 65, 2 if method == "sasaki" else 1):
+                assert fa._route_row(family, n, method) == fa._route_row(family, n, "series"), (family, method, n)
+                compared += 1
+    assert compared == 6 * 65 + 33
+    # the one cell route has no row, so oracle_diff evaluates it at every cell
+    assert fa._route_row(Family.COTANGENT, 4, "stirling_negk") is None
+
+
+def _reference_oracle_diff(family, n_max, k_min, k_max):
+    """`congruences.oracle_diff` as it was before it compared rows: every method evaluated at every cell."""
+    family = Family(family)
+    if n_max < 0 or k_min > k_max:
+        raise UsageError(f"empty oracle sweep: n up to {n_max}, k in {k_min}..{k_max}")
+    checker = _Checker()
+    single_method = True
+    for n in range(n_max + 1):
+        for k in range(k_min, k_max + 1):
+            methods = applicable_methods(family, n, k)
+            if len(methods) < 2:
+                continue
+            single_method = False
+            reference = family_value_by_method(family, n, k, "series")
+            for name in sorted(m for m in methods if m != "series"):
+                value = family_value_by_method(family, n, k, name)
+                checker.eq(f"{family.value}(n={n}, k={k}) {name} vs series", value, reference)
+    params = {"family": family.value, "n_max": n_max, "k_min": k_min, "k_max": k_max}
+    if single_method:
+        params["note"] = "single method"
+    return Report("ORACLE_DIFF", params, "pass" if checker.ok else "fail", checker.witnesses)
+
+
+def test_oracle_diff_equals_the_cell_by_cell_reference_on_the_ci_grid():
+    for family in Family:
+        k_max = 0 if family is Family.TILDE_D else 12
+        want = _reference_oracle_diff(family, 24, -12, k_max).to_json()
+        assert oracle_diff(family, 24, -12, k_max).to_json() == want, family
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    family=st.sampled_from(list(Family)),
+    n_max=st.integers(0, 16),
+    k_min=st.integers(-16, 16),
+    width=st.integers(0, 6),
+)
+def test_oracle_diff_equals_the_cell_by_cell_reference(family, n_max, k_min, width):
+    want = _reference_oracle_diff(family, n_max, k_min, k_min + width).to_json()
+    assert oracle_diff(family, n_max, k_min, k_min + width).to_json() == want
+
+
+_TERMS = st.dictionaries(st.integers(1, 40), st.integers(-(10**6), 10**6), max_size=8).map(lambda d: list(d.items()))
+_ROW_KS = range(-6, 7)
+
+
+@given(shift=st.integers(0, 3), denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
+@example(shift=1, denominator=1, terms=[(2, 1)], factor=2)  # the factor alone would let the shift fold
+def test_row_is_in_lowest_terms_and_ignores_a_common_factor(shift, denominator, terms, factor):
+    row = fa._row(shift, denominator, terms)
+    assert fa._row(shift, factor * denominator, [(b, factor * c) for b, c in terms]) == row
+    _, d, t = row
+    assert gcd(d, *[c for _, c in t]) == 1
+    assert [b for b, _ in t] == sorted(b for b, c in terms if c)
+    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((shift, denominator, terms), _ROW_KS)
+
+
+@given(twos=st.integers(0, 64), terms=_TERMS)
+def test_row_folds_a_shift_that_every_coefficient_divides(twos, terms):
+    # sum c_b b^-k = sum (c_b b) b^-(k+1), over odd bases and a power of two as D's and beta's rows have
+    terms = [(2 * b - 1, c) for b, c in terms]
+    assert fa._row(1, 2**twos, [(b, c * b) for b, c in terms]) == fa._row(0, 2**twos, terms)
+
+
+def test_row_folds_only_what_divides_in_lowest_terms():
+    # 2^-(k+1) at shift 1: in lowest terms its coefficient 1 is no multiple of 2,
+    # however the row is written, so the shift stays
+    assert fa._row(1, 1, [(2, 1)]) == fa._row(1, 2, [(2, 2)]) == (1, 1, ((2, 1),))
+    # the same function given at shift 0 is not unfolded, so it is another
+    # tuple: where a denominator shares a prime with a base, unequal tuples
+    # need not be unequal functions, and oracle_diff then evaluates the method
+    assert fa._row(0, 2, [(2, 1)]) == (0, 2, ((2, 1),))
+    assert fa._evaluate_row((1, 1, ((2, 1),)), range(-3, 4)) == fa._evaluate_row((0, 2, ((2, 1),)), range(-3, 4))
+
+
+@given(denominator=st.integers(1, 10**6), terms=_TERMS, base=st.integers(2, 40), data=st.data())
+def test_row_keeps_a_shift_that_a_coefficient_does_not_divide(denominator, terms, base, data):
+    c = base * data.draw(st.integers(-100, 100)) + data.draw(st.integers(1, base - 1))
+    terms = [(b, x) for b, x in terms if b != base] + [(base, c)]
+    row = fa._row(1, denominator, terms)
+    assert row[0] == 1
+    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((1, denominator, terms), _ROW_KS)

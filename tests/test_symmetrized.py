@@ -88,14 +88,16 @@ def test_sym_bernoulli_unknown_method():
 def test_sym_rows_collapse_to_plain_rows():
     # the rows hold for every weight l at once, so levels 0 and 1 are proved
     # for all l at these orders.  C_m^{(-(l+1))} has exponent l+1, one more
-    # than sym-B's; D's row has shift 1, so at weight -(l+1) its exponent is l
+    # than sym-B's, and so does D_m^{(-(l+1))}, whose row is in lowest terms at
+    # shift 0; half of it is sym-D, still in lowest terms over twice D's denominator
     for m in range(30):
         assert _sym_row(m, 0, False) == fa._poly_bernoulli_row("B", m)
         _, _, c_terms = fa._poly_bernoulli_row("C", m)
         assert _sym_row(m, 1, False) == (0, 1, tuple((b, c * b) for b, c in c_terms))
         if m % 2 == 0:
-            _, denominator, d_terms = fa._cosecant_row(m)
-            assert _sym_row(m, 1, True) == (0, 2 * denominator, d_terms)
+            shift, denominator, d_terms = fa._cosecant_row(m)
+            assert shift == 0
+            assert _sym_row(m, 1, True) == (0, 2 * denominator, tuple((b, c * b) for b, c in d_terms))
 
 
 def test_hat_numbers_vanish_at_odd_order():
