@@ -37,11 +37,13 @@ n <= 64, are equal tuples exactly when they are the same function.
 So `oracle_diff` compares each closed form's row with the series row once per
 order, through `_route_row`, and evaluates a method only where they differ.
 
-Each `_power_row` route keeps one bounded LRU cache of its builder's rows.  A
-one-weight call (`family_value`, and so `poly_bernoulli`, `polycosecant`) and
-`_route_row` read the row from that cache; a call with several weights
-(`family_row`, one table row) builds the row once and does not keep it, since
-no later lookup reads it again.
+Each method in `ROUTES` holds its row builder: a closed form's behind one
+bounded LRU cache, the series route's reading the family's matrix, which is
+its cache.  A one-weight call (`family_value`, and so `poly_bernoulli`,
+`polycosecant`) and `_route_row` read the row through that cache; a call with
+several weights (`family_row`, one table row) builds the row once and does not
+keep it, since no later lookup reads it again.  Beta's `stirling_negk` has no
+row and is computed cell by cell.
 
 A family's generating function times a fixed series (cosh t, sech t, sinh t,
 e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
@@ -111,6 +113,11 @@ def _series_rows(family: Family, order: int) -> tuple[Row, ...]:
     if rows is None or len(rows) <= order:
         rows = _SERIES_MATRICES[family] = _build_series_rows(family, order)
     return rows[: order + 1]
+
+
+def _series_row(family: Family, n: int) -> Row:
+    """Row n of the family's matrix at the truncation covering n, which is the series route's cache."""
+    return _series_rows(family, se.truncation_for(n))[n]
 
 
 def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
@@ -328,42 +335,9 @@ def _cotangent_stirling(n: int, k: int) -> Fraction:
     return total
 
 
-# A route maps (n, weights) to the values at those weights.
-
-def _power_row(build):
-    """Route evaluating the builder's k-independent row.
-
-    A one-weight call reads the row from the route's bounded cache, `.rows`;
-    a call with several weights builds it afresh and does not keep it.
-    """
-    rows = lru_cache(maxsize=128)(build)
-
-    def route(n, ks):
-        return _evaluate_row(rows(n) if len(ks) == 1 else build(n), ks)
-
-    route.rows = rows
-    return route
-
-
-def _cells(compute):
-    """Route computing one cell of (n, k) at a time."""
-    return lambda n, ks: [compute(n, k) for k in ks]
-
-
-def _by_series(family: Family):
-    """Route evaluating row n of the family's cached quotient matrix at every weight."""
-    return lambda n, ks: _evaluate_row(_route_row(family, n, "series"), ks)
-
-
 def _route_row(family: Family, n: int, method: str) -> Row | None:
-    """The row whose value at every weight is the method's value at (n, k).
-
-    A row route's row comes through that route's cache and the series row
-    from the family's matrix; a cell route has no row, and gives None.
-    """
-    if method == "series":
-        return _series_rows(family, se.truncation_for(n))[n]
-    rows = getattr(ROUTES[family][method][2], "rows", None)
+    """The row whose value at every weight is the method's value at (n, k), or None for a cell route."""
+    rows = ROUTES[family][method][2]
     return None if rows is None else rows(n)
 
 
@@ -402,31 +376,36 @@ _SASAKI = (
 _EVEN_NEGATIVE_WEIGHT = ("an even index and weight <= -1", lambda n, k: n % 2 == 0 and k <= -1)
 _NONPOSITIVE_WEIGHT = ("weight <= 0", lambda n, k: k <= 0)
 
-# Family -> {method: (kind, domain, route)}.  The default route at (n, k) is
-# the first method whose domain holds there, in the order listed here.
+# A closed form's bounded row cache, read by one-weight calls and `_route_row`.
+_cached = lru_cache(maxsize=128)
+
+# Family -> {method: (kind, domain, rows)}, where rows(n) is the method's row at
+# order n: a closed form's builder behind its cache, the series row read from
+# the family's matrix, or None for a route computed cell by cell.  The default
+# route at (n, k) is the first method whose domain holds there, in this order.
 ROUTES = {
     Family.POLY_B: {
-        "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "B"))),
-        "series": ("oracle", _ANYWHERE, _by_series(Family.POLY_B)),
+        "stirling": ("closed", _ANYWHERE, _cached(partial(_poly_bernoulli_row, "B"))),
+        "series": ("oracle", _ANYWHERE, partial(_series_row, Family.POLY_B)),
     },
     Family.POLY_C: {
-        "stirling": ("closed", _ANYWHERE, _power_row(partial(_poly_bernoulli_row, "C"))),
-        "series": ("oracle", _ANYWHERE, _by_series(Family.POLY_C)),
+        "stirling": ("closed", _ANYWHERE, _cached(partial(_poly_bernoulli_row, "C"))),
+        "series": ("oracle", _ANYWHERE, partial(_series_row, Family.POLY_C)),
     },
     Family.COSECANT: {
-        "sasaki": ("closed", _SASAKI, _power_row(_sasaki_row)),
-        "explicit": ("closed", _ANYWHERE, _power_row(_cosecant_row)),
-        "series": ("oracle", _ANYWHERE, _by_series(Family.COSECANT)),
+        "sasaki": ("closed", _SASAKI, _cached(_sasaki_row)),
+        "explicit": ("closed", _ANYWHERE, _cached(_cosecant_row)),
+        "series": ("oracle", _ANYWHERE, partial(_series_row, Family.COSECANT)),
     },
     Family.COTANGENT: {
-        "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, _cells(_cotangent_stirling)),
-        "explicit": ("closed", _ANYWHERE, _power_row(_cotangent_row)),
-        "from_cosecant": ("closed", _ANYWHERE, _power_row(_from_cosecant_row)),
-        "series": ("oracle", _ANYWHERE, _by_series(Family.COTANGENT)),
+        "stirling_negk": ("closed", _EVEN_NEGATIVE_WEIGHT, None),
+        "explicit": ("closed", _ANYWHERE, _cached(_cotangent_row)),
+        "from_cosecant": ("closed", _ANYWHERE, _cached(_from_cosecant_row)),
+        "series": ("oracle", _ANYWHERE, partial(_series_row, Family.COTANGENT)),
     },
     Family.TILDE_D: {
-        "explicit": ("closed", _NONPOSITIVE_WEIGHT, _power_row(_tilde_row)),
-        "series": ("oracle", _NONPOSITIVE_WEIGHT, _by_series(Family.TILDE_D)),
+        "explicit": ("closed", _NONPOSITIVE_WEIGHT, _cached(_tilde_row)),
+        "series": ("oracle", _NONPOSITIVE_WEIGHT, partial(_series_row, Family.TILDE_D)),
     },
 }
 
@@ -441,7 +420,8 @@ def _method_at(family: Family, n: int, k: int, method: str | None) -> str:
         for name, (_, (_, holds), _) in routes.items():
             if holds(n, k):
                 return name
-        method = "series"  # no route holds only for TildeD at k > 0; its domains say why
+        needs = " or ".join(dict.fromkeys(needs for _, (needs, _), _ in routes.values()))
+        raise MethodDomain(f"no {family.value} method covers (n, k) = ({n}, {k}); its methods need {needs}")
     if method not in routes:
         raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
     _, (needs, holds), _ = routes[method]
@@ -451,7 +431,11 @@ def _method_at(family: Family, n: int, k: int, method: str | None) -> str:
 
 
 def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
-    """Values at (n, k) for each k in `ks`, each route called once with all its weights."""
+    """Values at (n, k) for each k in `ks`, each method's row read once for all its weights.
+
+    One weight reads the row through the method's cache; several build it
+    without keeping it.  The method with no row, `stirling_negk`, goes cell by cell.
+    """
     if n < 0:
         raise ValueError("order index must be non-negative")
     if method is None and n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
@@ -461,7 +445,12 @@ def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
         by_method.setdefault(_method_at(family, n, k, method), []).append(k)
     values = {}
     for name, weights in by_method.items():
-        values.update(zip(weights, ROUTES[family][name][2](n, weights)))
+        rows = ROUTES[family][name][2]
+        if rows is None:
+            values.update((k, _cotangent_stirling(n, k)) for k in weights)
+        else:
+            row = rows(n) if len(weights) == 1 else getattr(rows, "__wrapped__", rows)(n)
+            values.update(zip(weights, _evaluate_row(row, weights)))
     return [values[k] for k in ks]
 
 

@@ -16,20 +16,21 @@ fraction-free recurrence in powers of the divisor's lead coefficient (see
 `_quotient`).  Only the result becomes `Fraction`s, one per coefficient, so
 no gcd is taken inside a convolution.
 
-Three caches hold work that no weight k changes: `tanh_half(order)`,
-`tanh_series(order)`, and the powers inner^m that `polylog_apply` sums, kept
-per (level, inner) series.  All three grow for the life of the process.
+Two caches hold work that no weight k changes: `tanh_half(order)`, which
+three families' generating functions share, and the powers inner^m that
+`polylog_apply` sums, kept per (level, inner) series.  Both grow for the life
+of the process.
 `polylog_apply` is the public per-weight reference: the family expansions in
 `families` no longer call it, and the tests check them against it.  A
 family's product with a fixed series is a sum of rows or a binomial sum
 there, not a `Series`.
 
-A float is refused through `_exact` by the public constructors `constant`,
-`exp_scaled`, `biseries_constant` and `biseries_exp`, and by the scalar
-operands of `+`, `-`, `*` and `/`.  `Series` and `BiSeries` convert outside
-input in `__init__` unchecked; arithmetic builds its results from the new
-`Fraction`s through `_series` and `_biseries`, without converting them again,
-and so do the constructors, `truncate` and `partial_y`.
+A float is refused through `_exact` by `Series` and `BiSeries` themselves, by
+the public constructors `constant`, `exp_scaled`, `biseries_constant` and
+`biseries_exp`, and by the scalar operands of `+`, `-`, `*` and `/`.
+Arithmetic builds its results from the new `Fraction`s through `_series` and
+`_biseries`, without converting them again, and so do the constructors,
+`truncate` and `partial_y`.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple([_exact(c, "a coefficient") for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs = cs
@@ -318,7 +319,6 @@ def tanh_half(order: int) -> Series:
     return (e - 1) / (e + 1)
 
 
-@lru_cache(maxsize=None)
 def tanh_series(order: int) -> Series:
     return sinh_series(order) / cosh_series(order)
 
@@ -372,7 +372,7 @@ class BiSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in coeffs)
+        rows = tuple([tuple([_exact(c, "a coefficient") for c in row]) for row in coeffs])
         if not rows or not rows[0]:
             raise ValueError("a bivariate series needs at least the constant coefficient")
         width = len(rows[0])

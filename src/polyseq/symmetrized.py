@@ -7,9 +7,9 @@ C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
-The hat-numbers are one row, TildeD's cached rows scaled by the weighted
-coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
-`sequences._exp_plus_one_numerators`; each
+The hat-numbers at (m, n) are one row, kept in a bounded cache: TildeD's
+cached rows scaled by the weighted coefficients of (e^t+1)^{1-n}, the
+second-kind Stirling sums of `sequences._exp_plus_one_numerators`.  Each
 definition, a first-kind Stirling sum over weights, is `families._rising` of
 that row or of the B-polynomial row.
 """
@@ -31,11 +31,6 @@ def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSerie
     symmetrized poly-Bernoulli numbers."""
     if isinstance(orders, int):
         orders = (orders, orders)
-    return _sym_bernoulli_bivariate(n, orders)
-
-
-@lru_cache(maxsize=None)
-def _sym_bernoulli_bivariate(n: int, orders: tuple[int, int]) -> se.BiSeries:
     ex = se.biseries_exp(1, 0, orders)
     ey = se.biseries_exp(0, 1, orders)
     exy = se.biseries_exp(1, 1, orders)
@@ -57,11 +52,11 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     if method == "closed_form":
         return fa._evaluate_row(fa._sym_row(m, n, False), (-l,))[0]
     if method == "biseries":
-        size = ((max(l, m, 4) + 3) // 4) * 4
-        return sym_bernoulli_bivariate(n, (size, size)).egf(l, m)
+        return sym_bernoulli_bivariate(n, max(l, m)).egf(l, m)
     raise MethodDomain(f"unknown symmetrized poly-Bernoulli method {method!r}")
 
 
+@lru_cache(maxsize=128)
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
     factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]

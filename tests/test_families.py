@@ -213,8 +213,11 @@ def test_k_shift_recurrence():
 def test_tilde_cosecant_values():
     assert tilde_cosecant(0, 0) == F(1, 2)
     assert tilde_cosecant(1, 0) == F(1, 4)
-    with pytest.raises(MethodDomain):
-        tilde_cosecant(2, 1)
+    # no default route holds, and the error names none of the methods
+    for call in (tilde_cosecant, partial(family_value, "TildeD"), lambda n, k: family_row("TildeD", n, [0, k])):
+        with pytest.raises(MethodDomain) as error:
+            call(3, 2)
+        assert str(error.value) == "no TildeD method covers (n, k) = (3, 2); its methods need weight <= 0"
 
 
 def test_tilde_cosecant_level_split():
@@ -388,10 +391,9 @@ def test_sasaki_row_is_the_explicit_row():
 
 
 def test_sasaki_route_matches_its_per_cell_sum():
-    route = ROUTES[Family.COSECANT]["sasaki"][2]
     for n in range(0, 41, 2):
         ks = [k for k in range(-60, 1) if (n, k) != (0, 0)]
-        assert route(n, ks) == [_cosecant_sasaki(n, k) for k in ks], n
+        assert fa._evaluate(Family.COSECANT, n, ks, "sasaki") == [_cosecant_sasaki(n, k) for k in ks], n
 
 
 _ROW_REFERENCES = {
@@ -696,7 +698,7 @@ def test_rising_sums_the_row_against_first_kind_stirling_weights():
 
 
 def test_single_weight_lookups_read_one_cached_row():
-    rows = ROUTES[Family.POLY_B]["stirling"][2].rows
+    rows = ROUTES[Family.POLY_B]["stirling"][2]
     rows.cache_clear()
     poly_bernoulli("B", 10, -3)
     first = rows.cache_info()
@@ -709,8 +711,15 @@ def test_single_weight_lookups_read_one_cached_row():
     for n in (10, 11, 40):
         family_row("PolyB_B", n, range(-5, 6))
     assert rows.cache_info() == repeated
-    # every row cache is bounded
-    cached = [route.rows for routes in ROUTES.values() for _, _, route in routes.values() if hasattr(route, "rows")]
+    # every closed form's row cache is bounded, the series rows are read from
+    # the family's matrix with no cache of their own, and the one cell route
+    # has no row
+    entries = {(family, method): rows for family, routes in ROUTES.items() for method, (_, _, rows) in routes.items()}
+    assert [key for key, rows in entries.items() if rows is None] == [(Family.COTANGENT, "stirling_negk")]
+    series = [rows for (_, method), rows in entries.items() if method == "series"]
+    assert len(series) == len(Family)
+    assert not any(hasattr(rows, "cache_info") for rows in series)
+    cached = [rows for (_, method), rows in entries.items() if rows is not None and method != "series"]
     assert len(cached) == 7
     assert {rows.cache_info().maxsize for rows in cached} == {128}
 
@@ -731,10 +740,9 @@ def test_oracle_diff_catches_a_changed_tilde_row(monkeypatch):
         return (shift, denominator, ((b, c + 1 if n == 4 else c), *rest))
 
     with monkeypatch.context() as patch:
-        # a route of its own, so the planted row never enters the real route's cache
-        patch.setitem(ROUTES[Family.TILDE_D], "explicit", (kind, domain, fa._power_row(perturbed)))
+        # a plain builder, with no cache, so the planted row is kept nowhere
+        patch.setitem(ROUTES[Family.TILDE_D], "explicit", (kind, domain, perturbed))
         report = oracle_diff("TildeD", 6, -2, -2)
-    ROUTES[Family.TILDE_D]["explicit"][2].rows.cache_clear()
     assert report.verdict == "fail"
     assert [w.instance for w in report.mismatches()] == ["TildeD(n=4, k=-2) explicit vs series"]
     assert oracle_diff("TildeD", 6, -2, -2).verdict == "pass"
@@ -751,10 +759,9 @@ def test_oracle_diff_catches_a_changed_closed_form_row(monkeypatch):
         return row
 
     with monkeypatch.context() as patch:
-        # a route of its own, so the planted row never enters the real route's cache
-        patch.setitem(ROUTES[Family.COSECANT], "explicit", (kind, domain, fa._power_row(perturbed)))
+        # a plain builder, with no cache, so the planted row is kept nowhere
+        patch.setitem(ROUTES[Family.COSECANT], "explicit", (kind, domain, perturbed))
         report = oracle_diff("Cosecant", 6, -2, -2)
-    ROUTES[Family.COSECANT]["explicit"][2].rows.cache_clear()
     assert report.verdict == "fail"
     assert [w.instance for w in report.mismatches()] == ["Cosecant(n=4, k=-2) explicit vs series"]
     assert oracle_diff("Cosecant", 6, -2, -2).verdict == "pass"
@@ -765,8 +772,8 @@ def test_every_row_route_is_the_series_row_at_every_weight():
     # series at every integer weight of these orders, not only at sampled ones
     compared = 0
     for family, routes in ROUTES.items():
-        for method, (_, _, route) in routes.items():
-            if not hasattr(route, "rows"):
+        for method, (_, _, rows) in routes.items():
+            if rows is None or method == "series":
                 continue
             for n in range(0, 65, 2 if method == "sasaki" else 1):
                 assert fa._route_row(family, n, method) == fa._route_row(family, n, "series"), (family, method, n)

