@@ -23,7 +23,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
 from .families import (
@@ -88,14 +88,16 @@ class Residue:
 
 
 def reduce_mod(q, p: int, N: int) -> Residue:
-    """a * b^{-1} mod p^N for a p-integral rational a/b, p >= 2 and N >= 0; a float q is refused."""
+    """a * b^{-1} mod p^N for a rational a/b with b prime to p, p >= 2 and N >= 0; a float q is refused."""
     _check_base(p)
     if N < 0:
         raise ValueError(f"N = {N} must be >= 0")
     q = _exact(q, "q")
     modulus = p**N
-    if q != 0 and ord_p(q, p) < 0:
-        raise NotPIntegral(f"{q} has a factor {p} in its denominator")
+    common = gcd(q.denominator, p)
+    if common > 1:
+        # for a prime p this is p itself
+        raise NotPIntegral(f"{q} has a factor {common} in its denominator")
     value = q.numerator * pow(q.denominator, -1, modulus) % modulus
     return Residue(value, modulus)
 
@@ -253,6 +255,9 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
         _signature(fn).bind(checker, **merged)
     except TypeError as exc:
         raise UsageError(f"bad parameters for {identity_id}: {exc}") from exc
+    for name, value in merged.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"bad parameters for {identity_id}: {name} must be an int, not {value!r}")
     fn(checker, **merged)
     verdict = "pass" if checker.ok else "fail"
     report = Report(identity_id, merged, verdict, checker.witnesses)

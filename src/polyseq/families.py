@@ -17,25 +17,24 @@ from series arithmetic on the generating function alone, never from Stirling
 numbers, so the oracle stays independent of the closed forms.
 
 The explicit closed forms of B, C, D, beta and TildeD share one shape,
-value(n, k) = sum_b c[b] b^-(k + shift) / denominator, with integer c that do
-not depend on k.  A row builder per family returns (shift, denominator, ((b,
-c), ...)) and one evaluator, `_evaluate_row`, turns a row and a list of
-weights into values.  It steps the powers across ascending weights: the terms
-c b^e of one weight come from the previous weight's by one small product per
+value(n, k) = sum_b c[b] b^-k / denominator, with integer c that do not
+depend on k.  A row builder per family returns (denominator, ((b, c), ...))
+and one evaluator, `_evaluate_row`, turns a row and a list of weights into
+values.  It steps the powers across ascending weights: the terms
+c b^-k of one weight come from the previous weight's by one small product per
 term, not a full power.  Every route takes (n, weights), so `family_row(family,
 n, ks)` builds a row once for all its weights, while `family_value` is the
 same call with one weight.  `_sym_row` also builds both symmetrized closed
-forms; Sasaki's formula for D at k <= 0, the `sasaki` route, is twice its
-level-one cosecant row, at shift 1.  TildeD's `explicit` route at k <= 0 is
-`_tilde_row`, a Stirling sum over the bases 1..n+1.
+forms.  TildeD's `explicit` route at k <= 0 is `_tilde_row`, a Stirling sum
+over the bases 1..n+1; Sasaki's formula for D at k <= 0, the `sasaki` route,
+expands to the same sum over half the denominator.
 
-Every row is in lowest terms (`_row`): bases ascending, no zero c_b, no common
-factor of the denominator and the c_b, and the shift folded into the c_b where
-each c_b divides by b^shift.  Two rows that are equal tuples are then the same
-function of k, and two rows at shift 0, as every row of the route table is for
-n <= 64, are equal tuples exactly when they are the same function.
-So `oracle_diff` compares each closed form's row with the series row once per
-order, through `_route_row`, and evaluates a method only where they differ.
+Every row is in lowest terms (`_row`): bases ascending, no zero c_b and no
+common factor of the denominator and the c_b.  Since the functions b^-k of
+distinct bases are independent, two rows are equal tuples exactly when they
+are the same function of k.  So `oracle_diff` compares each closed form's row
+with the series row once per order, through `_route_row`, and evaluates a
+method only where they differ.
 
 Each method in `ROUTES` holds its row builder: a closed form's behind one
 bounded LRU cache, the series route's reading the family's matrix, which is
@@ -135,55 +134,47 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     rows = []
     for n in range(order + 1):
         (numerators,), d = se._numerators([[factorial(n) * level * q[n] for q in columns]])
-        rows.append(_row(0, d, zip(bases, numerators)))
+        rows.append(_row(d, zip(bases, numerators)))
     return tuple(rows)
 
 
 # ---------------------------------------------------------------- power-basis rows
 
-# (shift, denominator, ((base, numerator), ...)): the value at weight k is
-# sum(numerator * base^-(k + shift)) / denominator.  No entry depends on k.
-Row = tuple[int, int, tuple[tuple[int, int], ...]]
+# (denominator, ((base, numerator), ...)): the value at weight k is
+# sum(numerator * base^-k) / denominator.  No entry depends on k.
+Row = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def _row(shift: int, denominator: int, terms) -> Row:
+def _row(denominator: int, terms) -> Row:
     """The row in lowest terms: bases ascending, no zero c_b, the denominator
-    and the c_b divided by their gcd, then the shift folded into the c_b where
-    every c_b divides by b^shift (the quotients keep the gcd 1).
-
-    Reducing first makes the result depend only on the function of k and the
-    given shift, so rows given at one shift are equal tuples exactly when they
-    are the same function.  A row given at shift 0 is not unfolded: 2^-k / 2
-    at shift 0 and 2^-(k+1) at shift 1 stay two tuples.
-    """
+    and the c_b divided by their gcd.  It depends only on the function of k."""
     terms = sorted([(b, c) for b, c in terms if c])
     common = gcd(denominator, *[c for _, c in terms])
     if common > 1:
         denominator //= common
         terms = [(b, c // common) for b, c in terms]
-    if shift > 0 and all(c % b**shift == 0 for b, c in terms):
-        terms = [(b, c // b**shift) for b, c in terms]
-        shift = 0
     # tuple() of a list, not of a generator: CPython sizes a generator's tuple
     # by a guess and resizes it, so each freed row would park on the free list
     # of its own size, where no later allocation takes it from
-    return shift, denominator, tuple(terms)
+    return denominator, tuple(terms)
 
 
 def _cosecant_row(n: int) -> Row:
-    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1, exponent k+1, which `_row` folds into the c_b."""
-    w = [(-1) ** (j + 1) * factorial(j) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(n + 2)]
+    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1 over 2^n.
+
+    Its term j at exponent k+1, C(j-1, 2i) / b^(k+1), is C(j, 2i+1) / (j b^k).
+    """
+    w = [0] + [(-1) ** (j + 1) * factorial(j - 1) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(1, n + 2)]
     return _row(
-        1,
         2**n,
-        ((2 * i + 1, sum(w[j] * comb(j - 1, 2 * i) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
+        ((2 * i + 1, sum(w[j] * comb(j, 2 * i + 1) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
     )
 
 
 def _cotangent_row(n: int) -> Row:
     """The explicit Stirling sum of beta_n^{(k)}: bases 2i+1; empty at odd n."""
     if n % 2 == 1:
-        return _row(0, 2**n, ())
+        return _row(1, ())
     w = [
         (-1) ** j
         * factorial(j)
@@ -192,7 +183,6 @@ def _cotangent_row(n: int) -> Row:
         for j in range(n + 1)
     ]
     return _row(
-        0,
         2**n,
         ((2 * i + 1, sum(w[j] * comb(j + 1, 2 * i + 1) for j in range(2 * i, n + 1))) for i in range(n // 2 + 1)),
     )
@@ -206,7 +196,6 @@ def _sym_row(m: int, n: int, dyadic: bool) -> Row:
     """
     w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
     return _row(
-        0,
         2 ** (n + m) if dyadic else 1,
         (
             (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
@@ -216,9 +205,13 @@ def _sym_row(m: int, n: int, dyadic: bool) -> Row:
 
 
 def _sasaki_row(n: int) -> Row:
-    """Sasaki's D_n^{(-k)} = sum_i i!(i-1)!/2^(i-1) S(k,i) S(n+1,i) = 2 sym-D at (n, k - 1, level 1)."""
-    _, denominator, terms = _sym_row(n, 1, True)
-    return _row(1, denominator, [(b, 2 * c) for b, c in terms])
+    """Sasaki's D_n^{(-K)} = sum_i i!(i-1)!/2^(i-1) S(K,i) S(n+1,i): bases 1..n+1 over 2^n.
+
+    With i!S(K,i) = sum_b (-1)^(i-b) C(i,b) b^K, base b carries sum_i (-1)^(i-b)
+    C(i,b) (i-1)! 2^(n+1-i) S(n+1,i), which is `_tilde_row`'s sum: twice its row.
+    """
+    denominator, terms = _tilde_row(n)
+    return _row(denominator, [(b, 2 * c) for b, c in terms])
 
 
 def _poly_bernoulli_row(variant: str, n: int) -> Row:
@@ -229,8 +222,8 @@ def _poly_bernoulli_row(variant: str, n: int) -> Row:
     """
     a = [(-1) ** (n + m) * factorial(m) * stirling2(n, m) for m in range(n + 1)] + [0]
     if variant == "B":
-        return _row(0, 1, ((m + 1, a[m]) for m in range(n + 1)))
-    return _row(0, 1, ((b, a[b - 1] - a[b]) for b in range(1, n + 2)))
+        return _row(1, ((m + 1, a[m]) for m in range(n + 1)))
+    return _row(1, ((b, a[b - 1] - a[b]) for b in range(1, n + 2)))
 
 
 def _tilde_row(n: int) -> Row:
@@ -243,28 +236,20 @@ def _tilde_row(n: int) -> Row:
     """
     w = [0] + [factorial(r - 1) * stirling2(n + 1, r) * 2 ** (n + 1 - r) for r in range(1, n + 2)]
     return _row(
-        0,
         2 ** (n + 1),
         ((m, sum((-1) ** (r - m) * comb(r, m) * w[r] for r in range(m, n + 2))) for m in range(1, n + 2)),
     )
 
 
 def _row_sum(parts) -> Row:
-    """The row of sum scale * row over (scale, row) pairs, over the lcm of d * scale.denominator.
-
-    It takes the largest shift among the parts: a part at a smaller shift s
-    carries c_b b^(shift - s) there, which is the same function of k.
-    """
-    shift = max(s for _, (s, _, _) in parts)
-    denominator = lcm(*[d * scale.denominator for scale, (_, d, _) in parts])
+    """The row of sum scale * row over (scale, row) pairs, over the lcm of d * scale.denominator."""
+    denominator = lcm(*[d * scale.denominator for scale, (d, _) in parts])
     coefficients: dict[int, int] = {}
-    for scale, (s, d, terms) in parts:
+    for scale, (d, terms) in parts:
         factor = scale.numerator * (denominator // (d * scale.denominator))
-        if s < shift:
-            terms = [(b, c * b ** (shift - s)) for b, c in terms]
         for b, c in terms:
             coefficients[b] = coefficients.get(b, 0) + factor * c
-    return _row(shift, denominator, coefficients.items())
+    return _row(denominator, coefficients.items())
 
 
 def _rising(row: Row, n: int) -> Row:
@@ -272,8 +257,8 @@ def _rising(row: Row, n: int) -> Row:
 
     At n = 1 that is the row's value at k - 1.
     """
-    shift, denominator, terms = row
-    return _row(shift, denominator, ((b, c * prod(range(b, b + n))) for b, c in terms))
+    denominator, terms = row
+    return _row(denominator, ((b, c * prod(range(b, b + n))) for b, c in terms))
 
 
 def _powers(pairs, last, x: int) -> tuple[int, list[int]]:
@@ -300,22 +285,21 @@ def _evaluate_row(row: Row, ks) -> list[Fraction]:
     same side of exponent zero (see `_powers`), so consecutive weights cost
     one small product or exact quotient per term instead of a full power.
     """
-    shift, denominator, terms = row
+    denominator, terms = row
     values = []
     low = high = None
     for k in ks:
-        e = k + shift
-        if e <= 0:
-            low = _powers(terms, low, -e)
+        if k <= 0:
+            low = _powers(terms, low, -k)
             values.append(Fraction(sum(low[1]), denominator))
             continue
         if high is None:
-            # b^-e = (L/b)^e / L^e over the lcm L of the bases; a list again
+            # b^-k = (L/b)^k / L^k over the lcm L of the bases; a list again
             # (see _row), since lcm(*generator) builds a resized tuple
             lcm_all = lcm(*[b for b, _ in terms])
             scaled = [(lcm_all // b, c) for b, c in terms]
-        high = _powers(scaled, high, e)
-        values.append(Fraction(sum(high[1]), lcm_all**e * denominator))
+        high = _powers(scaled, high, k)
+        values.append(Fraction(sum(high[1]), lcm_all**k * denominator))
     return values
 
 
@@ -344,7 +328,7 @@ def _route_row(family: Family, n: int, method: str) -> Row | None:
 def _from_cosecant_row(n: int) -> Row:
     """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}, the cosecant function times cosh t; empty at odd n."""
     if n % 2 == 1:
-        return _row(1, 2**n, ())
+        return _row(1, ())
     return _row_sum([(comb(n, j), _route_row(Family.COSECANT, j, "explicit")) for j in range(0, n + 1, 2)])
 
 

@@ -6,7 +6,7 @@ symmetrization level n.  Level 0 and level 1 collapse to the plain B- and
 C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
-level-one cosecant row, doubled, is Sasaki's formula, D's `sasaki` route.
+level-one cosecant row, doubled, is D's row at weight one lower.
 The hat-numbers at (m, n) are one row, kept in a bounded cache: TildeD's
 cached rows scaled by the weighted coefficients of (e^t+1)^{1-n}, the
 second-kind Stirling sums of `sequences._exp_plus_one_numerators`.  Each

@@ -47,8 +47,14 @@ def test_reduce_mod_examples():
     assert reduce_mod(786944, 3, 2).value == 2
     assert reduce_mod(F(1, 2), 3, 1).value == 2
     assert reduce_mod(F(-1, 3), 5, 2).modulus == 25
-    with pytest.raises(NotPIntegral):
+    with pytest.raises(NotPIntegral, match="^1/3 has a factor 3 in its denominator$"):
         reduce_mod(F(1, 3), 3, 1)
+    # a composite p: 2 is not invertible mod 4 although ord_4(1/2) = 0
+    with pytest.raises(NotPIntegral, match="^1/2 has a factor 2 in its denominator$"):
+        reduce_mod(F(1, 2), 4, 1)
+    with pytest.raises(NotPIntegral, match="^1/3 has a factor 3 in its denominator$"):
+        reduce_mod(F(1, 3), 6, 1)
+    assert reduce_mod(F(1, 5), 6, 2).value == 29  # 5 * 29 = 145 = 1 mod 36
 
 
 def test_residue_primitives_take_exact_rationals_only():
@@ -87,6 +93,13 @@ def test_unknown_identity_and_bad_params():
     with pytest.raises(UsageError):
         # the family is fixed when the identity is registered
         verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5, family="Cotangent")
+
+
+@pytest.mark.parametrize("k", ["1", 1.0, True], ids=["str", "float", "bool"])
+def test_verify_refuses_a_parameter_that_is_not_an_int(k):
+    with pytest.raises(UsageError, match=f"^bad parameters for SUM_COSE: k must be an int, not {k!r}$"):
+        verify("SUM_COSE", dict(p=3, N=1, n=1, k=k))
+    assert verify("SUM_COSE", dict(p=3, N=1, n=1, k=1)).passed
 
 
 # sha256 of verify(name, params).to_json(), recorded before the identities of a

@@ -3,7 +3,7 @@ method agreement, dualities, conversions, vanishing sums."""
 
 from fractions import Fraction as F
 from functools import lru_cache, partial
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -390,6 +390,43 @@ def test_sasaki_row_is_the_explicit_row():
         assert fa._sasaki_row(n) == fa._cosecant_row(n), n
 
 
+# D's explicit row and Sasaki's row as they were written at exponent k + 1,
+# with the row builder that folded that shift into the coefficients where
+# every one divided by b, kept as references for the rows written at exponent k.
+
+def _shifted_row(shift, denominator, terms):
+    terms = sorted([(b, c) for b, c in terms if c])
+    common = gcd(denominator, *[c for _, c in terms])
+    if common > 1:
+        denominator //= common
+        terms = [(b, c // common) for b, c in terms]
+    if shift > 0 and all(c % b**shift == 0 for b, c in terms):
+        terms = [(b, c // b**shift) for b, c in terms]
+        shift = 0
+    return shift, denominator, tuple(terms)
+
+
+def _shifted_cosecant_row(n):
+    w = [(-1) ** (j + 1) * factorial(j) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(n + 2)]
+    return _shifted_row(
+        1,
+        2**n,
+        ((2 * i + 1, sum(w[j] * comb(j - 1, 2 * i) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
+    )
+
+
+def _shifted_sasaki_row(n):
+    denominator, terms = fa._sym_row(n, 1, True)
+    return _shifted_row(1, denominator, [(b, 2 * c) for b, c in terms])
+
+
+def test_rows_at_exponent_k_equal_the_folded_rows_at_exponent_k_plus_one():
+    for n in range(121):
+        assert _shifted_cosecant_row(n) == (0, *fa._cosecant_row(n)), n
+        if n % 2 == 0:
+            assert _shifted_sasaki_row(n) == (0, *fa._sasaki_row(n)), n
+
+
 def test_sasaki_route_matches_its_per_cell_sum():
     for n in range(0, 41, 2):
         ks = [k for k in range(-60, 1) if (n, k) != (0, 0)]
@@ -424,19 +461,18 @@ def test_power_rows_match_the_per_cell_closed_forms(n, ks):
 def test_power_rows_have_integer_entries_and_drop_zeros():
     for n in range(13):
         for family, (_, build, _) in _ROW_REFERENCES.items():
-            shift, denominator, terms = build(n)
+            denominator, terms = build(n)
             assert isinstance(denominator, int) and denominator > 0
             assert all(isinstance(c, int) and c != 0 for _, c in terms)
-        # in lowest terms D's shift folds into its coefficients and its
-        # denominator 2^n reduces to 2 to the number of binary ones of n
-        assert fa._cosecant_row(n)[:2] == (0, 1 if n % 2 else 2 ** bin(n).count("1"))
+        # in lowest terms D's denominator 2^n reduces to 2 to the number of binary ones of n
+        assert fa._cosecant_row(n)[0] == (1 if n % 2 else 2 ** bin(n).count("1"))
         if n % 2:
-            assert fa._cosecant_row(n)[2] == () and fa._cotangent_row(n)[2] == ()
+            assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, ())
 
 
-def _reference_evaluate_row(row, ks):
-    """`families._evaluate_row` as it was before it stepped powers between weights."""
-    shift, denominator, terms = row
+def _reference_evaluate_row(row, ks, shift=0):
+    """`families._evaluate_row` as it was before it stepped powers between weights, at exponent k + shift."""
+    denominator, terms = row
     values = []
     scaled = None
     for k in ks:
@@ -459,7 +495,7 @@ _WEIGHT_LISTS = {
     "alternating signs": [-5, 5, -4, 4, -6, 6, -5, 5],
     "single": [7],
     "empty": [],
-    # D's shift is 1, so its exponent k + 1 changes side between k = -1 and 0
+    # the exponent changes side between k = 0 and 1 (between -1 and 0 when D's rows had a shift)
     "across D's shift": [-3, -2, -1, 0, 1, 0, -1, -2, 1, -1],
     "large |k|": [-300, -299, 299, 300, 150],
 }
@@ -471,7 +507,7 @@ def test_evaluate_row_equals_the_unstepped_evaluator(name):
     rows = [build(n) for n in range(65) for _, build, _ in _ROW_REFERENCES.values()]
     rows += [row for family in Family for row in fa._series_rows(family, 24)]
     for row in rows:
-        assert fa._evaluate_row(row, ks) == _reference_evaluate_row(row, ks), (row[:2], ks)
+        assert fa._evaluate_row(row, ks) == _reference_evaluate_row(row, ks), (row[0], ks)
 
 
 def test_family_row_equals_family_value_per_weight():
@@ -496,20 +532,14 @@ def test_table_rows_equal_per_cell_values_at_the_largest_order():
         assert table.rows == [(64, cells)], family
 
 
-def _as_powers(row):
-    """A row as {base b: the rational coefficient of b^-k}."""
-    shift, denominator, terms = row
-    return {b: F(c, b**shift * denominator) for b, c in terms}
-
-
 def test_series_rows_equal_the_closed_form_rows_at_every_weight():
-    # equal coefficients of b^-k prove closed form = series for every integer k
+    # equal rows in lowest terms prove closed form = series for every integer k
     compared = 0
     for family, (_, build, _) in _ROW_REFERENCES.items():
         for n in range(33):
             series_row = fa._series_rows(family, truncation_for(n))[n]
-            assert series_row[0] == 0 and all(isinstance(c, int) and c != 0 for _, c in series_row[2])
-            assert _as_powers(series_row) == _as_powers(build(n)), (family, n)
+            assert all(isinstance(c, int) and c != 0 for _, c in series_row[1])
+            assert series_row == build(n), (family, n)
             compared += 1
     assert compared == 132
 
@@ -551,8 +581,8 @@ def test_a_series_sweep_keeps_one_matrix_per_family():
 
 def test_oracle_diff_catches_a_changed_series_row(monkeypatch):
     rows = fa._series_rows(Family.COSECANT, 24)
-    shift, denominator, ((b, c), *rest) = rows[4]
-    changed = rows[:4] + ((shift, denominator, ((b, c + 1), *rest)),) + rows[5:]
+    denominator, ((b, c), *rest) = rows[4]
+    changed = rows[:4] + ((denominator, ((b, c + 1), *rest)),) + rows[5:]
     real = fa._series_rows
 
     def perturbed(family, order):
@@ -640,49 +670,44 @@ def test_poly_bernoulli_polynomial_equals_the_series_product(x):
 
 
 def test_tilde_row_is_the_series_row_at_every_weight():
-    # equal coefficients of b^-k prove TildeD's closed form = its series at every integer k
+    # equal rows in lowest terms prove TildeD's closed form = its series at every integer k
     for order in (24, 32, 40):
         rows = fa._series_rows(Family.TILDE_D, order)
         for n in range(order + 1):
-            assert _as_powers(fa._tilde_row(n)) == _as_powers(rows[n]), (order, n)
+            assert fa._tilde_row(n) == rows[n], (order, n)
     for n in range(13):
-        shift, denominator, terms = fa._tilde_row(n)
+        denominator, terms = fa._tilde_row(n)
         # in lowest terms the denominator 2^(n+1) reduces to 2^(1 + the number of binary ones of n)
-        assert (shift, denominator) == (0, 2 ** (1 + bin(n).count("1")))
+        assert denominator == 2 ** (1 + bin(n).count("1"))
         assert all(isinstance(c, int) and c != 0 for _, c in terms)
 
 
 def test_conversion_rows_prove_the_identities_at_every_weight():
     for n in range(65):
         # CONV_EQ5: beta_n = sum_i C(n,2i) D_{2i}, at every k
-        assert _as_powers(fa._from_cosecant_row(n)) == _as_powers(fa._cotangent_row(n)), n
+        assert fa._from_cosecant_row(n) == fa._cotangent_row(n), n
         # KSHIFT: sum_m C(n+1,2m+1) D_{n-2m}^{(k)} = D_n^{(k-1)}, at every k
-        assert _as_powers(fa._k_shift_row(n)) == _as_powers(fa._rising(fa._cosecant_row(n), 1)), n
+        assert fa._k_shift_row(n) == fa._rising(fa._cosecant_row(n), 1), n
         if n % 2 == 0:
             # CONV_EQ6: D_n = sum_i C(n,2i) E_{n-2i} beta_{2i}, at every k
-            assert _as_powers(fa._cosecant_from_cotangent_row(n)) == _as_powers(fa._cosecant_row(n)), n
+            assert fa._cosecant_from_cotangent_row(n) == fa._cosecant_row(n), n
     ks = range(-6, 7)
     for row in (fa._cosecant_row(6), fa._cotangent_row(8), fa._tilde_row(5)):
         assert fa._evaluate_row(fa._rising(row, 1), ks) == fa._evaluate_row(row, [k - 1 for k in ks])
 
 
 def test_row_sum_scales_and_takes_the_common_denominator():
-    parts = [(3, (1, 4, ((1, 2), (3, 5)))), (-2, (1, 8, ((3, 1), (5, 7)))), (1, (1, 2, ((1, -1),)))]
-    # over 8 the row is (8, 28, -14); in lowest terms the common factor 2 goes,
-    # and since 3 does not divide 14 the shift stays
-    assert fa._row_sum(parts) == (1, 4, ((1, 4), (3, 14), (5, -7)))
+    parts = [(3, (4, ((1, 2), (3, 5)))), (-2, (8, ((3, 1), (5, 7)))), (1, (2, ((1, -1),)))]
+    # over 8 the row is (8, 28, -14); in lowest terms the common factor 2 goes
+    assert fa._row_sum(parts) == (4, ((1, 4), (3, 14), (5, -7)))
     # terms that cancel are dropped
-    assert fa._row_sum([(1, (0, 2, ((1, 1), (2, 3)))), (1, (0, 2, ((2, -3),)))]) == (0, 2, ((1, 1),))
-    # parts meet at the larger shift: 3^-(k+1) + 3^-k = 4 3^-(k+1), and 4 keeps the shift
-    mixed = [(1, (1, 1, ((3, 1),))), (1, (0, 1, ((3, 1),)))]
-    assert fa._row_sum(mixed) == (1, 1, ((3, 4),))
-    assert fa._evaluate_row(fa._row_sum(mixed), range(-4, 5)) == [4 / F(3) ** (k + 1) for k in range(-4, 5)]
+    assert fa._row_sum([(1, (2, ((1, 1), (2, 3)))), (1, (2, ((2, -3),)))]) == (2, ((1, 1),))
     ks = range(-4, 5)
     want = [3 * a - 2 * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
     # a Fraction scale's denominator joins the common one: lcm(4*3, 8*2, 2*1) = 48
-    parts = [(F(1, 3), (1, 4, ((1, 2), (3, 5)))), (F(-5, 2), (1, 8, ((3, 1), (5, 7)))), (1, (1, 2, ((1, -1),)))]
-    assert fa._row_sum(parts) == (1, 48, ((1, -16), (3, 5), (5, -105)))
+    parts = [(F(1, 3), (4, ((1, 2), (3, 5)))), (F(-5, 2), (8, ((3, 1), (5, 7)))), (1, (2, ((1, -1),)))]
+    assert fa._row_sum(parts) == (48, ((1, -16), (3, 5), (5, -105)))
     want = [a / 3 - F(5, 2) * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
 
@@ -694,7 +719,7 @@ def test_rising_sums_the_row_against_first_kind_stirling_weights():
         for n in range(1, 5):
             values = fa._evaluate_row(fa._rising(row, n), ks)
             want = [sum(stirling1(n, j) * fa._evaluate_row(row, (k - j,))[0] for j in range(n + 1)) for k in ks]
-            assert values == want, (row[:2], n)
+            assert values == want, (row[0], n)
 
 
 def test_single_weight_lookups_read_one_cached_row():
@@ -736,8 +761,8 @@ def test_oracle_diff_catches_a_changed_tilde_row(monkeypatch):
     kind, domain, _ = ROUTES[Family.TILDE_D]["explicit"]
 
     def perturbed(n):
-        shift, denominator, ((b, c), *rest) = fa._tilde_row(n)
-        return (shift, denominator, ((b, c + 1 if n == 4 else c), *rest))
+        denominator, ((b, c), *rest) = fa._tilde_row(n)
+        return (denominator, ((b, c + 1 if n == 4 else c), *rest))
 
     with monkeypatch.context() as patch:
         # a plain builder, with no cache, so the planted row is kept nowhere
@@ -754,8 +779,8 @@ def test_oracle_diff_catches_a_changed_closed_form_row(monkeypatch):
     def perturbed(n):
         row = fa._cosecant_row(n)
         if n == 4:
-            shift, denominator, ((b, c), *rest) = row
-            row = (shift, denominator, ((b, c + 1), *rest))
+            denominator, ((b, c), *rest) = row
+            row = (denominator, ((b, c + 1), *rest))
         return row
 
     with monkeypatch.context() as patch:
@@ -781,6 +806,19 @@ def test_every_row_route_is_the_series_row_at_every_weight():
     assert compared == 6 * 65 + 33
     # the one cell route has no row, so oracle_diff evaluates it at every cell
     assert fa._route_row(Family.COTANGENT, 4, "stirling_negk") is None
+
+
+def test_route_rows_are_the_series_rows_past_the_cli_cap():
+    # the CLI stops at n = 64; rows in lowest terms are equal tuples past it too
+    compared = 0
+    for family, routes in ROUTES.items():
+        for method, (_, _, rows) in routes.items():
+            if rows is None or method == "series":
+                continue
+            for n in range(66 if method == "sasaki" else 65, 73, 2 if method == "sasaki" else 1):
+                assert fa._route_row(family, n, method) == fa._route_row(family, n, "series"), (family, method, n)
+                compared += 1
+    assert compared == 6 * 8 + 4
 
 
 def _reference_oracle_diff(family, n_max, k_min, k_max):
@@ -829,39 +867,26 @@ _TERMS = st.dictionaries(st.integers(1, 40), st.integers(-(10**6), 10**6), max_s
 _ROW_KS = range(-6, 7)
 
 
-@given(shift=st.integers(0, 3), denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
-@example(shift=1, denominator=1, terms=[(2, 1)], factor=2)  # the factor alone would let the shift fold
-def test_row_is_in_lowest_terms_and_ignores_a_common_factor(shift, denominator, terms, factor):
-    row = fa._row(shift, denominator, terms)
-    assert fa._row(shift, factor * denominator, [(b, factor * c) for b, c in terms]) == row
-    _, d, t = row
+@given(denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
+def test_row_is_in_lowest_terms_and_ignores_a_common_factor(denominator, terms, factor):
+    row = fa._row(denominator, terms)
+    assert fa._row(factor * denominator, [(b, factor * c) for b, c in terms]) == row
+    d, t = row
     assert gcd(d, *[c for _, c in t]) == 1
     assert [b for b, _ in t] == sorted(b for b, c in terms if c)
-    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((shift, denominator, terms), _ROW_KS)
+    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((denominator, terms), _ROW_KS)
 
 
-@given(twos=st.integers(0, 64), terms=_TERMS)
-def test_row_folds_a_shift_that_every_coefficient_divides(twos, terms):
-    # sum c_b b^-k = sum (c_b b) b^-(k+1), over odd bases and a power of two as D's and beta's rows have
-    terms = [(2 * b - 1, c) for b, c in terms]
-    assert fa._row(1, 2**twos, [(b, c * b) for b, c in terms]) == fa._row(0, 2**twos, terms)
-
-
-def test_row_folds_only_what_divides_in_lowest_terms():
-    # 2^-(k+1) at shift 1: in lowest terms its coefficient 1 is no multiple of 2,
-    # however the row is written, so the shift stays
-    assert fa._row(1, 1, [(2, 1)]) == fa._row(1, 2, [(2, 2)]) == (1, 1, ((2, 1),))
-    # the same function given at shift 0 is not unfolded, so it is another
-    # tuple: where a denominator shares a prime with a base, unequal tuples
-    # need not be unequal functions, and oracle_diff then evaluates the method
-    assert fa._row(0, 2, [(2, 1)]) == (0, 2, ((2, 1),))
-    assert fa._evaluate_row((1, 1, ((2, 1),)), range(-3, 4)) == fa._evaluate_row((0, 2, ((2, 1),)), range(-3, 4))
-
-
-@given(denominator=st.integers(1, 10**6), terms=_TERMS, base=st.integers(2, 40), data=st.data())
-def test_row_keeps_a_shift_that_a_coefficient_does_not_divide(denominator, terms, base, data):
-    c = base * data.draw(st.integers(-100, 100)) + data.draw(st.integers(1, base - 1))
-    terms = [(b, x) for b, x in terms if b != base] + [(base, c)]
-    row = fa._row(1, denominator, terms)
-    assert row[0] == 1
-    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((1, denominator, terms), _ROW_KS)
+@given(denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
+@example(denominator=1, terms=[(2, 1)], factor=1)  # 2^-(k+1), which no row at exponent k+1 could fold
+def test_one_function_written_two_ways_is_one_tuple(denominator, terms, factor):
+    # sum c_b b^-(k+1) / d, at exponent k + 1, is sum c_b (L/b) b^-k / (d L) for
+    # every common multiple L of the bases: the lcm, a multiple of it, their product
+    common = lcm(*[b for b, _ in terms])
+    row = fa._row(common * denominator, [(b, c * (common // b)) for b, c in terms])
+    for multiple in (factor * common, prod(b for b, _ in terms)):
+        assert fa._row(multiple * denominator, [(b, c * (multiple // b)) for b, c in terms]) == row
+    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((denominator, terms), _ROW_KS, shift=1)
+    # where every c_b is b e_b, the lift is the row of the e_b written at exponent k
+    lifted = [(b, c * b * (common // b)) for b, c in terms]
+    assert fa._row(common * denominator, lifted) == fa._row(denominator, terms)
