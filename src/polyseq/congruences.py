@@ -243,10 +243,14 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
     """Run one registry identity and return its report.
 
     `perturb_index` adds +1 to the left side of the chosen compared instance
-    before reduction; it exists for negative-control self-tests.
+    before reduction; it exists for negative-control self-tests.  An index
+    that names no instance plants no fault, so it raises UsageError instead
+    of reporting the unperturbed verdict.
     """
     if identity_id not in _REGISTRY:
         raise UsageError(f"unknown identity {identity_id!r}; known: {', '.join(registry_ids())}")
+    if perturb_index is not None and perturb_index < 0:
+        raise UsageError(f"perturb index {perturb_index} must be >= 0")
     merged = dict(params or {})
     merged.update(kw)
     checker = _Checker(perturb_index)
@@ -259,6 +263,9 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"bad parameters for {identity_id}: {name} must be an int, not {value!r}")
     fn(checker, **merged)
+    if perturb_index is not None and perturb_index >= checker._count:
+        count = checker._count
+        raise UsageError(f"perturb index {perturb_index} plants no fault: {identity_id} compared {count} instance(s)")
     verdict = "pass" if checker.ok else "fail"
     report = Report(identity_id, merged, verdict, checker.witnesses)
     if verdict == "fail" and not report.mismatches():

@@ -38,11 +38,12 @@ method only where they differ.
 
 Each method in `ROUTES` holds its row builder: a closed form's behind one
 bounded LRU cache, the series route's reading the family's matrix, which is
-its cache.  A one-weight call (`family_value`, and so `poly_bernoulli`,
-`polycosecant`) and `_route_row` read the row through that cache; a call with
-several weights (`family_row`, one table row) builds the row once and does not
-keep it, since no later lookup reads it again.  Beta's `stirling_negk` has no
-row and is computed cell by cell.
+its cache.  A call's default route is the first method whose domain holds at
+every weight of the call.  A one-weight call (`family_value`, and so
+`poly_bernoulli`, `polycosecant`) and `_route_row` read the row through that
+cache; a call with several weights (`family_row`) builds the row once and
+keeps nothing.  So a table row crossing 0 reads beta's and D's `explicit`
+rows; only a range entirely below 0 takes beta's rowless `stirling_negk`.
 
 A family's generating function times a fixed series (cosh t, sech t, sinh t,
 e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
@@ -366,7 +367,8 @@ _cached = lru_cache(maxsize=128)
 # Family -> {method: (kind, domain, rows)}, where rows(n) is the method's row at
 # order n: a closed form's builder behind its cache, the series row read from
 # the family's matrix, or None for a route computed cell by cell.  The default
-# route at (n, k) is the first method whose domain holds there, in this order.
+# route of a call is the first method, in this order, whose domain holds at
+# every weight of the call.
 ROUTES = {
     Family.POLY_B: {
         "stirling": ("closed", _ANYWHERE, _cached(partial(_poly_bernoulli_row, "B"))),
@@ -397,45 +399,43 @@ ROUTES = {
 _ZERO_AT_ODD_ORDER = (Family.COSECANT, Family.COTANGENT)
 
 
-def _method_at(family: Family, n: int, k: int, method: str | None) -> str:
-    """The named method, or the default one at (n, k); the only place raising MethodDomain."""
+def _method_at(family: Family, n: int, ks, method: str | None) -> str:
+    """The named method, or the first method whose domain holds at every weight of the call; raises MethodDomain."""
     routes = ROUTES[family]
     if method is None:
         for name, (_, (_, holds), _) in routes.items():
-            if holds(n, k):
+            # a loop, not all() of a generator, so a one-weight lookup allocates nothing per route
+            for k in ks:
+                if not holds(n, k):
+                    break
+            else:
                 return name
+        # k is the first weight outside the domain of the last method, which holds wherever any method does
         needs = " or ".join(dict.fromkeys(needs for _, (needs, _), _ in routes.values()))
         raise MethodDomain(f"no {family.value} method covers (n, k) = ({n}, {k}); its methods need {needs}")
     if method not in routes:
         raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
     _, (needs, holds), _ = routes[method]
-    if not holds(n, k):
-        raise MethodDomain(f"{family.value} method {method!r} needs {needs}; got (n, k) = ({n}, {k})")
+    for k in ks:
+        if not holds(n, k):
+            raise MethodDomain(f"{family.value} method {method!r} needs {needs}; got (n, k) = ({n}, {k})")
     return method
 
 
 def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
-    """Values at (n, k) for each k in `ks`, each method's row read once for all its weights.
+    """Values at (n, k) for each k in `ks`, all by one method: the named one or `_method_at`'s default.
 
-    One weight reads the row through the method's cache; several build it
-    without keeping it.  The method with no row, `stirling_negk`, goes cell by cell.
+    One weight reads the row through the method's cache, several build it
+    without keeping it; `stirling_negk`, which has no row, goes cell by cell.
     """
     if n < 0:
         raise ValueError("order index must be non-negative")
-    if method is None and n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
+    if not ks or method is None and n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
         return [Fraction(0)] * len(ks)
-    by_method: dict[str, list[int]] = {}
-    for k in ks:
-        by_method.setdefault(_method_at(family, n, k, method), []).append(k)
-    values = {}
-    for name, weights in by_method.items():
-        rows = ROUTES[family][name][2]
-        if rows is None:
-            values.update((k, _cotangent_stirling(n, k)) for k in weights)
-        else:
-            row = rows(n) if len(weights) == 1 else getattr(rows, "__wrapped__", rows)(n)
-            values.update(zip(weights, _evaluate_row(row, weights)))
-    return [values[k] for k in ks]
+    rows = ROUTES[family][_method_at(family, n, ks, method)][2]
+    if rows is None:
+        return [_cotangent_stirling(n, k) for k in ks]
+    return _evaluate_row(rows(n) if len(ks) == 1 else getattr(rows, "__wrapped__", rows)(n), ks)
 
 
 def _value(family: Family, n: int, k: int, method: str | None) -> Fraction:
@@ -489,7 +489,7 @@ def polycotangent(n: int, k: int, method: str | None = None) -> Fraction:
     """beta_n^{(k)}; zero at odd n.
 
     Methods: stirling_negk (even index, weight <= -1), explicit, from_cosecant,
-    series; the default is the first of them whose domain holds.
+    series.  The default is the first whose domain holds at every weight of a call.
     """
     return _value(Family.COTANGENT, n, k, method)
 

@@ -316,6 +316,9 @@ def test_tilde_cosecant_table_row(capsys):
 _TILDE_WEIGHTS = "the tilde-cosecant family is defined for weights <= 0"
 
 
+_SUM_POLYB_ONE_INSTANCE = ["verify", "SUM_POLYB", "--p", "3", "--N", "1", "--k", "1", "--n", "1"]
+
+
 def _oracle_diff_argv(nmax, kmin, kmax):
     return ["oracle-diff", "--family", "Cosecant", "--nmax", nmax, "--kmin", kmin, "--kmax", kmax]
 
@@ -333,6 +336,9 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         (["table", "--family", "TildeD", "--n", "0..3", "--k=-2..1"], _TILDE_WEIGHTS),
         (["oracle-diff", "--family", "TildeD", "--nmax", "3", "--kmin", "1", "--kmax", "2"], _TILDE_WEIGHTS),
         (["oracle-diff", "--family", "TildeD", "--nmax", "3", "--kmin=-2", "--kmax", "1"], _TILDE_WEIGHTS),
+        # a negative control must plant its fault: one compared instance, index 5 or -1
+        (_SUM_POLYB_ONE_INSTANCE + ["--perturb", "5"], "plants no fault: SUM_POLYB compared 1 instance(s)"),
+        (_SUM_POLYB_ONE_INSTANCE + ["--perturb=-1"], "perturb index -1 must be >= 0"),
     ],
     ids=[
         "unparsable-range",
@@ -345,6 +351,8 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "table-tilde-weights-reaching-one",
         "oracle-diff-tilde-positive-weights",
         "oracle-diff-tilde-weights-reaching-one",
+        "verify-perturb-past-the-last-instance",
+        "verify-perturb-negative",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):

@@ -524,6 +524,120 @@ def test_family_row_equals_family_value_per_weight():
         family_row("PolyB_B", -1, [0])
 
 
+# The per-weight dispatch that one method per call replaced, kept verbatim as
+# references: a default route chosen at each weight, and the weights grouped
+# by the route they took.
+
+
+def _reference_method_at(family, n, k, method):
+    """The named method, or the default one at (n, k); the only place raising MethodDomain."""
+    routes = ROUTES[family]
+    if method is None:
+        for name, (_, (_, holds), _) in routes.items():
+            if holds(n, k):
+                return name
+        needs = " or ".join(dict.fromkeys(needs for _, (needs, _), _ in routes.values()))
+        raise MethodDomain(f"no {family.value} method covers (n, k) = ({n}, {k}); its methods need {needs}")
+    if method not in routes:
+        raise MethodDomain(f"unknown {family.value} method {method!r}; known: {', '.join(routes)}")
+    _, (needs, holds), _ = routes[method]
+    if not holds(n, k):
+        raise MethodDomain(f"{family.value} method {method!r} needs {needs}; got (n, k) = ({n}, {k})")
+    return method
+
+
+def _reference_evaluate(family, n, ks, method):
+    """Values at (n, k) for each k in `ks`, each method's row read once for all its weights.
+
+    One weight reads the row through the method's cache; several build it
+    without keeping it.  The method with no row, `stirling_negk`, goes cell by cell.
+    """
+    if n < 0:
+        raise ValueError("order index must be non-negative")
+    if method is None and n % 2 == 1 and family in fa._ZERO_AT_ODD_ORDER:
+        return [F(0)] * len(ks)
+    by_method = {}
+    for k in ks:
+        by_method.setdefault(_reference_method_at(family, n, k, method), []).append(k)
+    values = {}
+    for name, weights in by_method.items():
+        rows = ROUTES[family][name][2]
+        if rows is None:
+            values.update((k, fa._cotangent_stirling(n, k)) for k in weights)
+        else:
+            row = rows(n) if len(weights) == 1 else getattr(rows, "__wrapped__", rows)(n)
+            values.update(zip(weights, fa._evaluate_row(row, weights)))
+    return [values[k] for k in ks]
+
+
+def test_single_weight_default_method_is_the_per_weight_default():
+    for family in Family:
+        last = list(ROUTES[family])[-1]
+        for n in range(65):
+            for k in range(-32, 1 if family is Family.TILDE_D else 33):
+                assert fa._method_at(family, n, (k,), None) == _reference_method_at(family, n, k, None), (family, n, k)
+                # the last method, the oracle, holds wherever any method does, so a call
+                # that no one method covers has a weight that no method covers
+                assert last in applicable_methods(family, n, k), (family, n, k)
+
+
+def test_cotangent_rows_across_zero_take_no_stirling_negk_cell(monkeypatch):
+    ks = range(-32, 33)
+    want = {n: _reference_evaluate(Family.COTANGENT, n, ks, None) for n in range(0, 65, 2)}
+
+    def refused(n, k):
+        raise AssertionError(f"stirling_negk cell at ({n}, {k})")
+
+    monkeypatch.setattr(fa, "_cotangent_stirling", refused)
+    for n, values in want.items():
+        assert family_row("Cotangent", n, ks) == values, n
+    # a range entirely below 0 still takes the cells
+    with pytest.raises(AssertionError, match="stirling_negk cell"):
+        family_row("Cotangent", 4, range(-3, 0))
+
+
+@settings(deadline=None)
+@given(
+    family=st.sampled_from(list(Family)),
+    n=st.integers(0, 40),
+    ks=st.lists(st.integers(-40, 40), max_size=8),
+)
+@example(family=Family.COTANGENT, n=6, ks=[-2, -2, 0, -5])  # stirling_negk at one weight, explicit across 0
+@example(family=Family.COSECANT, n=0, ks=[0, -1, 1])  # sasaki is undefined at (0, 0)
+def test_family_row_equals_family_value_on_drawn_weight_lists(family, n, ks):
+    if family is Family.TILDE_D:
+        ks = [-abs(k) for k in ks]
+    values = family_row(family, n, ks)
+    assert values == [family_value(family, n, k) for k in ks]
+    assert values == _reference_evaluate(family, n, ks, None)
+
+
+def test_an_empty_weight_list_builds_no_row(monkeypatch):
+    def refused(n, *args):
+        raise AssertionError(f"built a row at n = {n}")
+
+    for family in (Family.COTANGENT, Family.TILDE_D):
+        for method, (kind, domain, _) in ROUTES[family].items():
+            monkeypatch.setitem(ROUTES[family], method, (kind, domain, refused))
+    monkeypatch.setattr(fa, "_cotangent_stirling", refused)
+    assert family_row("Cotangent", 4, []) == []
+    assert family_row("TildeD", 3, []) == []
+
+
+def test_a_method_over_a_range_fails_at_its_first_bad_weight():
+    with pytest.raises(MethodDomain) as info:
+        fa._evaluate(Family.COTANGENT, 4, (-2, 0), "stirling_negk")
+    assert str(info.value) == (
+        "Cotangent method 'stirling_negk' needs an even index and weight <= -1; got (n, k) = (4, 0)"
+    )
+    with pytest.raises(MethodDomain) as info:
+        fa._evaluate(Family.COSECANT, 2, (-1, 3, 0, 5), "sasaki")
+    assert str(info.value).endswith("got (n, k) = (2, 3)")
+    with pytest.raises(MethodDomain) as info:
+        family_row("TildeD", 3, [0, 2])
+    assert str(info.value) == "no TildeD method covers (n, k) = (3, 2); its methods need weight <= 0"
+
+
 def test_table_rows_equal_per_cell_values_at_the_largest_order():
     for family in Family:
         k_range = (-32, 0 if family is Family.TILDE_D else 32)
