@@ -57,7 +57,6 @@ from .series import (
     BiSeries,
     Series,
     biseries_exp,
-    polylog_apply,
 )
 from .symmetrized import (
     copoly_hat,

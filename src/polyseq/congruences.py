@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -165,6 +166,17 @@ class ValuationReport:
         return {**asdict(self), "b": str(self.b), "d": str(self.d), "beta_hat": str(self.beta_hat)}
 
 
+def _render(instance: str, value) -> str:
+    """str(value) for a witness; a value past Python's digit limit is bad usage, not a counterexample."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(
+            f"{instance}: a value has more than {limit} digits, Python's limit for integer string conversion"
+        ) from None
+
+
 class _Checker:
     """Collects compared instances; optionally perturbs one lhs by +1."""
 
@@ -183,7 +195,7 @@ class _Checker:
     def eq(self, instance: str, lhs, rhs) -> None:
         lhs = self._bump(Fraction(lhs))
         rhs = Fraction(rhs)
-        self.witnesses.append(Witness(instance, str(lhs), str(rhs)))
+        self.witnesses.append(Witness(instance, _render(instance, lhs), _render(instance, rhs)))
         if lhs != rhs:
             self.ok = False
 
@@ -658,28 +670,22 @@ def _duality_level2(family: Family, shift: int, check, lmax: int):
     )
 
 
-@identity("DUALITY_SYM_B", "symmetrized poly-Bernoulli duality at every level n <= nmax (definition route)")
-def _duality_sym_b(check, lmax: int, nmax: int):
+@identity(
+    "DUALITY_SYM_B",
+    "symmetrized poly-Bernoulli duality at every level n <= nmax (definition route)",
+    lambda m, l, n: f"sym-B(m={m}, l={l}, n={n})",
+    lambda m, l, n: sym_poly_bernoulli(m, l, n, method="definition"),
+)
+@identity(
+    "DUALITY_SYM_COSE",
+    "symmetrized polycosecant duality at every level n <= nmax (definition route)",
+    lambda m, l, n: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n})",
+    lambda m, l, n: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
+)
+def _duality_sym(label, value, check, lmax: int, nmax: int):
     _require(lmax >= 0 and nmax >= 0, "lmax, nmax must be >= 0")
     for n in range(nmax + 1):
-        _swaps(
-            check,
-            lmax,
-            lambda m, l: f"sym-B(m={m}, l={l}, n={n}) vs swapped",
-            lambda m, l: sym_poly_bernoulli(m, l, n, method="definition"),
-        )
-
-
-@identity("DUALITY_SYM_COSE", "symmetrized polycosecant duality at every level n <= nmax (definition route)")
-def _duality_sym_cose(check, lmax: int, nmax: int):
-    _require(lmax >= 0 and nmax >= 0, "lmax, nmax must be >= 0")
-    for n in range(nmax + 1):
-        _swaps(
-            check,
-            lmax,
-            lambda m, l: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n}) vs swapped",
-            lambda m, l: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
-        )
+        _swaps(check, lmax, lambda m, l: f"{label(m, l, n)} vs swapped", lambda m, l: value(m, l, n))
 
 
 # ------------------------------------------------- first-kind-Stirling sweeps
@@ -689,8 +695,8 @@ def _vanishing_sum(family: Family, check, k: int, n: int, m: int):
     """sum_j (-1)^j s(m+1, j+1) X_n^{(-k-j)} = 0, with every term in the witness."""
     x, value = _FAMILIES[family]
     terms = [(-1) ** j * stirling1(m + 1, j + 1) * value(n, -(k + j)) for j in range(m + 1)]
-    rendered = ", ".join(str(t) for t in terms)
     label = f"sum_j (-1)^j s({m + 1},j+1) {x}_{n}^(-k-j) at k={k}"
+    rendered = ", ".join(_render(label, t) for t in terms)
     check.eq(f"{label}; terms: {rendered}", sum(terms, Fraction(0)), 0)
 
 
@@ -763,30 +769,24 @@ def _gf_bivariate(check, nmax: int, kmax: int):
     )
 
 
-@identity("GF_SYM_B", "the two-variable symmetrized function reproduces the closed form for l, m <= lmax")
-def _gf_sym_b(check, n: int, lmax: int):
+@identity(
+    "GF_SYM_B",
+    "the two-variable symmetrized function reproduces the closed form for l, m <= lmax",
+    lambda n, orders: sym_bernoulli_bivariate(n, orders),
+    lambda l, m, n: f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})",
+    lambda l, m, n: sym_poly_bernoulli(m, l, n, method="closed_form"),
+)
+@identity(
+    "GF_SYM_COSE",
+    "the two-part bivariate function reproduces the symmetrized polycosecant numbers for m, l <= lmax",
+    lambda n, orders: sym_cosecant_bivariate(n, orders),
+    lambda m, l, n: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
+    lambda m, l, n: sym_polycosecant(m, l, n, method="definition"),
+)
+def _gf_sym(bivariate, label, value, check, n: int, lmax: int):
     _require(n >= 0 and lmax >= 0, "n, lmax must be >= 0")
-    _coefficients(
-        check,
-        sym_bernoulli_bivariate(n, (lmax, lmax)),
-        lmax,
-        lmax,
-        lambda l, m: f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})",
-        lambda l, m: sym_poly_bernoulli(m, l, n, method="closed_form"),
-    )
-
-
-@identity("GF_SYM_COSE", "the two-part bivariate function reproduces the symmetrized polycosecant numbers for m, l <= lmax")
-def _gf_sym_cose(check, n: int, lmax: int):
-    _require(n >= 0 and lmax >= 0, "n, lmax must be >= 0")
-    _coefficients(
-        check,
-        sym_cosecant_bivariate(n, (lmax, lmax)),
-        lmax,
-        lmax,
-        lambda m, l: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
-        lambda m, l: sym_polycosecant(m, l, n, method="definition"),
-    )
+    f = bivariate(n, (lmax, lmax))
+    _coefficients(check, f, lmax, lmax, lambda i, j: label(i, j, n), lambda i, j: value(i, j, n))
 
 
 # ------------------------------------------------------------ Stirling lemmas

@@ -82,8 +82,8 @@ def _one_minus_exp(order: int) -> se.Series:
 
 
 # Family -> (level, inner, denominator): the generating function at weight k is
-# polylog_apply(level, k, inner(order)) / denominator(order, inner), where
-# level 1 applies Li_k and level 2 A_k(z) = Li_k(z) - Li_k(-z).  The entries
+# P_k(inner(order)) / denominator(order, inner), where P_k is Li_k at level 1
+# and A_k(z) = Li_k(z) - Li_k(-z) at level 2.  The entries
 # look the series functions up on `se` when called, so a wrapper later
 # installed on those names (bench/tracer.py installs one) sees the calls.
 _GENERATING_FUNCTIONS = {
@@ -124,8 +124,8 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     """Row n <= order, over the bases m, holds n! scale Q_m[n]: its value at k is index n at weight k.
 
     Q_m = inner^m / denominator for each m the level's polylogarithm sums,
-    inner's retained order included, as `se.polylog_apply` does; scale is 2
-    at level two, where A_k(z) = Li_k(z) - Li_k(-z) doubles the odd powers.
+    inner's retained order included; scale is 2 at level two, where
+    A_k(z) = Li_k(z) - Li_k(-z) doubles the odd powers.
     """
     level, inner, denominator = _GENERATING_FUNCTIONS[family]
     z = inner(order + 1)

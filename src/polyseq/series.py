@@ -16,14 +16,18 @@ fraction-free recurrence in powers of the divisor's lead coefficient (see
 `_quotient`).  Only the result becomes `Fraction`s, one per coefficient, so
 no gcd is taken inside a convolution.
 
-Two caches hold work that no weight k changes: `tanh_half(order)`, which
-three families' generating functions share, and the powers inner^m that
-`polylog_apply` sums, kept per (level, inner) series.  Both grow for the life
-of the process.
-`polylog_apply` is the public per-weight reference: the family expansions in
-`families` no longer call it, and the tests check them against it.  A
-family's product with a fixed series is a sum of rows or a binomial sum
-there, not a `Series`.
+The operators both classes share (negation, `+`, `-`, `*`, `==`, `hash` and
+the integer tail of `/`) are written once, on the grid of rows, and listed
+under their operator names in each class, so a wrapper installed per class
+(bench/tracer.py installs one) sees each class's calls.  Each class keeps its
+construction, its queries, `__repr__`, the unit `**` starts from and the
+checks before a division.
+
+One cache holds work that no weight k changes: `tanh_half(order)`, which
+three families' generating functions share; it grows for the life of the
+process.  The family expansions in `families` build their matrices from
+these series; a family's product with a fixed series is a sum of rows or a
+binomial sum there, not a `Series`.
 
 A float is refused through `_exact` by `Series` and `BiSeries` themselves, by
 the public constructors `constant`, `exp_scaled`, `biseries_constant` and
@@ -145,6 +149,67 @@ def _quotient(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], 
     return nums, powers
 
 
+def _common(a, b) -> tuple[list, list]:
+    """Two grids cut to the rows and columns they both have."""
+    nt, ny = min(len(a), len(b)), min(len(a[0]), len(b[0]))
+    return [row[:ny] for row in a[:nt]], [row[:ny] for row in b[:nt]]
+
+
+def _grid_quotient(a_rows, b_rows) -> tuple[tuple[Fraction, ...], ...]:
+    """a / b on equal-shaped grids of Fractions whose divisor has a nonzero constant, by `_quotient`."""
+    a, da = _numerators(a_rows)
+    b, db = _numerators(b_rows)
+    nums, powers = _quotient(a, b)
+    return tuple(
+        [
+            tuple([Fraction(db * x, da * powers[m + l + 1]) if x else _ZERO for l, x in enumerate(row)])
+            for m, row in enumerate(nums)
+        ]
+    )
+
+
+# The operators `Series` and `BiSeries` share: each reads its operands as grids
+# through `_rows` and builds its result through `_from_rows`.
+
+
+def _eq(self, other) -> bool:
+    return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+
+def _hash(self):
+    return hash(self.coeffs)
+
+
+def _neg(self):
+    return self._from_rows(tuple([tuple([-c for c in row]) for row in self._rows()]))
+
+
+def _add(self, other):
+    rows = self._rows()
+    if not isinstance(other, type(self)):
+        first = rows[0]
+        return self._from_rows(((first[0] + _exact(other, "a scalar operand"),) + first[1:],) + rows[1:])
+    return self._from_rows(tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(rows, other._rows())]))
+
+
+def _sub(self, other):
+    return self + (-other if isinstance(other, type(self)) else -_exact(other, "a scalar operand"))
+
+
+def _rsub(self, other):
+    return (-self) + other
+
+
+def _mul(self, other):
+    if not isinstance(other, type(self)):
+        f = _exact(other, "a scalar operand")
+        return self._from_rows(tuple([tuple([c * f for c in row]) for row in self._rows()]))
+    a_rows, b_rows = _common(self._rows(), other._rows())
+    a, da = _numerators(a_rows)
+    b, db = _numerators(b_rows)
+    return self._from_rows(tuple([_over(row, da * db) for row in _product(a, b)]))
+
+
 class Series:
     """Truncated series sum_{n=0}^{order} c_n t^n with Fraction coefficients."""
 
@@ -183,44 +248,25 @@ class Series:
         _check_orders(order)
         return _series(self.coeffs[: order + 1])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return f"Series(order={self.order}, [{shown}{tail}])"
 
-    def __neg__(self) -> "Series":
-        return _series(tuple([-c for c in self.coeffs]))
+    def _rows(self) -> tuple[tuple[Fraction, ...]]:
+        return (self.coeffs,)
 
-    def __add__(self, other) -> "Series":
-        if isinstance(other, Series):
-            return _series(tuple([x + y for x, y in zip(self.coeffs, other.coeffs)]))
-        return _series((self.coeffs[0] + _exact(other, "a scalar operand"),) + self.coeffs[1:])
+    @staticmethod
+    def _from_rows(rows) -> "Series":
+        return _series(rows[0])
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Series":
-        return self + (-other if isinstance(other, Series) else -_exact(other, "a scalar operand"))
-
-    def __rsub__(self, other) -> "Series":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Series":
-        if not isinstance(other, Series):
-            f = _exact(other, "a scalar operand")
-            return _series(tuple([c * f for c in self.coeffs]))
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, da = _numerators([self.coeffs[:n]])
-        b, db = _numerators([other.coeffs[:n]])
-        (out,) = _product(a, b)
-        return _series(_over(out, da * db))
-
-    __rmul__ = __mul__
+    __eq__ = _eq
+    __hash__ = _hash
+    __neg__ = _neg
+    __add__ = __radd__ = _add
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
 
     def __truediv__(self, other) -> "Series":
         if not isinstance(other, Series):
@@ -235,10 +281,8 @@ class Series:
         n = min(len(self.coeffs), len(other.coeffs)) - v
         if n < 1:
             raise DivisionValuation("no coefficients survive the valuation shift at this truncation")
-        a, da = _numerators([self.coeffs[v : v + n]])
-        b, db = _numerators([other.coeffs[v : v + n]])
-        (nums,), powers = _quotient(a, b)
-        return _series(tuple([Fraction(db * x, da * powers[i + 1]) if x else _ZERO for i, x in enumerate(nums)]))
+        (out,) = _grid_quotient([self.coeffs[v : v + n]], [other.coeffs[v : v + n]])
+        return _series(out)
 
     def __pow__(self, exponent: int) -> "Series":
         return _power(self, exponent, constant(1, self.order))
@@ -323,41 +367,6 @@ def tanh_series(order: int) -> Series:
     return sinh_series(order) / cosh_series(order)
 
 
-def _reciprocal_power(base: int, k: int) -> Fraction:
-    """base^{-k} as an exact rational; integer for k <= 0."""
-    return Fraction(1, base**k) if k >= 0 else Fraction(base ** (-k))
-
-
-def polylog_apply(level: int, k: int, inner: Series) -> Series:
-    """Substitute `inner` into the weight-k polylogarithm of the given level.
-
-    Level one is sum_{m>=1} z^m / m^k; level two is 2 sum_{n>=0}
-    z^{2n+1} / (2n+1)^k.  Only the formal series is used: negative k just
-    makes the multipliers integer powers.  `inner` must have valuation >= 1,
-    so finitely many powers contribute below the truncation order.
-    """
-    if level not in (1, 2):
-        raise ValueError("polylogarithm level must be 1 or 2")
-    if inner.coeffs[0] != 0:
-        raise ComposeNonzeroConstant("polylogarithm inner series has nonzero constant term")
-    scale = 1 if level == 1 else 2
-    out = [Fraction(0)] * (inner.order + 1)
-    for m, coeffs in _polylog_powers(level, inner):
-        w = scale * _reciprocal_power(m, k)
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                out[i] += w * c
-    return Series(out)
-
-
-@lru_cache(maxsize=None)
-def _polylog_powers(level: int, inner: Series) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
-    """(m, coefficients of inner^m) for each m the level's sum takes, up to inner's order."""
-    step = inner if level == 1 else inner * inner
-    ms = range(1, inner.order + 1, level)
-    return tuple([(m, power.coeffs) for m, power in zip(ms, _geometric(inner, step, len(ms)))])
-
-
 def _geometric(start, step, count: int) -> list:
     """start, start * step, start * step^2, ...: count terms, each one product from the last."""
     terms = [start][:count]
@@ -399,68 +408,30 @@ class BiSeries:
         _check_orders(tt, ty)
         return _biseries(tuple([row[: ty + 1] for row in self.coeffs[: tt + 1]]))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"BiSeries(orders={self.orders})"
 
-    def __neg__(self):
-        return _biseries(tuple([tuple([-c for c in row]) for row in self.coeffs]))
+    def _rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.coeffs
 
-    def _common(self, other: "BiSeries") -> tuple[int, int]:
-        return (
-            min(len(self.coeffs), len(other.coeffs)),
-            min(len(self.coeffs[0]), len(other.coeffs[0])),
-        )
+    @staticmethod
+    def _from_rows(rows) -> "BiSeries":
+        return _biseries(rows)
 
-    def __add__(self, other):
-        if not isinstance(other, BiSeries):
-            first = self.coeffs[0]
-            return _biseries(((first[0] + _exact(other, "a scalar operand"),) + first[1:],) + self.coeffs[1:])
-        return _biseries(
-            tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self.coeffs, other.coeffs)])
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, BiSeries) else -_exact(other, "a scalar operand"))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            f = _exact(other, "a scalar operand")
-            return _biseries(tuple([tuple([c * f for c in row]) for row in self.coeffs]))
-        nt, ny = self._common(other)
-        a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
-        b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
-        return _biseries(tuple([_over(row, da * db) for row in _product(a, b)]))
-
-    __rmul__ = __mul__
+    __eq__ = _eq
+    __hash__ = _hash
+    __neg__ = _neg
+    __add__ = __radd__ = _add
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):
             return self * (1 / _exact(other, "a scalar divisor"))
         if other.coeffs[0][0] == 0:
             raise DivisionZeroConstant("bivariate divisor has zero constant coefficient")
-        nt, ny = self._common(other)
-        a, da = _numerators([row[:ny] for row in self.coeffs[:nt]])
-        b, db = _numerators([row[:ny] for row in other.coeffs[:nt]])
-        nums, powers = _quotient(a, b)
-        return _biseries(
-            tuple(
-                [
-                    tuple([Fraction(db * x, da * powers[m + l + 1]) if x else _ZERO for l, x in enumerate(row)])
-                    for m, row in enumerate(nums)
-                ]
-            )
-        )
+        return _biseries(_grid_quotient(*_common(self.coeffs, other.coeffs)))
 
     def __pow__(self, exponent: int) -> "BiSeries":
         return _power(self, exponent, biseries_constant(1, self.orders))

@@ -339,6 +339,15 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         # a negative control must plant its fault: one compared instance, index 5 or -1
         (_SUM_POLYB_ONE_INSTANCE + ["--perturb", "5"], "plants no fault: SUM_POLYB compared 1 instance(s)"),
         (_SUM_POLYB_ONE_INSTANCE + ["--perturb=-1"], "perturb index -1 must be >= 0"),
+        # a witness value past Python's digit limit cannot be written out; that is no counterexample
+        (
+            ["verify", "CONV_EQ5", "--n", "1", "--k", "99999"],
+            "beta_2^(99999) vs binomial sum over D: a value has more than 4300 digits",
+        ),
+        (
+            ["verify", "VANISH_S1_B", "--k", "8000", "--n", "3", "--m", "4"],
+            "sum_j (-1)^j s(5,j+1) B_3^(-k-j) at k=8000: a value has more than 4300 digits",
+        ),
     ],
     ids=[
         "unparsable-range",
@@ -353,10 +362,18 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "oracle-diff-tilde-weights-reaching-one",
         "verify-perturb-past-the-last-instance",
         "verify-perturb-negative",
+        "verify-witness-past-the-digit-limit",
+        "verify-vanishing-term-past-the-digit-limit",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
+    # Python's default digit limit, whatever PYTHONINTMAXSTRDIGITS set it to
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert code == 2
     assert message in err
     assert err.count("\n") == 1 and not out

@@ -36,7 +36,9 @@ from polyseq.cli import build_table
 from polyseq.congruences import Report, _Checker
 from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
-from polyseq.series import _reciprocal_power, constant, exp_scaled, polylog_apply, truncation_for
+from polyseq.series import constant, exp_scaled, truncation_for
+
+from polylog_reference import _reciprocal_power, polylog_apply
 
 GOLDEN_D4 = {2: F(176, 225), 1: F(7, 15), 0: 0, -1: 1, -2: 16, -3: 121}
 GOLDEN_B4 = {2: F(-199, 225), 1: F(-8, 15), 0: 1, -1: 8, -2: 41, -3: 200}

@@ -27,7 +27,6 @@ from polyseq.series import (
     biseries_exp,
     constant,
     exp_scaled,
-    polylog_apply,
     sinh_series,
     tanh_half,
     truncation_for,
@@ -35,6 +34,8 @@ from polyseq.series import (
 from polyseq.families import _sym_row
 from polyseq.sequences import _exp_plus_one_numerators
 from polyseq.symmetrized import _hat_row, sym_cosecant_halves
+
+from polylog_reference import polylog_apply
 
 
 def test_sym_bernoulli_three_routes_agree():
