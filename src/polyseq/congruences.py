@@ -29,6 +29,7 @@ from math import comb, factorial, gcd
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
 from .families import (
     Family,
+    _evaluate_row,
     _route_row,
     applicable_methods,
     cosecant_bivariate,
@@ -178,7 +179,11 @@ def _render(instance: str, value) -> str:
 
 
 class _Checker:
-    """Collects compared instances; optionally perturbs one lhs by +1."""
+    """Collects compared instances; optionally perturbs one lhs by +1.
+
+    Each side is taken through `_exact`, so a Fraction passes as it is and a
+    float, which holds only the nearest double to what was meant, is refused.
+    """
 
     def __init__(self, perturb_index: int | None = None):
         self.witnesses: list[Witness] = []
@@ -193,14 +198,14 @@ class _Checker:
         return lhs
 
     def eq(self, instance: str, lhs, rhs) -> None:
-        lhs = self._bump(Fraction(lhs))
-        rhs = Fraction(rhs)
+        lhs = self._bump(_exact(lhs, "a witness's lhs"))
+        rhs = _exact(rhs, "a witness's rhs")
         self.witnesses.append(Witness(instance, _render(instance, lhs), _render(instance, rhs)))
         if lhs != rhs:
             self.ok = False
 
     def eq_mod(self, instance: str, lhs, rhs, p: int, N: int) -> None:
-        lhs = self._bump(Fraction(lhs))
+        lhs = self._bump(_exact(lhs, "a witness's lhs"))
         lres = reduce_mod(lhs, p, N)
         rres = reduce_mod(rhs, p, N)
         self.witnesses.append(Witness(instance, str(lres.value), str(rres.value), p**N))
@@ -209,7 +214,7 @@ class _Checker:
 
     def p_integral(self, instance: str, value, p: int) -> bool:
         """Assert p-integrality as 'p-part of the denominator equals 1'."""
-        value = Fraction(value)
+        value = _exact(value, "a p-integrality value")
         part = p ** max(0, -ord_p(value, p)) if value != 0 else 1
         self.eq(instance, part, 1)
         return part == 1
@@ -829,26 +834,32 @@ def _stirling_cong(check, p: int, N: int, jmax: int, nmax: int):
 def oracle_diff(family: Family | str, n_max: int, k_min: int, k_max: int) -> Report:
     """Compare every applicable closed-form method against series extraction.
 
-    A method whose row at n is the series row, as a tuple in lowest terms,
+    The series row of each order is read once, through `_route_row`, and
+    evaluated at every weight of that order where at least two methods
+    apply.  A method whose row at n is that row, as a tuple in lowest terms,
     agrees with the series at every weight, so the series value is its value
     too; any other method, and a cell route, which has no row, is evaluated.
     """
     family = Family(family)
+    for name, bound in (("n_max", n_max), ("k_min", k_min), ("k_max", k_max)):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise UsageError(f"bad oracle sweep: {name} must be an int, not {bound!r}")
     if n_max < 0 or k_min > k_max:
         raise UsageError(f"empty oracle sweep: n up to {n_max}, k in {k_min}..{k_max}")
     checker = _Checker()
     single_method = True
     for n in range(n_max + 1):
+        cells = [(k, methods) for k in range(k_min, k_max + 1) if len(methods := applicable_methods(family, n, k)) > 1]
+        if not cells:
+            continue
+        single_method = False
+        series_row = _route_row(family, n, "series")
+        references = _evaluate_row(series_row, [k for k, _ in cells])
         same_row: dict[str, bool] = {}
-        for k in range(k_min, k_max + 1):
-            methods = applicable_methods(family, n, k)
-            if len(methods) < 2:
-                continue
-            single_method = False
-            reference = family_value_by_method(family, n, k, "series")
+        for (k, methods), reference in zip(cells, references):
             for name in sorted(m for m in methods if m != "series"):
                 if name not in same_row:
-                    same_row[name] = _route_row(family, n, name) == _route_row(family, n, "series")
+                    same_row[name] = _route_row(family, n, name) == series_row
                 value = reference if same_row[name] else family_value_by_method(family, n, k, name)
                 checker.eq(f"{family.value}(n={n}, k={k}) {name} vs series", value, reference)
     params = {"family": family.value, "n_max": n_max, "k_min": k_min, "k_max": k_max}

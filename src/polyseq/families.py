@@ -32,9 +32,10 @@ expands to the same sum over half the denominator.
 Every row is in lowest terms (`_row`): bases ascending, no zero c_b and no
 common factor of the denominator and the c_b.  Since the functions b^-k of
 distinct bases are independent, two rows are equal tuples exactly when they
-are the same function of k.  So `oracle_diff` compares each closed form's row
-with the series row once per order, through `_route_row`, and evaluates a
-method only where they differ.
+are the same function of k.  So `oracle_diff` reads the series row once per
+order, through `_route_row`, and evaluates it at all that order's weights in
+one `_evaluate_row` call.  It compares each closed form's row with that row
+once per order and evaluates a method only where they differ.
 
 Each method in `ROUTES` holds its row builder: a closed form's behind one
 bounded LRU cache, the series route's reading the family's matrix, which is

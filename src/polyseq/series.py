@@ -31,7 +31,10 @@ binomial sum there, not a `Series`.
 
 A float is refused through `_exact` by `Series` and `BiSeries` themselves, by
 the public constructors `constant`, `exp_scaled`, `biseries_constant` and
-`biseries_exp`, and by the scalar operands of `+`, `-`, `*` and `/`.
+`biseries_exp`, and by the scalar operands of `+`, `-`, `*` and `/`; the
+residue primitives and the witness checker in `congruences` refuse it the
+same way.  `_exact` returns a `Fraction` as it is and converts only ints and
+strings, so passing a value through it again costs one type check.
 Arithmetic builds its results from the new `Fraction`s through `_series` and
 `_biseries`, without converting them again, and so do the constructors,
 `truncate` and `partial_y`.
@@ -63,7 +66,14 @@ def truncation_for(n: int) -> int:
 
 
 def _exact(value, name: str) -> Fraction:
-    """`value` as a Fraction; a float is refused, as it holds only the nearest double to what was written."""
+    """`value` as a Fraction; a float is refused, as it holds only the nearest double to what was written.
+
+    A Fraction is returned as it is, with no copy: `Fraction(x)` of a Fraction
+    goes through the `numbers.Rational` ABC check, which costs more than ten
+    times this whole call.  Ints and strings such as '1/10' are converted.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{name} must be an int, a Fraction or a string such as '1/10', not the float {value!r}")
     return Fraction(value)

@@ -19,7 +19,7 @@ from polyseq import (
     valuation_report,
     verify,
 )
-from polyseq.congruences import registry_doc
+from polyseq.congruences import _Checker, registry_doc
 
 
 def test_ord_p_examples():
@@ -419,3 +419,47 @@ def test_oracle_diff_refuses_an_empty_sweep(n_max, k_min, k_max):
     # an empty sweep would otherwise pass with no witnesses
     with pytest.raises(UsageError):
         oracle_diff("Cosecant", n_max, k_min, k_max)
+
+
+@pytest.mark.parametrize(
+    "bounds,name,value",
+    [
+        ((True, 0, 0), "n_max", True),
+        (("3", 0, 0), "n_max", "3"),
+        ((3, 0.5, 1), "k_min", 0.5),
+        ((3, False, 1), "k_min", False),
+        ((3, 0, 1.0), "k_max", 1.0),
+        ((3, 0, None), "k_max", None),
+    ],
+    ids=["n_max-bool", "n_max-str", "k_min-float", "k_min-bool", "k_max-float", "k_max-none"],
+)
+def test_oracle_diff_refuses_a_bound_that_is_not_an_int(bounds, name, value):
+    # a bool would pass into the report's params; a string or a float would fail inside the sweep
+    with pytest.raises(UsageError, match=f"^bad oracle sweep: {name} must be an int, not {value!r}$"):
+        oracle_diff("PolyB_B", *bounds)
+
+
+def test_the_checker_refuses_a_float_on_either_side():
+    # 0.1 is the double 3602879701896397/2^55, which would be reported as a counterexample to 1/10
+    checker = _Checker()
+    calls = (
+        lambda: checker.eq("x", 0.1, F(1, 10)),
+        lambda: checker.eq("x", F(1, 10), 0.1),
+        lambda: checker.eq_mod("y", 0.5, 2, 3, 1),
+        lambda: checker.eq_mod("y", 2, 0.5, 3, 1),
+        lambda: checker.p_integral("z", 0.5, 3),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="not the float"):
+            call()
+    assert checker.witnesses == [] and checker.ok
+    # exact values of every accepted type still compare as before
+    checker.eq("x", "1/10", F(1, 10))
+    checker.eq_mod("y", F(1, 2), 2, 3, 1)
+    assert checker.p_integral("z", F(1, 2), 3)
+    assert [w.to_dict() for w in checker.witnesses] == [
+        {"instance": "x", "lhs": "1/10", "rhs": "1/10"},
+        {"instance": "y", "lhs": "2", "rhs": "2", "modulus": 3},
+        {"instance": "z", "lhs": "1", "rhs": "1"},
+    ]
+    assert checker.ok

@@ -967,6 +967,29 @@ def test_oracle_diff_equals_the_cell_by_cell_reference_on_the_ci_grid():
         assert oracle_diff(family, 24, -12, k_max).to_json() == want, family
 
 
+def test_oracle_diff_equals_the_cell_by_cell_reference_on_single_weight_sweeps():
+    # the oracle benchmark's sweeps: one weight each, n up to 24
+    for family in (Family.POLY_B, Family.POLY_C, Family.COSECANT, Family.COTANGENT):
+        for k in range(-12, 13):
+            want = _reference_oracle_diff(family, 24, k, k).to_json()
+            assert oracle_diff(family, 24, k, k).to_json() == want, (family, k)
+
+
+@st.composite
+def _oracle_sweeps(draw):
+    """(family, n_max, k_min, k_max) with n_max <= 12 and weights in -12..12, TildeD's at most 0."""
+    family = draw(st.sampled_from(list(Family)))
+    top = 0 if family is Family.TILDE_D else 12
+    k_min = draw(st.integers(-12, top))
+    return family, draw(st.integers(0, 12)), k_min, draw(st.integers(k_min, top))
+
+
+@settings(deadline=None, max_examples=60)
+@given(sweep=_oracle_sweeps())
+def test_oracle_diff_equals_the_cell_by_cell_reference_on_drawn_sweeps(sweep):
+    assert oracle_diff(*sweep).to_json() == _reference_oracle_diff(*sweep).to_json()
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     family=st.sampled_from(list(Family)),

@@ -363,6 +363,16 @@ def test_public_constructors_take_exact_rationals_only():
             call()
 
 
+def test_exact_returns_a_fraction_as_it_is_and_converts_ints_and_strings():
+    f = F(1, 10)
+    assert _exact(f, "f") is f
+    for value, want in ((3, F(3)), (-7, F(-7)), ("1/10", F(1, 10)), ("-2/4", F(-1, 2))):
+        got = _exact(value, "value")
+        assert type(got) is F and got == want
+    with pytest.raises(TypeError, match="^value must be an int, a Fraction or a string such as '1/10', not the float 0.1$"):
+        _exact(0.1, "value")
+
+
 # ------------------------------------------------------------- constructors
 # The constructors, truncations and partial_y as they were before they built
 # each coefficient from integers: Fraction powers and quotients, converted
