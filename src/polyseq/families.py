@@ -10,11 +10,13 @@ Since division is linear, the expansion at weight k is sum_m scale m^-k
 Q_m with quotients Q_m = inner^m / denominator that no k changes.  One cached
 matrix per family, `_series_rows`, holds n! scale Q_m[n] for every n <= order
 as an integer power-basis row in the bases m; it costs one series division,
-Q_1, and multiplications Q_{m+level} = Q_m inner^level.  Only the largest
-matrix asked for is kept, and smaller orders read their rows from it.  The
-series route evaluates those rows like the closed forms below.  The rows come
-from series arithmetic on the generating function alone, never from Stirling
-numbers, so the oracle stays independent of the closed forms.
+Q_1, and multiplications Q_{m+level} = Q_m inner^level, and each row is read
+from the columns' integer grids over their common denominator, with no
+`Fraction`.  Only the largest matrix asked for is kept, and smaller orders
+read their rows from it.  The series route evaluates those rows like the
+closed forms below.  The rows come from series arithmetic on the generating
+function alone, never from Stirling numbers, so the oracle stays independent
+of the closed forms.
 
 The explicit closed forms of B, C, D, beta and TildeD share one shape,
 value(n, k) = sum_b c[b] b^-k / denominator, with integer c that do not
@@ -132,12 +134,12 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
     z = inner(order + 1)
     step = z if level == 1 else z * z
     bases = range(1, order + 2, level)
-    columns = [q.coeffs for q in se._geometric(z / denominator(order + 1, z), step, len(bases))]
-    rows = []
-    for n in range(order + 1):
-        (numerators,), d = se._numerators([[factorial(n) * level * q[n] for q in columns]])
-        rows.append(_row(d, zip(bases, numerators)))
-    return tuple(rows)
+    columns = se._geometric(z / denominator(order + 1, z), step, len(bases))
+    d = lcm(*[q._den for q in columns])
+    # each column's integer numerators and the scale that takes them to the common denominator d
+    columns = [(level * (d // q._den), q._grid[0]) for q in columns]
+    weights = enumerate(map(factorial, range(order + 1)))
+    return tuple([_row(d, zip(bases, [f * s * g[n] for s, g in columns])) for n, f in weights])
 
 
 # ---------------------------------------------------------------- power-basis rows
@@ -514,7 +516,7 @@ def tilde_cosecant(m: int, k: int) -> Fraction:
     return _value(Family.TILDE_D, m, k, None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bivariate_denominators(orders: tuple[int, int]) -> tuple[tuple[se.BiSeries, se.BiSeries, se.BiSeries], ...]:
     """(e^{st}, e^{st+y}, 1 + e^{st} + e^y - e^{st+y}) for s = 1, then s = -1."""
     ey = se.biseries_exp(0, 1, orders)

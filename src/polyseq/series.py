@@ -1,33 +1,29 @@
 """Exact truncated formal power series over rationals, in one and two variables.
 
-Coefficients are stored as ordinary power-series coefficients, one `Fraction`
-each; the factorial-weighted view a_n = n! * c_n is applied only on
-extraction.  All values are immutable and all operations are pure functions.
-The constructors build one `Fraction` per coefficient from integers: e^{ct}
-at c = p/q has p^n / (q^n n!), and e^{at+by} at a = p/q, b = r/s has
-p^m r^l / (q^m s^l m! l!); every zero coefficient is the shared `_ZERO`.
+A `Series` or `BiSeries` is one positive integer denominator and a grid of
+integer numerators of the ordinary coefficients (a `Series` is the one-row
+grid), in lowest terms: no integer above one divides the denominator and
+every numerator.  So two series are equal, and hash alike, exactly when
+their (denominator, grid) pairs are.  Values are immutable.  `Fraction`s are
+made only where a caller reads values: `coeffs` builds its tuple on the
+first read and keeps it, `coefficient` builds one, and `egf`, the weighted
+a_n = n! * c_n, scales that one.
 
-Products and quotients run on integers.  Each operand is written as integer
-numerators over the lcm of its denominators, and one `_product` and one
-`_quotient` on grids of those numerators serve both classes, a `Series`
-being the one-row grid.  A product is an integer convolution over the
-product of the two denominators; a quotient's numerators come from a
-fraction-free recurrence in powers of the divisor's lead coefficient (see
-`_quotient`).  Only the result becomes `Fraction`s, one per coefficient, so
-no gcd is taken inside a convolution.
+Every operator runs on integers.  A sum rescales both grids to the lcm of
+their denominators; a product is an integer convolution, `_product`, over
+the product of the denominators; a quotient's numerators come from a
+fraction-free recurrence in powers of the divisor's lead numerator (see
+`_quotient` and `_divided`).  One gcd over the grid, in `_new`, brings each
+result to lowest terms.  The constructors build grids from integers: e^{ct}
+at c = p/q and order T is p^n q^(T-n) T!/n! over q^T T!.  The operators
+both classes share (negation, `+`, `-`, `*`, `==`, `hash` and the integer
+tail of `/`) are written once and listed under their operator names in each
+class, so a wrapper installed per class (bench/tracer.py installs one) sees
+each class's calls.
 
-The operators both classes share (negation, `+`, `-`, `*`, `==`, `hash` and
-the integer tail of `/`) are written once, on the grid of rows, and listed
-under their operator names in each class, so a wrapper installed per class
-(bench/tracer.py installs one) sees each class's calls.  Each class keeps its
-construction, its queries, `__repr__`, the unit `**` starts from and the
-checks before a division.
-
-One cache holds work that no weight k changes: `tanh_half(order)`, which
-three families' generating functions share; it grows for the life of the
-process.  The family expansions in `families` build their matrices from
-these series; a family's product with a fixed series is a sum of rows or a
-binomial sum there, not a `Series`.
+One cache, `tanh_half(order)`, holds what three families' generating
+functions share; it grows for the life of the process.  `families` reads
+the integer grids of its quotient series into its matrices.
 
 A float is refused through `_exact` by `Series` and `BiSeries` themselves, by
 the public constructors `constant`, `exp_scaled`, `biseries_constant` and
@@ -35,16 +31,13 @@ the public constructors `constant`, `exp_scaled`, `biseries_constant` and
 residue primitives and the witness checker in `congruences` refuse it the
 same way.  `_exact` returns a `Fraction` as it is and converts only ints and
 strings, so passing a value through it again costs one type check.
-Arithmetic builds its results from the new `Fraction`s through `_series` and
-`_biseries`, without converting them again, and so do the constructors,
-`truncate` and `partial_y`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Union
 
 from .errors import (
@@ -88,26 +81,28 @@ def _check_orders(*orders: int) -> None:
 _ZERO = Fraction(0)
 
 
-def _numerators(rows) -> tuple[list[list[int]], int]:
-    """Each row of Fractions as integer numerators over the lcm of all their denominators, and that lcm."""
-    d = lcm(*[c.denominator for row in rows for c in row])
-    return [[c.numerator * (d // c.denominator) for c in row] for row in rows], d
+def _new(cls, den: int, grid):
+    """A `cls` over a positive denominator and a grid of integer numerators, both divided by their gcd."""
+    common = gcd(den, *[x for row in grid for x in row])
+    if common != 1:
+        den //= common
+        grid = [[x // common for x in row] for row in grid]
+    out = object.__new__(cls)
+    out._den = den
+    out._grid = tuple([tuple(row) for row in grid])
+    out._coeffs = None
+    return out
 
 
-def _over(numerators, denominator: int) -> tuple[Fraction, ...]:
-    """One Fraction per integer numerator over the common denominator."""
-    return tuple([Fraction(x, denominator) if x else _ZERO for x in numerators])
+def _set_fractions(self, rows, coeffs) -> None:
+    """Self from rows of Fractions: over the lcm of lowest-terms denominators no factor is common to all."""
+    den = lcm(*[c.denominator for row in rows for c in row])
+    self._den = den
+    self._grid = tuple([tuple([c.numerator * (den // c.denominator) for c in row]) for row in rows])
+    self._coeffs = coeffs
 
 
-def _lead_powers(lead: int, count: int) -> list[int]:
-    """lead^0 .. lead^count."""
-    powers = [1]
-    for _ in range(count):
-        powers.append(powers[-1] * lead)
-    return powers
-
-
-def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _product(a, b) -> list[list[int]]:
     """The product of two equal-shaped grids of integer numerators, truncated to that shape."""
     nt, ny = len(a), len(a[0])
     terms = [(i, [(j, y) for j, y in enumerate(row) if y]) for i, row in enumerate(b)]
@@ -128,16 +123,15 @@ def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _quotient(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _quotient(a, b) -> tuple[list[list[int]], list[int]]:
     """Numerators N of a / b on equal-shaped integer grids, and the powers b0^0 .. b0^(rows + columns - 1) of b0 = b[0][0].
 
     Cell (m, l) of a / b is N_{m,l} / b0^(m+l+1), where N_{m,l} =
     a_{m,l} b0^(m+l) - sum_{(i,j) != (0,0)} N_{m-i,l-j} b_{i,j} b0^(i+j-1):
-    each step of the long division raises m + l by i + j >= 1.  With a over
-    d_a and b over d_b, the cell is d_b N_{m,l} / (d_a b0^(m+l+1)).
+    each step of the long division raises m + l by i + j >= 1.
     """
     nt, ny = len(a), len(a[0])
-    powers = _lead_powers(b[0][0], nt + ny - 1)
+    powers = _geometric(1, b[0][0], nt + ny)
     terms = [(i, [(j, y * powers[i + j - 1]) for j, y in enumerate(row) if y and i + j]) for i, row in enumerate(b)]
     terms = [(i, row) for i, row in terms if row]
     nums = []
@@ -165,41 +159,47 @@ def _common(a, b) -> tuple[list, list]:
     return [row[:ny] for row in a[:nt]], [row[:ny] for row in b[:nt]]
 
 
-def _grid_quotient(a_rows, b_rows) -> tuple[tuple[Fraction, ...], ...]:
-    """a / b on equal-shaped grids of Fractions whose divisor has a nonzero constant, by `_quotient`."""
-    a, da = _numerators(a_rows)
-    b, db = _numerators(b_rows)
+def _divided(cls, a_den: int, b_den: int, a, b):
+    """(a / a_den) / (b / b_den) on equal-shaped grids whose divisor has a nonzero constant, by `_quotient`.
+
+    Cell (m, l) is b_den N_{m,l} / (a_den b0^(m+l+1)).  Each N is put in
+    lowest terms over its power first: scaling every cell to the top power
+    and taking one gcd over the grid costs more than these small gcds.  A
+    negative power keeps its sign there, and `den // q` carries it to N.
+    """
     nums, powers = _quotient(a, b)
-    return tuple(
-        [
-            tuple([Fraction(db * x, da * powers[m + l + 1]) if x else _ZERO for l, x in enumerate(row)])
-            for m, row in enumerate(nums)
-        ]
-    )
+    cells = [[(x // (g := gcd(x, p)), p // g) for x, p in zip(row, powers[m + 1 :])] for m, row in enumerate(nums)]
+    den = lcm(*[q for row in cells for _, q in row])
+    return _new(cls, a_den * den, [[b_den * x * (den // q) if x else 0 for x, q in row] for row in cells])
 
 
-# The operators `Series` and `BiSeries` share: each reads its operands as grids
-# through `_rows` and builds its result through `_from_rows`.
+# The operators `Series` and `BiSeries` share: each reads its operands'
+# denominators and grids and builds its result through `_new`.
 
 
 def _eq(self, other) -> bool:
-    return isinstance(other, type(self)) and self.coeffs == other.coeffs
+    return isinstance(other, type(self)) and self._den == other._den and self._grid == other._grid
 
 
 def _hash(self):
-    return hash(self.coeffs)
+    return hash((self._den, self._grid))
 
 
 def _neg(self):
-    return self._from_rows(tuple([tuple([-c for c in row]) for row in self._rows()]))
+    return _new(type(self), self._den, [[-x for x in row] for row in self._grid])
 
 
 def _add(self, other):
-    rows = self._rows()
     if not isinstance(other, type(self)):
-        first = rows[0]
-        return self._from_rows(((first[0] + _exact(other, "a scalar operand"),) + first[1:],) + rows[1:])
-    return self._from_rows(tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(rows, other._rows())]))
+        f = _exact(other, "a scalar operand")
+        den = lcm(self._den, f.denominator)
+        scale = den // self._den
+        grid = [[x * scale for x in row] for row in self._grid]
+        grid[0][0] += f.numerator * (den // f.denominator)
+        return _new(type(self), den, grid)
+    den = lcm(self._den, other._den)
+    sa, sb = den // self._den, den // other._den
+    return _new(type(self), den, [[x * sa + y * sb for x, y in zip(r, s)] for r, s in zip(self._grid, other._grid)])
 
 
 def _sub(self, other):
@@ -213,33 +213,37 @@ def _rsub(self, other):
 def _mul(self, other):
     if not isinstance(other, type(self)):
         f = _exact(other, "a scalar operand")
-        return self._from_rows(tuple([tuple([c * f for c in row]) for row in self._rows()]))
-    a_rows, b_rows = _common(self._rows(), other._rows())
-    a, da = _numerators(a_rows)
-    b, db = _numerators(b_rows)
-    return self._from_rows(tuple([_over(row, da * db) for row in _product(a, b)]))
+        return _new(type(self), self._den * f.denominator, [[x * f.numerator for x in row] for row in self._grid])
+    return _new(type(self), self._den * other._den, _product(*_common(self._grid, other._grid)))
 
 
 class Series:
-    """Truncated series sum_{n=0}^{order} c_n t^n with Fraction coefficients."""
+    """Truncated series sum_{n=0}^{order} c_n t^n: integer numerators over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_den", "_grid", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = tuple([_exact(c, "a coefficient") for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = cs
+        _set_fractions(self, (cs,), cs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on the first read and kept."""
+        if self._coeffs is None:
+            self._coeffs = tuple([Fraction(x, self._den) if x else _ZERO for x in self._grid[0]])
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._grid[0]) - 1
 
     def coefficient(self, n: int) -> Fraction:
         """Ordinary coefficient c_n."""
         if n > self.order:
             raise IndexBeyondTruncation(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self._grid[0][n], self._den)
 
     def egf(self, n: int) -> Fraction:
         """Factorial-weighted coefficient a_n = n! * c_n."""
@@ -247,28 +251,18 @@ class Series:
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all retained are zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+        return next((i for i, x in enumerate(self._grid[0]) if x), None)
 
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
         _check_orders(order)
-        return _series(self.coeffs[: order + 1])
+        return _new(Series, self._den, (self._grid[0][: order + 1],))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
         return f"Series(order={self.order}, [{shown}{tail}])"
-
-    def _rows(self) -> tuple[tuple[Fraction, ...]]:
-        return (self.coeffs,)
-
-    @staticmethod
-    def _from_rows(rows) -> "Series":
-        return _series(rows[0])
 
     __eq__ = _eq
     __hash__ = _hash
@@ -288,18 +282,17 @@ class Series:
         if va is not None and va < v:
             raise DivisionValuation(f"dividend valuation {va} is below divisor valuation {v}")
         # cancel t^v on both sides; the quotient keeps min(Ta, Tb) - v terms
-        n = min(len(self.coeffs), len(other.coeffs)) - v
+        n = min(self.order, other.order) + 1 - v
         if n < 1:
             raise DivisionValuation("no coefficients survive the valuation shift at this truncation")
-        (out,) = _grid_quotient([self.coeffs[v : v + n]], [other.coeffs[v : v + n]])
-        return _series(out)
+        return _divided(Series, self._den, other._den, [self._grid[0][v : v + n]], [other._grid[0][v : v + n]])
 
     def __pow__(self, exponent: int) -> "Series":
         return _power(self, exponent, constant(1, self.order))
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
+        if inner._grid[0][0]:
             raise ComposeNonzeroConstant("composition inner series has nonzero constant term")
         order = min(self.order, inner.order)
         g = inner.truncate(order)
@@ -307,13 +300,6 @@ class Series:
         for i in range(order - 1, -1, -1):
             acc = acc * g + self.coeffs[i]
         return acc
-
-
-def _series(coeffs: tuple[Fraction, ...]) -> Series:
-    """A Series over coefficients that are already Fractions, without converting them again."""
-    out = object.__new__(Series)
-    out.coeffs = coeffs
-    return out
 
 
 def _power(base, exponent: int, one):
@@ -330,40 +316,44 @@ def _power(base, exponent: int, one):
 
 def constant(value: Scalar, order: int) -> Series:
     _check_orders(order)
-    return _series((_exact(value, "value"),) + (_ZERO,) * order)
+    f = _exact(value, "value")
+    return _new(Series, f.denominator, ((f.numerator,) + (0,) * order,))
 
 
 def monomial(order: int) -> Series:
     """The series t, truncated at the given order."""
     _check_orders(order)
-    return _series(tuple([Fraction(1) if n == 1 else _ZERO for n in range(order + 1)]))
+    return _new(Series, 1, ([1 if n == 1 else 0 for n in range(order + 1)],))
 
 
-def _exp_terms(c: Fraction, order: int) -> list[tuple[int, int]]:
-    """(p^n, q^n n!) for n = 0..order, where c = p/q: the numerator and denominator of c^n / n!."""
+def _exp_row(c: Fraction, order: int) -> tuple[int, list[int]]:
+    """(q^T T!, [p^n q^(T-n) T!/n! for n = 0..T]) at T = order and c = p/q: c^n / n! over one denominator."""
     _check_orders(order)
     p, q = c.numerator, c.denominator
-    terms = [(1, 1)]
-    for n in range(1, order + 1):
-        num, den = terms[-1]
-        terms.append((num * p, den * q * n))
-    return terms
+    cofactors = [1]
+    for n in range(order, 0, -1):
+        cofactors.append(cofactors[-1] * q * n)
+    row, power = [], 1
+    for cofactor in reversed(cofactors):
+        row.append(power * cofactor)
+        power *= p
+    return cofactors[-1], row
 
 
 def exp_scaled(c: Scalar, order: int) -> Series:
     """e^{ct} truncated: coefficients c^n / n!."""
-    terms = _exp_terms(_exact(c, "c"), order)
-    return _series(tuple([Fraction(num, den) if num else _ZERO for num, den in terms]))
+    den, row = _exp_row(_exact(c, "c"), order)
+    return _new(Series, den, (row,))
 
 
 def sinh_series(order: int) -> Series:
-    _check_orders(order)
-    return _series(tuple([Fraction(1, factorial(n)) if n % 2 else _ZERO for n in range(order + 1)]))
+    den, row = _exp_row(Fraction(1), order)
+    return _new(Series, den, ([x if n % 2 else 0 for n, x in enumerate(row)],))
 
 
 def cosh_series(order: int) -> Series:
-    _check_orders(order)
-    return _series(tuple([_ZERO if n % 2 else Fraction(1, factorial(n)) for n in range(order + 1)]))
+    den, row = _exp_row(Fraction(1), order)
+    return _new(Series, den, ([0 if n % 2 else x for n, x in enumerate(row)],))
 
 
 @lru_cache(maxsize=None)
@@ -386,9 +376,9 @@ def _geometric(start, step, count: int) -> list:
 
 
 class BiSeries:
-    """Truncated series sum c_{m,l} t^m y^l on a (T_t+1) x (T_y+1) grid."""
+    """Truncated series sum c_{m,l} t^m y^l on a (T_t+1) x (T_y+1) grid of integer numerators over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_den", "_grid", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Iterable[Scalar]]):
         rows = tuple([tuple([_exact(c, "a coefficient") for c in row]) for row in coeffs])
@@ -397,17 +387,25 @@ class BiSeries:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged coefficient grid")
-        self.coeffs = rows
+        _set_fractions(self, rows, rows)
+
+    @property
+    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The coefficient grid as Fractions, built on the first read and kept."""
+        if self._coeffs is None:
+            d = self._den
+            self._coeffs = tuple([tuple([Fraction(x, d) if x else _ZERO for x in row]) for row in self._grid])
+        return self._coeffs
 
     @property
     def orders(self) -> tuple[int, int]:
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
+        return (len(self._grid) - 1, len(self._grid[0]) - 1)
 
     def coefficient(self, m: int, l: int) -> Fraction:
         tt, ty = self.orders
         if m > tt or l > ty:
             raise IndexBeyondTruncation(f"coefficient ({m},{l}) beyond truncation {self.orders}")
-        return self.coeffs[m][l]
+        return Fraction(self._grid[m][l], self._den)
 
     def egf(self, m: int, l: int) -> Fraction:
         """m! * l! times the ordinary coefficient."""
@@ -416,17 +414,10 @@ class BiSeries:
     def truncate(self, orders: tuple[int, int]) -> "BiSeries":
         tt, ty = orders
         _check_orders(tt, ty)
-        return _biseries(tuple([row[: ty + 1] for row in self.coeffs[: tt + 1]]))
+        return _new(BiSeries, self._den, [row[: ty + 1] for row in self._grid[: tt + 1]])
 
     def __repr__(self):
         return f"BiSeries(orders={self.orders})"
-
-    def _rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.coeffs
-
-    @staticmethod
-    def _from_rows(rows) -> "BiSeries":
-        return _biseries(rows)
 
     __eq__ = _eq
     __hash__ = _hash
@@ -439,9 +430,9 @@ class BiSeries:
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):
             return self * (1 / _exact(other, "a scalar divisor"))
-        if other.coeffs[0][0] == 0:
+        if other._grid[0][0] == 0:
             raise DivisionZeroConstant("bivariate divisor has zero constant coefficient")
-        return _biseries(_grid_quotient(*_common(self.coeffs, other.coeffs)))
+        return _divided(BiSeries, self._den, other._den, *_common(self._grid, other._grid))
 
     def __pow__(self, exponent: int) -> "BiSeries":
         return _power(self, exponent, biseries_constant(1, self.orders))
@@ -451,21 +442,15 @@ class BiSeries:
         tt, ty = self.orders
         if ty == 0:
             raise IndexBeyondTruncation("cannot differentiate a series with y-order 0")
-        return _biseries(tuple([tuple([(l + 1) * row[l + 1] for l in range(ty)]) for row in self.coeffs]))
-
-
-def _biseries(rows: tuple[tuple[Fraction, ...], ...]) -> BiSeries:
-    """A BiSeries over a grid of Fractions of equal width, without converting them again."""
-    out = object.__new__(BiSeries)
-    out.coeffs = rows
-    return out
+        return _new(BiSeries, self._den, [[(l + 1) * row[l + 1] for l in range(ty)] for row in self._grid])
 
 
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:
     tt, ty = orders
     _check_orders(tt, ty)
-    zeros = (_ZERO,) * (ty + 1)
-    return _biseries(((_exact(value, "value"),) + zeros[1:],) + (zeros,) * tt)
+    f = _exact(value, "value")
+    zeros = (0,) * (ty + 1)
+    return _new(BiSeries, f.denominator, ((f.numerator,) + zeros[1:],) + (zeros,) * tt)
 
 
 def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSeries:
@@ -474,7 +459,5 @@ def biseries_exp(a: Scalar, b: Scalar, orders: tuple[int, int] | int) -> BiSerie
         orders = (orders, orders)
     tt, ty = orders
     a, b = _exact(a, "a"), _exact(b, "b")
-    t_terms, y_terms = _exp_terms(a, tt), _exp_terms(b, ty)
-    return _biseries(
-        tuple([tuple([Fraction(p * r, q * s) if p and r else _ZERO for r, s in y_terms]) for p, q in t_terms])
-    )
+    (t_den, t_row), (y_den, y_row) = _exp_row(a, tt), _exp_row(b, ty)
+    return _new(BiSeries, t_den * y_den, [[x * y for y in y_row] for x in t_row])

@@ -348,6 +348,14 @@ def _oracle_diff_argv(nmax, kmin, kmax):
             ["verify", "VANISH_S1_B", "--k", "8000", "--n", "3", "--m", "4"],
             "sum_j (-1)^j s(5,j+1) B_3^(-k-j) at k=8000: a value has more than 4300 digits",
         ),
+        # a generating-function sweep past its cap is refused before any series is built
+        (["verify", "GF_SYM_B", "--n", "2", "--lmax", "99999999"], "lmax must stay within 0..32"),
+        (["verify", "GF_SYM_B", "--n", "100000000", "--lmax", "2"], "n must stay within 0..64"),
+        (["verify", "GF_SYM_COSE", "--n", "100000000", "--lmax", "2"], "n must stay within 0..64"),
+        (["verify", "GF_SYM_COSE", "--n", "3", "--lmax", "33"], "lmax must stay within 0..32"),
+        (["verify", "GF_BIVARIATE", "--nmax", "999999", "--kmax", "0"], "nmax must stay within 0..32"),
+        (["verify", "GF_BIVARIATE", "--nmax", "0", "--kmax", "33"], "kmax must stay within 0..32"),
+        (["verify", "GF_BIVARIATE", "--nmax", "48", "--kmax", "48"], "nmax must stay within 0..32"),
     ],
     ids=[
         "unparsable-range",
@@ -364,6 +372,13 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "verify-perturb-negative",
         "verify-witness-past-the-digit-limit",
         "verify-vanishing-term-past-the-digit-limit",
+        "verify-gf-sym-b-lmax-past-the-cap",
+        "verify-gf-sym-b-level-past-the-cap",
+        "verify-gf-sym-cose-level-past-the-cap",
+        "verify-gf-sym-cose-lmax-past-the-cap",
+        "verify-gf-bivariate-nmax-past-the-cap",
+        "verify-gf-bivariate-kmax-past-the-cap",
+        "verify-gf-bivariate-both-past-the-cap",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):

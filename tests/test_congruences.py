@@ -463,3 +463,33 @@ def test_the_checker_refuses_a_float_on_either_side():
         {"instance": "z", "lhs": "1", "rhs": "1"},
     ]
     assert checker.ok
+
+
+def test_generating_function_sweeps_refuse_bounds_past_their_caps_before_building(monkeypatch):
+    from polyseq import congruences as cg
+
+    def unbuilt(*args):
+        raise AssertionError("a series was built for a sweep past its cap")
+
+    for name in ("cosecant_bivariate", "sym_bernoulli_bivariate", "sym_cosecant_bivariate"):
+        monkeypatch.setattr(cg, name, unbuilt)
+    past = [
+        ("GF_BIVARIATE", dict(nmax=cg.GF_MAX_ORDER + 1, kmax=0), "nmax must stay within 0..32"),
+        ("GF_BIVARIATE", dict(nmax=0, kmax=cg.GF_MAX_ORDER + 1), "kmax must stay within 0..32"),
+        ("GF_SYM_B", dict(n=cg.GF_MAX_LEVEL + 1, lmax=0), "n must stay within 0..64"),
+        ("GF_SYM_B", dict(n=0, lmax=cg.GF_MAX_ORDER + 1), "lmax must stay within 0..32"),
+        ("GF_SYM_COSE", dict(n=cg.GF_MAX_LEVEL + 1, lmax=0), "n must stay within 0..64"),
+        ("GF_SYM_COSE", dict(n=0, lmax=cg.GF_MAX_ORDER + 1), "lmax must stay within 0..32"),
+    ]
+    for identity, params, message in past:
+        with pytest.raises(UsageError, match=message):
+            verify(identity, params)
+
+
+def test_generating_function_sweeps_run_at_their_caps():
+    from polyseq.congruences import GF_MAX_LEVEL, GF_MAX_ORDER
+
+    assert verify("GF_BIVARIATE", dict(nmax=GF_MAX_ORDER, kmax=1)).passed
+    assert verify("GF_BIVARIATE", dict(nmax=1, kmax=GF_MAX_ORDER)).passed
+    assert verify("GF_SYM_B", dict(n=GF_MAX_LEVEL, lmax=2)).passed
+    assert verify("GF_SYM_COSE", dict(n=GF_MAX_LEVEL, lmax=2)).passed

@@ -38,6 +38,7 @@ from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
 from polyseq.series import constant, exp_scaled, truncation_for
 
+import series_reference
 from polylog_reference import _reciprocal_power, polylog_apply
 
 GOLDEN_D4 = {2: F(176, 225), 1: F(7, 15), 0: 0, -1: 1, -2: 16, -3: 121}
@@ -674,6 +675,12 @@ def test_series_rows_match_the_per_weight_expansion(family, k, order):
     assert [fa._evaluate_row(row, (k,))[0] for row in rows] == [want.egf(n) for n in range(order + 1)]
 
 
+@pytest.mark.parametrize("order", [24, 40, 64])
+def test_series_matrices_equal_the_fraction_kernel_rows(order):
+    for family in Family:
+        assert fa._build_series_rows(family, order) == series_reference.build_series_rows(family, order), family
+
+
 def test_a_series_sweep_keeps_one_matrix_per_family():
     fa._SERIES_MATRICES.clear()
     for family in (Family.COSECANT, Family.POLY_C):
@@ -1029,3 +1036,13 @@ def test_one_function_written_two_ways_is_one_tuple(denominator, terms, factor):
     # where every c_b is b e_b, the lift is the row of the e_b written at exponent k
     lifted = [(b, c * b * (common // b)) for b, c in terms]
     assert fa._row(common * denominator, lifted) == fa._row(denominator, terms)
+
+
+def test_bivariate_denominators_keep_at_most_128_orders():
+    # a sweep over many (nmax, kmax) used to keep every order's three series for the life of the process
+    cache = fa._bivariate_denominators
+    cache.cache_clear()
+    for orders in [(nmax, kmax) for nmax in range(12) for kmax in range(12)]:
+        cache(orders)
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (128, 128, 144)

@@ -3,7 +3,7 @@
 import inspect
 import operator
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from polyseq.series import (
 )
 
 import polylog_reference
+import series_reference
 from polylog_reference import polylog_apply
 
 
@@ -469,8 +470,8 @@ def test_constructors_equal_the_fraction_constructors(a, b, tt, ty, cut):
     for got, want in pairs:
         assert got.coeffs == want.coeffs
         rows = got.coeffs if isinstance(got, BiSeries) else (got.coeffs,)
-        # no int may pass _series or _biseries unconverted
         assert all(type(c) is F for row in rows for c in row)
+        _assert_lowest_terms(got)
 
 
 def test_constructors_refuse_negative_orders():
@@ -758,3 +759,105 @@ def test_a_wrapper_on_one_class_counts_that_class_calls_only(monkeypatch, cls):
     calls.clear()
     assert (mine / 2) == mine * F(1, 2)
     assert calls == ["__truediv__", "__mul__", "__mul__", "__eq__"]
+
+
+# ------------------------------------------------------------- integer grids
+# Drawn expressions evaluated side by side on the integer-grid classes and on
+# the one-Fraction-per-coefficient kernel they replaced, `series_reference`.
+
+_GRID_ERRORS = (
+    ComposeNonzeroConstant,
+    DivisionValuation,
+    DivisionZeroConstant,
+    IndexBeyondTruncation,
+    ZeroDivisionError,
+)
+
+# name -> step(x, y, q, n) on two operands of one kernel, a scalar q and a small int n
+_STEPS = {
+    "+": lambda x, y, q, n: x + y,
+    "-": lambda x, y, q, n: x - y,
+    "neg": lambda x, y, q, n: -x,
+    "+q": lambda x, y, q, n: x + q,
+    "q+": lambda x, y, q, n: q + x,
+    "-q": lambda x, y, q, n: x - q,
+    "q-": lambda x, y, q, n: q - x,
+    "*q": lambda x, y, q, n: x * q,
+    "q*": lambda x, y, q, n: q * x,
+    "/q": lambda x, y, q, n: x / q,
+    "*": lambda x, y, q, n: x * y,
+    "/": lambda x, y, q, n: x / y,
+    "**": lambda x, y, q, n: x ** (n % 4),
+}
+_SERIES_STEPS = {
+    **_STEPS,
+    "truncate": lambda x, y, q, n: x.truncate(n),
+    "compose": lambda x, y, q, n: x.compose(y - y.coeffs[0]),
+}
+_BISERIES_STEPS = {
+    **_STEPS,
+    "truncate": lambda x, y, q, n: x.truncate((n, n // 2)),
+    "partial_y": lambda x, y, q, n: x.partial_y(),
+}
+
+
+def _programs(steps):
+    """Up to seven steps, each (name, operand index, operand index, scalar, small int) into the growing pool."""
+    index = st.integers(0, 20)
+    step = st.tuples(st.sampled_from(sorted(steps)), index, index, _scalars, st.integers(0, 12))
+    return st.lists(step, max_size=7)
+
+
+def _outcome_of(step, x, y, q, n):
+    try:
+        return step(x, y, q, n)
+    except _GRID_ERRORS as error:
+        return type(error)
+
+
+def _run_both(steps, leaves, program):
+    """The pools of results of the program on the integer-grid leaves and on their reference twins."""
+    reference = series_reference.Series if isinstance(leaves[0], Series) else series_reference.BiSeries
+    new, old = list(leaves), [reference(leaf.coeffs) for leaf in leaves]
+    for name, i, j, q, n in program:
+        i, j = i % len(new), j % len(new)
+        got = _outcome_of(steps[name], new[i], new[j], q, n)
+        want = _outcome_of(steps[name], old[i], old[j], q, n)
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want, name
+            continue
+        new.append(got)
+        old.append(want)
+    return new, old
+
+
+def _assert_lowest_terms(got):
+    # one positive denominator, in lowest terms with the grid: the pair the constructor gives too
+    assert got._den > 0 and gcd(got._den, *[x for row in got._grid for x in row]) == 1
+    assert type(got)(got.coeffs) == got
+
+
+def _assert_grids_match(new, old):
+    for got, want in zip(new, old):
+        assert got.coeffs == want.coeffs
+        rows = got.coeffs if isinstance(got, BiSeries) else (got.coeffs,)
+        assert all(type(c) is F for row in rows for c in row)
+        _assert_lowest_terms(got)
+    for a in new:
+        for b in new:
+            assert (a == b) == (a.coeffs == b.coeffs)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(kernel_series(max_order=7), min_size=1, max_size=3), _programs(_SERIES_STEPS))
+def test_series_expressions_equal_the_fraction_kernel(leaves, program):
+    _assert_grids_match(*_run_both(_SERIES_STEPS, leaves, program))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(kernel_grids(), min_size=1, max_size=3), _programs(_BISERIES_STEPS))
+def test_biseries_expressions_equal_the_fraction_kernel(leaves, program):
+    _assert_grids_match(*_run_both(_BISERIES_STEPS, leaves, program))
+
