@@ -47,6 +47,9 @@ every weight of the call.  A one-weight call (`family_value`, and so
 cache; a call with several weights (`family_row`) builds the row once and
 keeps nothing.  So a table row crossing 0 reads beta's and D's `explicit`
 rows; only a range entirely below 0 takes beta's rowless `stirling_negk`.
+The odd-order zeros of D and beta are rows too: at odd n each route of
+either family whose domain holds there gives the empty row, which
+`_evaluate_row` reads as zeros at once, so `_evaluate` names no family.
 
 A family's generating function times a fixed series (cosh t, sech t, sinh t,
 e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
@@ -164,10 +167,12 @@ def _row(denominator: int, terms) -> Row:
 
 
 def _cosecant_row(n: int) -> Row:
-    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1 over 2^n.
+    """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1 over 2^n; empty at odd n.
 
     Its term j at exponent k+1, C(j-1, 2i) / b^(k+1), is C(j, 2i+1) / (j b^k).
     """
+    if n % 2 == 1:
+        return _row(1, ())
     w = [0] + [(-1) ** (j + 1) * factorial(j - 1) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(1, n + 2)]
     return _row(
         2**n,
@@ -290,6 +295,8 @@ def _evaluate_row(row: Row, ks) -> list[Fraction]:
     one small product or exact quotient per term instead of a full power.
     """
     denominator, terms = row
+    if not terms:
+        return [Fraction(0)] * len(ks)
     values = []
     low = high = None
     for k in ks:
@@ -398,9 +405,6 @@ ROUTES = {
     },
 }
 
-# the default route returns these families' odd-order zeros without computing
-_ZERO_AT_ODD_ORDER = (Family.COSECANT, Family.COTANGENT)
-
 
 def _method_at(family: Family, n: int, ks, method: str | None) -> str:
     """The named method, or the first method whose domain holds at every weight of the call; raises MethodDomain."""
@@ -433,8 +437,8 @@ def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
     """
     if n < 0:
         raise ValueError("order index must be non-negative")
-    if not ks or method is None and n % 2 == 1 and family in _ZERO_AT_ODD_ORDER:
-        return [Fraction(0)] * len(ks)
+    if not ks:
+        return []
     rows = ROUTES[family][_method_at(family, n, ks, method)][2]
     if rows is None:
         return [_cotangent_stirling(n, k) for k in ks]

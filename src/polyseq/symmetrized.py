@@ -7,17 +7,20 @@ C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is D's row at weight one lower.
-The hat-numbers at (m, n) are one row, kept in a bounded cache: TildeD's
-cached rows scaled by the weighted coefficients of (e^t+1)^{1-n}, the
-second-kind Stirling sums of `sequences._exp_plus_one_numerators`.  Each
-definition, a first-kind Stirling sum over weights, is `families._rising` of
-that row or of the B-polynomial row.
+The hat-numbers at (m, n) are one row: TildeD's cached rows scaled by the
+weighted coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
+`sequences._exp_plus_one_numerators`.  Each definition, a first-kind Stirling
+sum over weights, is `families._rising` of that row or of the B-polynomial
+row.  The hat row and both definition rows are read through the bounded row
+cache of the plain families, `families._cached`, keyed by (m, n).  Both
+families dispatch through one helper, `_symmetrized`, whose first parameters
+are the per-family choices, as in `congruences.identity`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from math import comb, factorial
 
 from . import families as fa
@@ -37,6 +40,25 @@ def sym_bernoulli_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSerie
     return (exy * factorial(n)) / (ex + ey - exy) ** (n + 1)
 
 
+@fa._cached
+def _definition_row(base, m: int, n: int) -> fa.Row:
+    """`_rising` of the row base(m, n): its value at k is sum_{j<=n} s(n,j) (base's value at k - j)."""
+    return fa._rising(base(m, n), n)
+
+
+def _symmetrized(label: str, dyadic: bool, base, m: int, l: int, n: int, method: str) -> Fraction:
+    """The number at order m, weight -l, level n by its closed form or definition, after the family's
+    choices: its label in errors, `dyadic` for sym-D's closed form and zero at odd m, its base row."""
+    if min(m, l, n) < 0:
+        raise ValueError("indices must be non-negative")
+    rows = {"closed_form": partial(fa._sym_row, dyadic=dyadic), "definition": partial(_definition_row, base)}
+    if method not in rows:
+        raise MethodDomain(f"unknown symmetrized {label} method {method!r}")
+    if dyadic and m % 2 == 1:
+        return Fraction(0)
+    return fa._evaluate_row(rows[method](m, n), (-l,))[0]
+
+
 def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> Fraction:
     """Symmetrized poly-Bernoulli number at order m, weight -l, level n.
 
@@ -45,18 +67,12 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     closed_form: sum_j n!(j!)^2 C(j+n,n) S(l+1,j+1) S(m+1,j+1).
     biseries: coefficient extraction from the two-variable function.
     """
-    if min(m, l, n) < 0:
-        raise ValueError("indices must be non-negative")
-    if method == "definition":
-        return fa._evaluate_row(fa._rising(fa._bernoulli_polynomial_row(m, n), n), (-l,))[0]
-    if method == "closed_form":
-        return fa._evaluate_row(fa._sym_row(m, n, False), (-l,))[0]
-    if method == "biseries":
+    if method == "biseries" and min(m, l, n) >= 0:
         return sym_bernoulli_bivariate(n, max(l, m)).egf(l, m)
-    raise MethodDomain(f"unknown symmetrized poly-Bernoulli method {method!r}")
+    return _symmetrized("poly-Bernoulli", False, fa._bernoulli_polynomial_row, m, l, n, method)
 
 
-@lru_cache(maxsize=128)
+@fa._cached
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
     factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]
@@ -84,15 +100,7 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
     of the hat-number row at weight -l.
     closed_form: (n!/2^{n+1}) sum_j ((j!)^2/2^{j-1}) C(j+n,n) S(m+1,j+1) S(l+1,j+1).
     """
-    if min(m, l, n) < 0:
-        raise ValueError("indices must be non-negative")
-    if method not in ("definition", "closed_form"):
-        raise MethodDomain(f"unknown symmetrized polycosecant method {method!r}")
-    if m % 2 == 1:
-        return Fraction(0)
-    if method == "definition":
-        return fa._evaluate_row(fa._rising(_hat_row(m, n), n), (-l,))[0]
-    return fa._evaluate_row(fa._sym_row(m, n, True), (-l,))[0]
+    return _symmetrized("polycosecant", True, _hat_row, m, l, n, method)
 
 
 def sym_cosecant_halves(n: int, orders: tuple[int, int]) -> tuple[se.BiSeries, se.BiSeries]:

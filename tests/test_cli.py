@@ -356,6 +356,11 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         (["verify", "GF_BIVARIATE", "--nmax", "999999", "--kmax", "0"], "nmax must stay within 0..32"),
         (["verify", "GF_BIVARIATE", "--nmax", "0", "--kmax", "33"], "kmax must stay within 0..32"),
         (["verify", "GF_BIVARIATE", "--nmax", "48", "--kmax", "48"], "nmax must stay within 0..32"),
+        # a period identity builds the Stirling triangle up to its order index p - 1, so p is capped
+        (["verify", "PERIOD_B", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
+        (["verify", "PERIOD_C", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
+        (["verify", "PERIOD_CPK", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
+        (["verify", "PERIOD_COSE_ODD", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
     ],
     ids=[
         "unparsable-range",
@@ -379,6 +384,10 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "verify-gf-bivariate-nmax-past-the-cap",
         "verify-gf-bivariate-kmax-past-the-cap",
         "verify-gf-bivariate-both-past-the-cap",
+        "verify-period-b-order-past-the-cap",
+        "verify-period-c-order-past-the-cap",
+        "verify-period-cpk-order-past-the-cap",
+        "verify-period-cose-odd-order-past-the-cap",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):

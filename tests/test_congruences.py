@@ -493,3 +493,29 @@ def test_generating_function_sweeps_run_at_their_caps():
     assert verify("GF_BIVARIATE", dict(nmax=1, kmax=GF_MAX_ORDER)).passed
     assert verify("GF_SYM_B", dict(n=GF_MAX_LEVEL, lmax=2)).passed
     assert verify("GF_SYM_COSE", dict(n=GF_MAX_LEVEL, lmax=2)).passed
+
+
+_PERIODS = ("PERIOD_B", "PERIOD_C", "PERIOD_CPK", "PERIOD_COSE_ODD")
+
+
+def test_period_identities_refuse_an_order_index_past_the_cap_before_building(monkeypatch):
+    from polyseq import families as fa
+
+    def unbuilt(*args):
+        raise AssertionError("a Stirling row was built for an order index past the cap")
+
+    monkeypatch.setattr(fa, "stirling2", unbuilt)
+    for name in _PERIODS:
+        with pytest.raises(UsageError, match="p - 1 must stay within 512 in a period identity, not 10006"):
+            verify(name, p=10007, k=0)
+        # the cap comes before the hypotheses, so an oversized p is refused without a primality test
+        with pytest.raises(UsageError, match="not 10007"):
+            verify(name, p=10008, k=-1)
+
+
+def test_period_identities_run_at_the_largest_prime_within_the_cap():
+    from polyseq.congruences import PERIOD_MAX_ORDER
+
+    assert PERIOD_MAX_ORDER == 512  # 509 is the largest prime p with p - 1 <= 512
+    for name in _PERIODS:
+        assert verify(name, p=509, k=1).passed, name

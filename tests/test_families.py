@@ -80,13 +80,23 @@ def test_cosecant_weight_minus_two_powers_of_four():
 
 
 def test_odd_orders_vanish():
-    for n in (1, 3, 5, 7):
-        for k in (-3, 0, 2):
-            assert polycosecant(n, k) == 0
-            assert polycotangent(n, k) == 0
-            assert polycosecant(n, k, method="explicit") == 0
-            assert polycosecant(n, k, method="series") == 0
-            assert polycotangent(n, k, method="series") == 0
+    ks = range(-32, 33)
+    for n in range(1, 65, 2):
+        for family, fn in ((Family.COSECANT, polycosecant), (Family.COTANGENT, polycotangent)):
+            assert family_row(family, n, ks) == [0] * len(ks), (family, n)
+            for k in ks:
+                assert fn(n, k) == 0, (family, n, k)
+                for method in applicable_methods(family, n, k):
+                    assert fn(n, k, method=method) == 0, (family, n, k, method)
+
+
+def test_odd_order_cosecant_rows_are_empty_without_a_stirling_sum(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a Stirling sum was built for an odd-order row")
+
+    monkeypatch.setattr(fa, "stirling2", unbuilt)
+    for n in range(1, 64, 2):
+        assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, ()), n
 
 
 def test_method_agreement_sweep():
@@ -557,7 +567,8 @@ def _reference_evaluate(family, n, ks, method):
     """
     if n < 0:
         raise ValueError("order index must be non-negative")
-    if method is None and n % 2 == 1 and family in fa._ZERO_AT_ODD_ORDER:
+    # the default route returned these families' odd-order zeros without building a row
+    if method is None and n % 2 == 1 and family in (Family.COSECANT, Family.COTANGENT):
         return [F(0)] * len(ks)
     by_method = {}
     for k in ks:

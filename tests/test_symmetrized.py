@@ -21,6 +21,7 @@ from polyseq import (
     tilde_cosecant,
 )
 from polyseq import families as fa
+from polyseq import symmetrized as sy
 from polyseq.series import (
     Series,
     biseries_constant,
@@ -31,6 +32,7 @@ from polyseq.series import (
     tanh_half,
     truncation_for,
 )
+from polyseq.congruences import verify
 from polyseq.families import _sym_row
 from polyseq.sequences import _exp_plus_one_numerators
 from polyseq.symmetrized import _hat_row, sym_cosecant_halves
@@ -78,12 +80,32 @@ def test_sym_bernoulli_duality():
 
 
 def test_sym_bernoulli_unknown_method():
-    with pytest.raises(MethodDomain):
+    with pytest.raises(MethodDomain) as info:
         sym_poly_bernoulli(1, 1, 1, method="magic")
+    assert str(info.value) == "unknown symmetrized poly-Bernoulli method 'magic'"
     # the method name is checked before the odd-order zero of sym-D
     for m in (2, 3):
-        with pytest.raises(MethodDomain):
+        with pytest.raises(MethodDomain) as info:
             sym_polycosecant(m, 1, 1, method="magic")
+        assert str(info.value) == "unknown symmetrized polycosecant method 'magic'"
+    # and a negative index before the method name, sym-B's biseries included
+    for method in ("magic", "biseries", "definition"):
+        with pytest.raises(ValueError, match="indices must be non-negative"):
+            sym_poly_bernoulli(1, -1, 1, method=method)
+        with pytest.raises(ValueError, match="indices must be non-negative"):
+            sym_polycosecant(3, 1, -1, method=method)
+
+
+def test_a_duality_sweep_builds_each_definition_row_once(monkeypatch):
+    # one cache miss, and one `_rising`, per distinct (m, n) of the sweep, not one per value
+    built = []
+    rising = fa._rising
+    monkeypatch.setattr(fa, "_rising", lambda row, n: built.append(n) or rising(row, n))
+    for identity in ("DUALITY_SYM_B", "DUALITY_SYM_COSE"):
+        sy._definition_row.cache_clear()
+        built.clear()
+        assert verify(identity, lmax=24, nmax=12).passed
+        assert len(built) == sy._definition_row.cache_info().misses == 25 * 13, identity
 
 
 def test_sym_rows_collapse_to_plain_rows():
