@@ -19,7 +19,6 @@ from .congruences import (
     verify,
 )
 from .errors import (
-    ComposeNonzeroConstant,
     DivisionValuation,
     DivisionZeroConstant,
     HypothesisViolation,

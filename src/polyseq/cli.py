@@ -19,9 +19,9 @@ from functools import cache
 from . import congruences as cg
 from .errors import PolyseqError, UsageError
 from .families import Family, family_row
+from .signatures import CAPS
 
-MAX_ORDER = 64
-MAX_WEIGHT = 32
+MAX_ORDER, MAX_WEIGHT = CAPS["table order"], CAPS["table weight"]
 
 _FAMILY_ALIASES = {f.value.lower(): f for f in Family}
 

@@ -14,16 +14,18 @@ a weight shift or a right-hand side.  `identity(name, doc, *bound)` registers
 `partial(helper, *bound)`, so stacked decorators register the one helper once
 per family, and a caller cannot override a bound argument.  Witness labels
 and values come from one table, `_FAMILIES`: Family -> (symbol, value).
+
+Each helper declares its parameters once, by role, in a `signatures.Signature`,
+which `verify()` checks before the body runs.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb, factorial, gcd
 
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
@@ -40,8 +42,10 @@ from .families import (
     polycosecant,
     polycotangent,
 )
-from .sequences import bernoulli, is_prime, primes_upto, stirling1, stirling2, tangent, totient
+from .sequences import bernoulli, primes_upto, stirling1, stirling2, tangent
 from .series import _exact
+from .signatures import EXPONENT, ODD_PRIME, PERIOD_PRIME, PRIME, SUM_EXPONENT, Role, Signature, _phi, order, weight
+from .signatures import GF_MAX_LEVEL, GF_MAX_ORDER, PERIOD_MAX_ORDER  # noqa: F401 (read from here too)
 from .symmetrized import (
     sym_bernoulli_bivariate,
     sym_cosecant_bivariate,
@@ -225,24 +229,18 @@ def _require(condition: bool, message: str) -> None:
         raise HypothesisViolation(message)
 
 
-def _odd_prime(p: int) -> None:
-    _require(is_prime(p) and p % 2 == 1, f"p = {p} must be an odd prime")
-
-
 _REGISTRY: dict[str, tuple] = {}
-_signature = lru_cache(maxsize=None)(inspect.signature)
 
 
 def identity(name: str, doc: str, *bound):
-    """Register `fn` under `name` as `partial(fn, *bound)`.
+    """Register `fn` under `name` as `partial(fn, *bound)`, with the `Signature` declared on it.
 
-    Stacked decorators with different `bound` arguments register one helper
-    for several families.  A bound argument is positional, so a caller's
-    parameters cannot override it.
+    Stacked decorators with different `bound` arguments register one helper for several
+    families.  A bound argument is positional, so a caller's parameters cannot override it.
     """
 
     def wrap(fn):
-        _REGISTRY[name] = (partial(fn, *bound), doc)
+        _REGISTRY[name] = (partial(fn, *bound), doc, fn.signature)
         return fn
 
     return wrap
@@ -257,7 +255,7 @@ def registry_doc(name: str) -> str:
 
 
 def verify(identity_id: str, params: dict | None = None, perturb_index: int | None = None, **kw) -> Report:
-    """Run one registry identity and return its report.
+    """Run one registry identity, after checking its parameters by its `Signature`, and return its report.
 
     `perturb_index` adds +1 to the left side of the chosen compared instance
     before reduction; it exists for negative-control self-tests.  An index
@@ -268,18 +266,11 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
         raise UsageError(f"unknown identity {identity_id!r}; known: {', '.join(registry_ids())}")
     if perturb_index is not None and perturb_index < 0:
         raise UsageError(f"perturb index {perturb_index} must be >= 0")
-    merged = dict(params or {})
-    merged.update(kw)
+    merged = {**(params or {}), **kw}
+    run, _, signature = _REGISTRY[identity_id]
+    signature.check(identity_id, merged)
     checker = _Checker(perturb_index)
-    fn = _REGISTRY[identity_id][0]
-    try:
-        _signature(fn).bind(checker, **merged)
-    except TypeError as exc:
-        raise UsageError(f"bad parameters for {identity_id}: {exc}") from exc
-    for name, value in merged.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"bad parameters for {identity_id}: {name} must be an int, not {value!r}")
-    fn(checker, **merged)
+    run(checker, **merged)
     if perturb_index is not None and perturb_index >= checker._count:
         count = checker._count
         raise UsageError(f"perturb index {perturb_index} plants no fault: {identity_id} compared {count} instance(s)")
@@ -305,10 +296,9 @@ _FAMILIES = {
 
 
 @identity("KUMMER_BERNOULLI", "(1-p^{m-1})B_m/m = (1-p^{n-1})B_n/n mod p^N for m = n mod phi(p^N), (p-1) not | n")
+@Signature("a Kummer congruence", p=ODD_PRIME, N=EXPONENT, m=order(1), n=order(1))
 def _kummer_bernoulli(check, p: int, N: int, m: int, n: int):
-    _odd_prime(p)
-    _require(min(m, n, N) >= 1, "m, n, N must be >= 1")
-    _require((m - n) % totient(p**N) == 0, "m = n mod phi(p^N) required")
+    _require((m - n) % _phi(p, N) == 0, "m = n mod phi(p^N) required")
     _require(n % (p - 1) != 0, "(p-1) must not divide n")
     lhs = (1 - Fraction(p) ** (m - 1)) * bernoulli(m) / m
     rhs = (1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
@@ -323,45 +313,37 @@ def _residue_pair(family: Family, check, p: int, N: int, k: int, m: int, n: int)
 
 @identity("KUMMER_POLYB_B", "B_m^{(-k)} = B_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N", Family.POLY_B)
 @identity("KUMMER_POLYB_C", "C_m^{(-k)} = C_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N", Family.POLY_C)
+@Signature("a Kummer congruence", p=ODD_PRIME, N=EXPONENT, k=weight(0), m=order(1), n=order(1))
 def _kummer_polyb(family: Family, check, p: int, N: int, k: int, m: int, n: int):
-    _odd_prime(p)
-    _require(k >= 0, "weight parameter k must be >= 0")
-    _require(min(m, n, N) >= 1, "m, n, N must be >= 1")
-    _require((m - n) % totient(p**N) == 0, "m = n mod phi(p^N) required")
+    _require((m - n) % _phi(p, N) == 0, "m = n mod phi(p^N) required")
     _require(min(m, n) >= N, "m, n >= N required")
     _residue_pair(family, check, p, N, k, m, n)
-
-
-def _kummer_even_orders(family: Family, check, p: int, N: int, k: int, m: int, n: int):
-    """X_{2m}^{(-k)} = X_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m, 2n >= N."""
-    _require(min(k, m, n, N) >= 1, "k, m, n, N must be >= 1")
-    _require((2 * m - 2 * n) % totient(p**N) == 0, "2m = 2n mod phi(p^N) required")
-    _require(min(2 * m, 2 * n) >= N, "2m, 2n >= N required")
-    _residue_pair(family, check, p, N, k, 2 * m, 2 * n)
-
-
-@identity("KUMMER_COSE_ODD", "D_{2m}^{(-2k+1)} = D_{2n}^{(-2k+1)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
-def _kummer_cose_odd(check, p: int, N: int, k: int, m: int, n: int):
-    _require(is_prime(p), f"p = {p} must be prime")
-    # k >= 1 exactly when the weight 1 - 2k is at most -1
-    _kummer_even_orders(Family.COSECANT, check, p, N, 2 * k - 1, m, n)
 
 
 @identity("KUMMER_COSE", "D_{2m}^{(-k)} = D_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N", Family.COSECANT)
 @identity(
     "KUMMER_COTA", "beta_{2m}^{(-k)} = beta_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N", Family.COTANGENT
 )
+@Signature("a Kummer congruence", p=ODD_PRIME, N=EXPONENT, k=weight(1), m=order(1, 2), n=order(1, 2))
 def _kummer_level2(family: Family, check, p: int, N: int, k: int, m: int, n: int):
-    _odd_prime(p)
-    _kummer_even_orders(family, check, p, N, k, m, n)
+    """X_{2m}^{(-k)} = X_{2n}^{(-k)} mod p^N for 2m = 2n mod phi(p^N), 2m, 2n >= N."""
+    _require((2 * m - 2 * n) % _phi(p, N) == 0, "2m = 2n mod phi(p^N) required")
+    _require(min(2 * m, 2 * n) >= N, "2m, 2n >= N required")
+    _residue_pair(family, check, p, N, k, 2 * m, 2 * n)
+
+
+@identity("KUMMER_COSE_ODD", "D_{2m}^{(-2k+1)} = D_{2n}^{(-2k+1)} mod p^N for 2m = 2n mod phi(p^N), 2m,2n >= N")
+@Signature("a Kummer congruence", p=PRIME, N=EXPONENT, k=weight(1), m=order(1, 2), n=order(1, 2))
+def _kummer_cose_odd(check, p: int, N: int, k: int, m: int, n: int):
+    # k >= 1 exactly when the weight 1 - 2k is at most -1
+    _kummer_level2(Family.COSECANT, check, p, N, 2 * k - 1, m, n)
 
 
 @identity("KUMMER_COSE_REMARK", "weighted Kummer congruence for D^{(1)} and beta^{(1)} via their Bernoulli expressions")
+@Signature("a Kummer congruence", p=ODD_PRIME, N=EXPONENT, m=order(1, 2), n=order(1, 2))
 def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
-    _odd_prime(p)
-    _require(min(m, n) >= 1 and N >= 1, "m, n, N must be >= 1")
     _require((2 * n) % (p - 1) != 0, "(p-1) must not divide 2n")
-    _require((2 * m - 2 * n) % ((p - 1) * p ** (N - 1)) == 0, "2m = 2n mod (p-1)p^{N-1} required")
+    _require((2 * m - 2 * n) % _phi(p, N) == 0, "2m = 2n mod (p-1)p^{N-1} required")
     for family in (Family.COSECANT, Family.COTANGENT):
         x, value = _FAMILIES[family]
         lhs = (1 - Fraction(p) ** (2 * m - 1)) * value(2 * m, 1) / (2 * m)
@@ -374,22 +356,14 @@ def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
 
 def _phi_sum(family: Family, p: int, N: int, n: int, k: int) -> tuple[int, Fraction]:
     """phi(p^N) and sum_{i < phi(p^N)} X_n^{(-k-i)}."""
-    phi = totient(p**N)
+    phi = _phi(p, N)
     value = _FAMILIES[family][1]
     return phi, sum((value(n, -(k + i)) for i in range(phi)), Fraction(0))
 
 
-def _sum_hypotheses(p: int, N: int, n: int, k: int) -> None:
-    _odd_prime(p)
-    _require(n >= 0, "n must be >= 0")
-    _require(k >= 1 and N >= 1, "k, N must be >= 1")
-    _require(k >= N, "k >= N required")
-
-
 @identity("SUM_POLYB", "sum_{i<phi(p^N)} B_n^{(-k-i)} = 0 mod p^N for n >= N, k >= N")
+@Signature("a sum congruence", p=ODD_PRIME, N=SUM_EXPONENT, k=weight(), n=order(1))
 def _sum_polyb(check, p: int, N: int, k: int, n: int):
-    _odd_prime(p)
-    _require(n >= 1 and N >= 1, "n, N must be >= 1")
     _require(n >= N, "n >= N required")
     # k >= N as in the companion sum congruences: at k < N the term from
     # block count p-1 survives (e.g. p=3, N=1, k=0, n=2 sums to 5, not 0 mod 3)
@@ -410,102 +384,84 @@ def _sum_polyb(check, p: int, N: int, k: int, n: int):
     Family.COTANGENT,
     lambda n: tangent("tilde", 2 * n),
 )
+@Signature("a sum congruence", p=ODD_PRIME, N=SUM_EXPONENT, n=order(0, 2), k=weight(1))
 def _sum_level2(family: Family, tangent_weight, check, p: int, N: int, n: int, k: int):
-    _sum_hypotheses(p, N, n, k)
+    _require(k >= N, "k >= N required")
     x = _FAMILIES[family][0]
     phi, total = _phi_sum(family, p, N, 2 * n, k)
-    check.eq_mod(
-        f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi",
-        Fraction(2 ** (2 * n)) * total,
-        Fraction(tangent_weight(n) * phi),
-        p,
-        N,
-    )
+    label = f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi"
+    check.eq_mod(label, 2 ** (2 * n) * total, tangent_weight(n) * phi, p, N)
     if N >= 2:
         check.eq_mod(f"sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) mod p^{N - 1}", total, 0, p, N - 1)
 
 
 @identity("SUM_C", "sum_{i<phi(p^N)} C_n^{(-k-i)} = (-1)^n phi(p^N) mod p^N, k >= N")
+@Signature("a sum congruence", p=ODD_PRIME, N=SUM_EXPONENT, n=order(0), k=weight(1))
 def _sum_c(check, p: int, N: int, n: int, k: int):
-    _sum_hypotheses(p, N, n, k)
+    _require(k >= N, "k >= N required")
     phi, total = _phi_sum(Family.POLY_C, p, N, n, k)
-    check.eq_mod(f"sum_(i<{phi}) C_{n}^(-{k}-i)", total, Fraction((-1) ** n * phi), p, N)
+    check.eq_mod(f"sum_(i<{phi}) C_{n}^(-{k}-i)", total, (-1) ** n * phi, p, N)
 
 
 # --------------------------------------------------------------- 2-adic orders
 
 
 @identity("TWO_ORDER_COSE", "D_{2n}^{(-2k)} = 0 mod 2^{2n} for n, k >= 1")
+@Signature("a 2-adic congruence", n=order(1, 2), k=weight(1))
 def _two_order_cose(check, n: int, k: int):
-    _require(n >= 1 and k >= 1, "n, k must be >= 1")
     check.eq_mod(f"D_{2 * n}^(-{2 * k}) mod 2^{2 * n}", polycosecant(2 * n, -2 * k), 0, 2, 2 * n)
 
 
 @identity("TWO_ORDER_COTA", "beta_{2n}^{(-2k-1)} = 0 mod 2^{2n-1} for n >= 1, k >= 0")
+@Signature("a 2-adic congruence", n=order(1, 2), k=weight(0))
 def _two_order_cota(check, n: int, k: int):
-    _require(n >= 1 and k >= 0, "n must be >= 1, k >= 0")
-    check.eq_mod(
-        f"beta_{2 * n}^({-2 * k - 1}) mod 2^{2 * n - 1}",
-        polycotangent(2 * n, -2 * k - 1),
-        0,
-        2,
-        2 * n - 1,
-    )
+    check.eq_mod(f"beta_{2 * n}^({-2 * k - 1}) mod 2^{2 * n - 1}", polycotangent(2 * n, -2 * k - 1), 0, 2, 2 * n - 1)
 
 
 # --------------------------------------------------------------- period props
 
 
-def _period_hypotheses(p: int, k: int) -> None:
-    """Refuse an order index p - 1 past its cap as bad usage, before any row is built; then the hypotheses."""
-    if p - 1 > PERIOD_MAX_ORDER:
-        raise UsageError(f"p - 1 must stay within {PERIOD_MAX_ORDER} in a period identity, not {p - 1}")
-    _odd_prime(p)
-    _require(k >= 0, "weight parameter k must be >= 0")
-
-
+# p - 1 is an order index, and the dual restatement's order is k, or 2k for D
 @identity("PERIOD_B", "B_{p-1}^{(-k)} = 1 or 2 mod p (2 iff k != 0 and (p-1) | k), with the dual restatement")
+@Signature("a period identity", p=PERIOD_PRIME, k=order(0))
 def _period_b(check, p: int, k: int):
-    _period_hypotheses(p, k)
     want = 2 if (k != 0 and k % (p - 1) == 0) else 1
     check.eq_mod(f"B_{p - 1}^(-{k})", poly_bernoulli("B", p - 1, -k), want, p, 1)
     check.eq_mod(f"dual B_{k}^(-{p - 1})", poly_bernoulli("B", k, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_C", "C_{p-2}^{(-k-1)} = 0 or 1 mod p (1 iff (p-1) | k), with the dual restatement")
+@_period_b.signature
 def _period_c(check, p: int, k: int):
-    _period_hypotheses(p, k)
     want = 1 if k % (p - 1) == 0 else 0
     check.eq_mod(f"C_{p - 2}^(-{k + 1})", poly_bernoulli("C", p - 2, -(k + 1)), want, p, 1)
     check.eq_mod(f"dual C_{k}^(-{p - 1})", poly_bernoulli("C", k, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_CPK", "C_{p-1}^{(-k-1)} = 1 mod p, with the dual restatement C_k^{(-p)} = 1")
+@_period_b.signature
 def _period_cpk(check, p: int, k: int):
-    _period_hypotheses(p, k)
     check.eq_mod(f"C_{p - 1}^(-{k + 1})", poly_bernoulli("C", p - 1, -(k + 1)), 1, p, 1)
     check.eq_mod(f"dual C_{k}^(-{p})", poly_bernoulli("C", k, -p), 1, p, 1)
 
 
 @identity("PERIOD_COSE_ODD", "D_{p-1}^{(-2k-1)} = 1 mod p, with the dual restatement D_{2k}^{(-p)} = 1")
+@Signature("a period identity", p=PERIOD_PRIME, k=order(0, 2))
 def _period_cose_odd(check, p: int, k: int):
-    _period_hypotheses(p, k)
     check.eq_mod(f"D_{p - 1}^({-2 * k - 1})", polycosecant(p - 1, -2 * k - 1), 1, p, 1)
     check.eq_mod(f"dual D_{2 * k}^(-{p})", polycosecant(2 * k, -p), 1, p, 1)
 
 
 @identity("PERIOD_COSE_P1", "D_{2n}^{(-p+1)} = 0 mod p unless (p-1) | 2n, then 1")
+@Signature("a period identity", p=PERIOD_PRIME, n=order(0, 2))
 def _period_cose_p1(check, p: int, n: int):
-    _odd_prime(p)
-    _require(n >= 0, "n must be >= 0")
     want = 1 if (2 * n) % (p - 1) == 0 else 0
     check.eq_mod(f"D_{2 * n}^(-{p - 1})", polycosecant(2 * n, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_COTA_P1", "beta_{2n}^{(-p+1)} = 1 mod p, or 2 when 2n != 0 and (p-1) | 2n")
+@_period_cose_p1.signature
 def _period_cota_p1(check, p: int, n: int):
-    _odd_prime(p)
-    _require(n >= 0, "n must be >= 0")
     want = 2 if (n != 0 and (2 * n) % (p - 1) == 0) else 1
     check.eq_mod(f"beta_{2 * n}^(-{p - 1})", polycotangent(2 * n, -(p - 1)), want, p, 1)
 
@@ -514,11 +470,10 @@ def _period_cota_p1(check, p: int, n: int):
 
 
 @identity("CVS_BERNOULLI", "B_n + sum of 1/p over primes with (p-1) | n is an integer (n = 1 or even)")
+@Signature("a von Staudt-type congruence", n=order(1))
 def _cvs_bernoulli(check, n: int):
-    _require(n == 1 or (n >= 2 and n % 2 == 0), "n must be 1 or an even positive integer")
-    total = bernoulli(n) + sum(
-        (Fraction(1, p) for p in primes_upto(n + 1) if n % (p - 1) == 0), Fraction(0)
-    )
+    _require(n == 1 or n % 2 == 0, "n must be 1 or an even positive integer")
+    total = bernoulli(n) + sum((Fraction(1, p) for p in primes_upto(n + 1) if n % (p - 1) == 0), Fraction(0))
     check.eq(f"denominator of B_{n} + sum 1/p", total.denominator, 1)
 
 
@@ -544,10 +499,8 @@ def _cvs_polyb_rhs(p: int, n: int, k: int) -> Fraction:
 
 
 @identity("CVS_POLYB", "residues of p^k B_n^{(k)} or p^{k-1} B_n^{(k)} mod p, per the (p-1) | n split")
+@Signature("a von Staudt-type congruence", p=PRIME, k=weight(2), n=order(1))
 def _cvs_polyb(check, p: int, k: int, n: int):
-    _require(is_prime(p), f"p = {p} must be prime")
-    _require(k >= 2, "k must be >= 2")
-    _require(n >= 1, "n must be >= 1")
     _require(k + 2 <= p <= n + 1, "k+2 <= p <= n+1 required")
     _cvs(Family.POLY_B, check, p, k, n, _cvs_polyb_rhs)
 
@@ -602,15 +555,14 @@ def _cvs_cota_rhs(p: int, n2: int, k: int) -> Fraction:
     Family.COTANGENT,
     _cvs_cota_rhs,
 )
+@Signature("a von Staudt-type congruence", p=ODD_PRIME, k=weight(2), n=order(1, 2))
 def _cvs_level2(family: Family, coprime_rhs, check, p: int, k: int, n: int):
-    _odd_prime(p)
-    _require(k >= 2, "k must be >= 2")
-    _require(n >= 1, "n must be >= 1")
     _require(k + 2 <= p <= 2 * n + 1, "k+2 <= p <= 2n+1 required")
     _cvs(family, check, p, k, 2 * n, coprime_rhs)
 
 
 @identity("DENOM_ORDER", "the denominators of B_{2n}, D_{2n}^{(1)}, beta_{2n}^{(1)} share their p-adic order")
+@Signature("a denominator order", p=ODD_PRIME, n=order(1, 2))
 def _denom_order(check, p: int, n: int):
     rep = valuation_report(p, n)
     check.eq(f"ord_{p}(d({rep.index})) vs ord_{p}(b({rep.index}))", rep.ord_d, rep.ord_b)
@@ -618,27 +570,13 @@ def _denom_order(check, p: int, n: int):
 
 
 def valuation_report(p: int, n: int) -> ValuationReport:
-    """Denominator orders and branch data for the even index 2n at odd prime p."""
-    _odd_prime(p)
-    _require(n >= 1, "n must be >= 1")
+    """Denominator orders and branch data for the even index 2n at odd prime p, checked as DENOM_ORDER's are."""
+    _denom_order.signature.check("valuation_report", {"p": p, "n": n})
     n2 = 2 * n
-    b = bernoulli(n2).denominator
-    d = polycosecant(n2, 1).denominator
-    bh = polycotangent(n2, 1).denominator
+    b, d, bh = bernoulli(n2).denominator, polycosecant(n2, 1).denominator, polycotangent(n2, 1).denominator
     branch = "(p-1) | 2n" if n2 % (p - 1) == 0 else "(p-1) does not divide 2n"
-    return ValuationReport(
-        p=p,
-        index=n2,
-        b=b,
-        d=d,
-        beta_hat=bh,
-        ord_b=ord_p(b, p),
-        ord_d=ord_p(d, p),
-        ord_beta_hat=ord_p(bh, p),
-        alpha=n2 % (p - 1),
-        gamma=min(n2, 2 * p - 3),
-        branch=branch,
-    )
+    orders = ord_p(b, p), ord_p(d, p), ord_p(bh, p)
+    return ValuationReport(p, n2, b, d, bh, *orders, alpha=n2 % (p - 1), gamma=min(n2, 2 * p - 3), branch=branch)
 
 
 # ------------------------------------------------------------------- dualities
@@ -653,8 +591,8 @@ def _swaps(check, lmax: int, label, value) -> None:
 
 @identity("DUALITY_B", "B_m^{(-l)} = B_l^{(-m)} for all l < m <= lmax", Family.POLY_B, 0)
 @identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax", Family.POLY_C, 1)
+@Signature("a duality sweep", lmax=Role("duality", 0))
 def _duality_polyb(family: Family, shift: int, check, lmax: int):
-    _require(lmax >= 0, "lmax must be >= 0")
     x, value = _FAMILIES[family]
     _swaps(
         check,
@@ -666,8 +604,8 @@ def _duality_polyb(family: Family, shift: int, check, lmax: int):
 
 @identity("DUALITY_COSE", "D_{2m}^{(-2l-1)} = D_{2l}^{(-2m-1)} for all l < m <= lmax", Family.COSECANT, 1)
 @identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 0)
+@_duality_polyb.signature
 def _duality_level2(family: Family, shift: int, check, lmax: int):
-    _require(lmax >= 0, "lmax must be >= 0")
     x, value = _FAMILIES[family]
     _swaps(
         check,
@@ -689,8 +627,8 @@ def _duality_level2(family: Family, shift: int, check, lmax: int):
     lambda m, l, n: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n})",
     lambda m, l, n: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
 )
+@Signature("a duality sweep", lmax=Role("sym duality", 0), nmax=Role("sym duality", 0))
 def _duality_sym(label, value, check, lmax: int, nmax: int):
-    _require(lmax >= 0 and nmax >= 0, "lmax, nmax must be >= 0")
     for n in range(nmax + 1):
         _swaps(check, lmax, lambda m, l: f"{label(m, l, n)} vs swapped", lambda m, l: value(m, l, n))
 
@@ -708,16 +646,16 @@ def _vanishing_sum(family: Family, check, k: int, n: int, m: int):
 
 
 @identity("VANISH_S1_B", "sum_j (-1)^j s(m+1,j+1) B_n^{(-k-j)} = 0 for 0 <= n < m")
+@Signature("a vanishing sum", k=weight(), n=order(0), m=order(1))
 def _vanish_b(check, k: int, n: int, m: int):
-    _require(m >= 1, "m must be >= 1")
-    _require(0 <= n < m, "0 <= n <= m-1 required (the sum does not vanish at n = m)")
+    _require(n < m, "0 <= n <= m-1 required (the sum does not vanish at n = m)")
     _vanishing_sum(Family.POLY_B, check, k, n, m)
 
 
 @identity("VANISH_S1_COSE", "sum_j (-1)^j s(m+1,j+1) D_{2n}^{(-k-j)} = 0 for m >= 2n+1", Family.COSECANT)
 @identity("VANISH_S1_COTA", "sum_j (-1)^j s(m+1,j+1) beta_{2n}^{(-k-j)} = 0 for m >= 2n+1", Family.COTANGENT)
+@Signature("a vanishing sum", k=weight(), n=order(1, 2), m=order(None))
 def _vanish_level2(family: Family, check, k: int, n: int, m: int):
-    _require(n >= 1, "n must be >= 1")
     _require(m >= 2 * n + 1, "m >= 2n+1 required (the sum does not vanish at m = 2n)")
     _vanishing_sum(family, check, k, 2 * n, m)
 
@@ -725,50 +663,28 @@ def _vanish_level2(family: Family, check, k: int, n: int, m: int):
 # ------------------------------------------------------ conversions and shifts
 
 
+# each conversion sum builds every row up to its order, 2n or n
 @identity("CONV_EQ5", "beta_{2n}^{(k)} = sum_i C(2n,2i) D_{2i}^{(k)}")
+@Signature("a conversion", n=Role("conversion", 0, 2), k=weight())
 def _conv_eq5(check, n: int, k: int):
-    _require(n >= 0, "n must be >= 0")
-    check.eq(
-        f"beta_{2 * n}^({k}) vs binomial sum over D",
-        polycotangent(2 * n, k),
-        polycotangent(2 * n, k, method="from_cosecant"),
-    )
+    rhs = polycotangent(2 * n, k, method="from_cosecant")
+    check.eq(f"beta_{2 * n}^({k}) vs binomial sum over D", polycotangent(2 * n, k), rhs)
 
 
 @identity("CONV_EQ6", "D_{2n}^{(k)} = sum_i C(2n,2i) E_{2n-2i} beta_{2i}^{(k)}")
+@_conv_eq5.signature
 def _conv_eq6(check, n: int, k: int):
-    _require(n >= 0, "n must be >= 0")
-    check.eq(
-        f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), cosecant_from_cotangent(2 * n, k)
-    )
+    rhs = cosecant_from_cotangent(2 * n, k)
+    check.eq(f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), rhs)
 
 
 @identity("KSHIFT", "D_n^{(k-1)} = sum_m C(n+1,2m+1) D_{n-2m}^{(k)}")
+@Signature("a conversion", n=Role("conversion", 0), k=weight())
 def _kshift(check, n: int, k: int):
-    _require(n >= 0, "n must be >= 0")
-    check.eq(
-        f"D_{n}^({k - 1}) vs weight-shift sum at weight {k}",
-        polycosecant(n, k - 1),
-        k_shift_recurrence(n, k),
-    )
+    check.eq(f"D_{n}^({k - 1}) vs weight-shift sum at weight {k}", polycosecant(n, k - 1), k_shift_recurrence(n, k))
 
 
 # ------------------------------------------------- generating-function sweeps
-
-# The largest order (nmax, kmax, lmax) and level n of a generating-function sweep.  Its
-# quotients grow with the powers of the divisor's lead numerator: on a 2-core Xeon, sweeps
-# at order 32 take 6-18 s, and GF_BIVARIATE at 48 x 48 runs past two minutes.
-GF_MAX_ORDER, GF_MAX_LEVEL = 32, 64
-# The largest order index p - 1 of PERIOD_B, PERIOD_C, PERIOD_CPK and PERIOD_COSE_ODD, each of which builds the
-# Stirling triangle up to it: on the same Xeon, peak memory is 42 MB at p = 509 and 119 MB at p = 809.
-PERIOD_MAX_ORDER = 512
-
-
-def _gf_cap(cap: int, **bounds: int) -> None:
-    """Refuse a sweep bound past its cap as bad usage, before any series is built."""
-    for name, value in bounds.items():
-        if value > cap:
-            raise UsageError(f"{name} must stay within 0..{cap} in a generating-function sweep, not {value}")
 
 
 def _coefficients(check, f, rows: int, cols: int, label, value) -> None:
@@ -779,9 +695,8 @@ def _coefficients(check, f, rows: int, cols: int, label, value) -> None:
 
 
 @identity("GF_BIVARIATE", "the two-variable cosecant function reproduces D_n^{(-k)} for n <= nmax, k <= kmax")
+@Signature("a generating-function sweep", nmax=Role("gf order", 0), kmax=Role("gf order", 0))
 def _gf_bivariate(check, nmax: int, kmax: int):
-    _require(nmax >= 0 and kmax >= 0, "nmax, kmax must be >= 0")
-    _gf_cap(GF_MAX_ORDER, nmax=nmax, kmax=kmax)
     _coefficients(
         check,
         cosecant_bivariate((nmax, kmax)),
@@ -806,10 +721,8 @@ def _gf_bivariate(check, nmax: int, kmax: int):
     lambda m, l, n: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
     lambda m, l, n: sym_polycosecant(m, l, n, method="definition"),
 )
+@Signature("a generating-function sweep", n=Role("gf level", 0), lmax=Role("gf order", 0))
 def _gf_sym(bivariate, label, value, check, n: int, lmax: int):
-    _require(n >= 0 and lmax >= 0, "n, lmax must be >= 0")
-    _gf_cap(GF_MAX_LEVEL, n=n)
-    _gf_cap(GF_MAX_ORDER, lmax=lmax)
     f = bivariate(n, (lmax, lmax))
     _coefficients(check, f, lmax, lmax, lambda i, j: label(i, j, n), lambda i, j: value(i, j, n))
 
@@ -818,10 +731,8 @@ def _gf_sym(bivariate, label, value, check, n: int, lmax: int):
 
 
 @identity("STIRLING_MOD_P", "S(n, ap-1) mod p is C(c-1,a-1) when n = a-1+c(p-1), c >= a, else 0")
+@Signature("a Stirling lemma", p=PRIME, a=order(1), nmax=order(0))
 def _stirling_mod_p(check, p: int, a: int, nmax: int):
-    _require(is_prime(p), f"p = {p} must be prime")
-    _require(a >= 1, "a must be >= 1")
-    _require(nmax >= 0, "nmax must be >= 0")
     for n in range(nmax + 1):
         want = 0
         if (n - a + 1) % (p - 1) == 0:
@@ -832,20 +743,14 @@ def _stirling_mod_p(check, p: int, a: int, nmax: int):
 
 
 @identity("STIRLING_CONG", "j! S(n,j) = j! S(m,j) mod p^N for n = m mod phi(p^N), n, m >= N")
+@Signature("a Stirling lemma", p=PRIME, N=EXPONENT, jmax=Role("stirling", 0), nmax=Role("stirling", 0))
 def _stirling_cong(check, p: int, N: int, jmax: int, nmax: int):
-    _require(is_prime(p), f"p = {p} must be prime")
-    _require(N >= 1 and jmax >= 0 and nmax >= 0, "N >= 1 and jmax, nmax >= 0 required")
-    phi = totient(p**N)
+    phi = _phi(p, N)
     for n in range(N, nmax + 1):
         for m in range(n + phi, nmax + 1, phi):
             for j in range(jmax + 1):
-                check.eq_mod(
-                    f"{j}! S({n},{j}) vs {j}! S({m},{j})",
-                    factorial(j) * stirling2(n, j),
-                    factorial(j) * stirling2(m, j),
-                    p,
-                    N,
-                )
+                lhs, rhs = factorial(j) * stirling2(n, j), factorial(j) * stirling2(m, j)
+                check.eq_mod(f"{j}! S({n},{j}) vs {j}! S({m},{j})", lhs, rhs, p, N)
 
 
 # -------------------------------------------------------- oracle-diff utility

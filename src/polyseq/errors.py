@@ -9,10 +9,6 @@ class DivisionValuation(PolyseqError):
     """Series division where the dividend vanishes to lower order than the divisor."""
 
 
-class ComposeNonzeroConstant(PolyseqError):
-    """Inner series of a composition or polylogarithm has a nonzero constant term."""
-
-
 class IndexBeyondTruncation(PolyseqError):
     """Coefficient requested past the truncation order of a series."""
 

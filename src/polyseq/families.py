@@ -151,6 +151,9 @@ def _build_series_rows(family: Family, order: int) -> tuple[Row, ...]:
 # sum(numerator * base^-k) / denominator.  No entry depends on k.
 Row = tuple[int, tuple[tuple[int, int], ...]]
 
+# A closed form's bounded row cache, read by one-weight calls, `_route_row` and the symmetrized numbers.
+_cached = lru_cache(maxsize=128)
+
 
 def _row(denominator: int, terms) -> Row:
     """The row in lowest terms: bases ascending, no zero c_b, the denominator
@@ -197,6 +200,7 @@ def _cotangent_row(n: int) -> Row:
     )
 
 
+@_cached
 def _sym_row(m: int, n: int, dyadic: bool) -> Row:
     """Both symmetrized closed forms at order m, level n as one row in b^l: sym-D when dyadic.
 
@@ -370,9 +374,6 @@ _SASAKI = (
 )
 _EVEN_NEGATIVE_WEIGHT = ("an even index and weight <= -1", lambda n, k: n % 2 == 0 and k <= -1)
 _NONPOSITIVE_WEIGHT = ("weight <= 0", lambda n, k: k <= 0)
-
-# A closed form's bounded row cache, read by one-weight calls and `_route_row`.
-_cached = lru_cache(maxsize=128)
 
 # Family -> {method: (kind, domain, rows)}, where rows(n) is the method's row at
 # order n: a closed form's builder behind its cache, the series row read from

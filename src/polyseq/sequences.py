@@ -141,15 +141,38 @@ def totient(m: int) -> int:
     return result
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound (Sorenson and Webster, 2015)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; desk-scale inputs only."""
-    if n < 2:
+    """Exact below `PRIME_TEST_LIMIT`: trial division below 2^16, deterministic Miller-Rabin above."""
+    if n < 1 << 16:
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                return False
+            p += 1
+        return n >= 2
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {n} is decided exactly only below {PRIME_TEST_LIMIT}")
+    if any(n % a == 0 for a in _BASES):
         return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n is a strong probable prime to base a when a^d = 1 or a^(d 2^r) = -1 mod n for some r < s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1
     return True
 
 

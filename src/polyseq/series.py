@@ -40,12 +40,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Union
 
-from .errors import (
-    ComposeNonzeroConstant,
-    DivisionValuation,
-    DivisionZeroConstant,
-    IndexBeyondTruncation,
-)
+from .errors import DivisionValuation, DivisionZeroConstant, IndexBeyondTruncation
 
 Scalar = Union[int, Fraction]
 
@@ -290,17 +285,6 @@ class Series:
     def __pow__(self, exponent: int) -> "Series":
         return _power(self, exponent, constant(1, self.order))
 
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(t)); inner must have zero constant term."""
-        if inner._grid[0][0]:
-            raise ComposeNonzeroConstant("composition inner series has nonzero constant term")
-        order = min(self.order, inner.order)
-        g = inner.truncate(order)
-        acc = constant(self.coeffs[order], order)
-        for i in range(order - 1, -1, -1):
-            acc = acc * g + self.coeffs[i]
-        return acc
-
 
 def _power(base, exponent: int, one):
     """base**exponent from the highest bit down: bit_length - 1 squarings, popcount - 1 more products."""
@@ -318,12 +302,6 @@ def constant(value: Scalar, order: int) -> Series:
     _check_orders(order)
     f = _exact(value, "value")
     return _new(Series, f.denominator, ((f.numerator,) + (0,) * order,))
-
-
-def monomial(order: int) -> Series:
-    """The series t, truncated at the given order."""
-    _check_orders(order)
-    return _new(Series, 1, ([1 if n == 1 else 0 for n in range(order + 1)],))
 
 
 def _exp_row(c: Fraction, order: int) -> tuple[int, list[int]]:
@@ -436,13 +414,6 @@ class BiSeries:
 
     def __pow__(self, exponent: int) -> "BiSeries":
         return _power(self, exponent, biseries_constant(1, self.orders))
-
-    def partial_y(self) -> "BiSeries":
-        """d/dy: shifts the y-grid down and scales; y-order drops by one."""
-        tt, ty = self.orders
-        if ty == 0:
-            raise IndexBeyondTruncation("cannot differentiate a series with y-order 0")
-        return _new(BiSeries, self._den, [[(l + 1) * row[l + 1] for l in range(ty)] for row in self._grid])
 
 
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:

@@ -11,8 +11,8 @@ The hat-numbers at (m, n) are one row: TildeD's cached rows scaled by the
 weighted coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
 `sequences._exp_plus_one_numerators`.  Each definition, a first-kind Stirling
 sum over weights, is `families._rising` of that row or of the B-polynomial
-row.  The hat row and both definition rows are read through the bounded row
-cache of the plain families, `families._cached`, keyed by (m, n).  Both
+row.  The closed-form, hat and definition rows are read through the bounded
+row cache of the plain families, `families._cached`, keyed by (m, n).  Both
 families dispatch through one helper, `_symmetrized`, whose first parameters
 are the per-family choices, as in `congruences.identity`.
 """
@@ -65,10 +65,7 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     definition: sum_{j<=n} s(n,j) B_m^{(-l-j)}(n) (the polynomial is evaluated
     at x = n exactly), the `_rising` of the B-polynomial row at weight -l.
     closed_form: sum_j n!(j!)^2 C(j+n,n) S(l+1,j+1) S(m+1,j+1).
-    biseries: coefficient extraction from the two-variable function.
     """
-    if method == "biseries" and min(m, l, n) >= 0:
-        return sym_bernoulli_bivariate(n, max(l, m)).egf(l, m)
     return _symmetrized("poly-Bernoulli", False, fa._bernoulli_polynomial_row, m, l, n, method)
 
 

@@ -9,8 +9,8 @@ module keeps the direct expansion as an independent check of it.
 from fractions import Fraction
 from functools import lru_cache
 
-from polyseq.errors import ComposeNonzeroConstant
 from polyseq.series import Series, _geometric
+from series_reference import ComposeNonzeroConstant
 
 
 def _reciprocal_power(base: int, k: int) -> Fraction:

@@ -7,20 +7,24 @@ numerators over the lcm of their denominators, run plain integer loops and
 convert the result back, one `Fraction` per coefficient; sums and scalar
 operations are one `Fraction` operation per coefficient.  `build_series_rows`
 is the family matrix builder as it was, on these classes.
+
+`compose`, `partial_y` and `monomial` were library code that only the tests
+used; `compose` and `partial_y` take either kernel's series, so the drawn
+expressions run them on both, and `monomial` builds the library's `Series`.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
 
 from polyseq import families as fa
-from polyseq.errors import (
-    ComposeNonzeroConstant,
-    DivisionValuation,
-    DivisionZeroConstant,
-    IndexBeyondTruncation,
-)
+from polyseq import series as library
+from polyseq.errors import DivisionValuation, DivisionZeroConstant, IndexBeyondTruncation, PolyseqError
 
 _ZERO = Fraction(0)
+
+
+class ComposeNonzeroConstant(PolyseqError):
+    """Inner series of a composition or polylogarithm has a nonzero constant term."""
 
 
 def _exact(value) -> Fraction:
@@ -174,16 +178,6 @@ class Series(_Grid):
         (out,) = _grid_quotient([self.coeffs[v : v + n]], [other.coeffs[v : v + n]])
         return Series(out)
 
-    def compose(self, inner: "Series") -> "Series":
-        if inner.coeffs[0] != 0:
-            raise ComposeNonzeroConstant("composition inner series has nonzero constant term")
-        order = min(self.order, inner.order)
-        g = inner.truncate(order)
-        acc = constant(self.coeffs[order], order)
-        for i in range(order - 1, -1, -1):
-            acc = acc * g + self.coeffs[i]
-        return acc
-
 
 class BiSeries(_Grid):
     def __init__(self, coeffs):
@@ -223,11 +217,30 @@ class BiSeries(_Grid):
             raise DivisionZeroConstant("bivariate divisor has zero constant coefficient")
         return BiSeries(_grid_quotient(*_common(self.coeffs, other.coeffs)))
 
-    def partial_y(self) -> "BiSeries":
-        tt, ty = self.orders
-        if ty == 0:
-            raise IndexBeyondTruncation("cannot differentiate a series with y-order 0")
-        return BiSeries([[(l + 1) * row[l + 1] for l in range(ty)] for row in self.coeffs])
+
+def compose(outer, inner):
+    """outer(inner(t)) by Horner's rule, for a `Series` of either kernel; inner must have zero constant term."""
+    if inner.coeffs[0] != 0:
+        raise ComposeNonzeroConstant("composition inner series has nonzero constant term")
+    order = min(outer.order, inner.order)
+    g = inner.truncate(order)
+    acc = type(outer)((outer.coeffs[order],) + (_ZERO,) * order)
+    for i in range(order - 1, -1, -1):
+        acc = acc * g + outer.coeffs[i]
+    return acc
+
+
+def partial_y(grid):
+    """d/dy of a `BiSeries` of either kernel: the y-grid shifted down and scaled, one y-order fewer."""
+    tt, ty = grid.orders
+    if ty == 0:
+        raise IndexBeyondTruncation("cannot differentiate a series with y-order 0")
+    return type(grid)([[(l + 1) * row[l + 1] for l in range(ty)] for row in grid.coeffs])
+
+
+def monomial(order: int) -> library.Series:
+    """The library's series t, truncated at the given order."""
+    return library.Series([1 if n == 1 else 0 for n in range(order + 1)])
 
 
 def constant(value, order: int) -> Series:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from polyseq import congruences as cg
 from polyseq.cli import MAX_ORDER, MAX_WEIGHT, OutputTable, build_parser, build_table, main
 from polyseq.families import Family
+from polyseq.signatures import Signature, weight
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,40 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         (["verify", "PERIOD_C", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
         (["verify", "PERIOD_CPK", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
         (["verify", "PERIOD_COSE_ODD", "--p", "10007", "--k", "0"], "p - 1 must stay within 512 in a period identity"),
+        # every role caps the index it builds before any row is: one case per entry of signatures.CAPS
+        (
+            ["verify", "KUMMER_POLYB_B", "--p", "3", "--N", "1", "--k", "1", "--m", "1024", "--n", "1026"],
+            "m must stay within 1..512 in a Kummer congruence, not 1024",
+        ),
+        (
+            ["verify", "KUMMER_COSE", "--p", "3", "--N", "1", "--k", "1", "--m", "257", "--n", "259"],
+            "2m must stay within 2..512 in a Kummer congruence, not 514",
+        ),
+        (["verify", "PERIOD_B", "--p", "5", "--k", "513"], "k must stay within 0..512 in a period identity, not 513"),
+        (["verify", "PERIOD_COSE_P1", "--p", "1031", "--n", "1"], "p - 1 must stay within 512 in a period identity"),
+        (
+            ["verify", "KUMMER_COSE", "--p", str(2**89 - 1), "--N", "1", "--k", "1", "--m", "1", "--n", "1"],
+            "p must stay within 3317044064679887385961980 in a Kummer congruence",
+        ),
+        (
+            ["verify", "KUMMER_BERNOULLI", "--p", "5", "--N", "513", "--m", "2", "--n", "2"],
+            "N must stay within 1..512 in a Kummer congruence, not 513",
+        ),
+        (
+            ["verify", "SUM_COSE", "--p", "97", "--N", "2", "--n", "8", "--k", "3"],
+            "phi(p^N) must stay within 1..256 in a sum congruence, not 9312",
+        ),
+        (["verify", "CONV_EQ6", "--n", "129", "--k", "1"], "2n must stay within 0..256 in a conversion, not 258"),
+        (["verify", "DUALITY_B", "--lmax", "129"], "lmax must stay within 0..128 in a duality sweep, not 129"),
+        (
+            ["verify", "DUALITY_SYM_COSE", "--lmax", "33", "--nmax", "1"],
+            "lmax must stay within 0..32 in a duality sweep, not 33",
+        ),
+        (
+            ["verify", "STIRLING_CONG", "--p", "2", "--N", "1", "--jmax", "65", "--nmax", "4"],
+            "jmax must stay within 0..64 in a Stirling lemma, not 65",
+        ),
+        (["valuation", "--p", str(2**89 - 1), "--n", "1"], "p must stay within 3317044064679887385961980"),
     ],
     ids=[
         "unparsable-range",
@@ -388,6 +423,18 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "verify-period-c-order-past-the-cap",
         "verify-period-cpk-order-past-the-cap",
         "verify-period-cose-odd-order-past-the-cap",
+        "verify-kummer-order-past-the-cap",
+        "verify-kummer-doubled-order-past-the-cap",
+        "verify-period-dual-order-past-the-cap",
+        "verify-period-weight-past-the-cap",
+        "verify-prime-past-the-exact-primality-bound",
+        "verify-exponent-past-the-cap",
+        "verify-sum-phi-terms-past-the-cap",
+        "verify-conversion-order-past-the-cap",
+        "verify-duality-lmax-past-the-cap",
+        "verify-sym-duality-lmax-past-the-cap",
+        "verify-stirling-sweep-past-the-cap",
+        "valuation-prime-past-the-exact-primality-bound",
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):
@@ -403,11 +450,27 @@ def test_bad_input_exits_two(capsys, argv, message):
     assert err.count("\n") == 1 and not out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "KUMMER_POLYB_B", "--p", "1000000007", "--N", "2", "--k", "2", "--m", "2", "--n", "2"],
+        ["verify", "KUMMER_COSE", "--p", str(2**61 - 1), "--N", "1", "--k", "1", "--m", "1", "--n", "1"],
+    ],
+    ids=["phi-of-a-large-prime-power", "miller-rabin-prime"],
+)
+def test_large_primes_pass_in_a_fresh_interpreter(argv):
+    # phi(p^N) once took trial division up to p, and is_prime trial division up to sqrt(p)
+    proc = subprocess.run([sys.executable, "-m", "polyseq", *argv], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
 def test_internal_bug_is_not_reported_as_bad_parameters(capsys, monkeypatch):
     def broken(check, k: int):
         raise TypeError("internal bug")
 
-    monkeypatch.setitem(cg._REGISTRY, "BROKEN", (broken, "raises an internal TypeError"))
+    signature = Signature("a test", k=weight())
+    monkeypatch.setitem(cg._REGISTRY, "BROKEN", (broken, "raises an internal TypeError", signature))
     with pytest.raises(TypeError, match="internal bug"):
         main(["verify", "BROKEN", "--k", "1"])
     code, _, err = run_cli(capsys, "verify", "BROKEN", "--p", "3")

@@ -519,3 +519,63 @@ def test_period_identities_run_at_the_largest_prime_within_the_cap():
     assert PERIOD_MAX_ORDER == 512  # 509 is the largest prime p with p - 1 <= 512
     for name in _PERIODS:
         assert verify(name, p=509, k=1).passed, name
+
+
+def test_every_identity_declares_each_of_its_parameters_once():
+    import inspect
+
+    from polyseq import congruences as cg
+    from polyseq.signatures import CAPS
+
+    for name in registry_ids():
+        run, _, signature = cg._REGISTRY[name]
+        # the parameters after the checker, in order, bound per-family arguments aside
+        assert list(inspect.signature(run).parameters)[1:] == list(signature.roles), name
+        assert all(role.cap is None or role.cap in CAPS for role in signature.roles.values()), name
+
+
+def test_the_signature_checks_type_then_cap_then_minimum_then_primality():
+    # p = 4 is no prime, k = 0 is below its minimum, m = 300 builds the order 600 past the cap, n is a float
+    params = dict(p=4, N=1, k=0, m=300, n=1)
+    with pytest.raises(UsageError, match="^bad parameters for KUMMER_COSE: n must be an int, not 1.0$"):
+        verify("KUMMER_COSE", {**params, "n": 1.0})
+    with pytest.raises(UsageError, match="^2m must stay within 2..512 in a Kummer congruence, not 600$"):
+        verify("KUMMER_COSE", params)
+    with pytest.raises(HypothesisViolation, match="^k must be >= 1$"):
+        verify("KUMMER_COSE", {**params, "m": 1})
+    with pytest.raises(HypothesisViolation, match="^p = 4 must be an odd prime$"):
+        verify("KUMMER_COSE", {**params, "m": 1, "k": 1})
+    with pytest.raises(HypothesisViolation, match="^p = 2 must be an odd prime$"):
+        verify("KUMMER_COSE", {**params, "p": 2, "m": 1, "k": 1})
+    with pytest.raises(UsageError, match="^bad parameters for KUMMER_COSE: takes p, N, k, m, n, not p, N$"):
+        verify("KUMMER_COSE", p=3, N=1)
+
+
+def test_valuation_report_checks_its_parameters_as_denom_order_does():
+    with pytest.raises(HypothesisViolation, match="^p = 9 must be an odd prime$"):
+        valuation_report(9, 1)
+    with pytest.raises(HypothesisViolation, match="^n must be >= 1$"):
+        valuation_report(5, 0)
+    with pytest.raises(UsageError, match="^2n must stay within 2..512 in a denominator order, not 514$"):
+        valuation_report(5, 257)
+    with pytest.raises(UsageError, match="^bad parameters for valuation_report: p must be an int, not 5.0$"):
+        valuation_report(5.0, 1)
+
+
+def test_congruences_at_large_primes_take_phi_and_primality_without_trial_division():
+    # phi(p^N) = (p - 1) p^(N - 1) once p is known prime; p = 2^61 - 1 is decided by Miller-Rabin
+    assert verify("KUMMER_POLYB_B", p=1000000007, N=2, k=2, m=2, n=2).passed
+    assert verify("KUMMER_COSE", p=2**61 - 1, N=1, k=1, m=1, n=1).passed
+    assert verify("STIRLING_CONG", p=1000000007, N=3, jmax=2, nmax=4).passed
+    with pytest.raises(HypothesisViolation, match="must be an odd prime"):
+        verify("KUMMER_COSE", p=2**61 + 1, N=1, k=1, m=1, n=1)
+
+
+def test_sweeps_run_at_their_caps():
+    from polyseq.signatures import CAPS
+
+    assert verify("SUM_C", p=257, N=1, n=2, k=1).passed  # 256 terms, the cap
+    assert verify("STIRLING_CONG", p=3, N=1, jmax=CAPS["stirling"], nmax=CAPS["stirling"]).passed
+    assert verify("DUALITY_SYM_B", lmax=CAPS["sym duality"], nmax=1).passed
+    assert verify("KSHIFT", n=CAPS["conversion"], k=0).passed
+    assert verify("PERIOD_COTA_P1", p=509, n=CAPS["order"] // 2).passed

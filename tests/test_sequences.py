@@ -2,9 +2,11 @@
 
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyseq import (
     IndexParity,
@@ -19,7 +21,9 @@ from polyseq import (
 )
 from polyseq import sequences
 from polyseq.sequences import is_prime, primes_upto
-from polyseq.series import constant, cosh_series, exp_scaled, monomial, tanh_series, truncation_for
+from polyseq.series import constant, cosh_series, exp_scaled, tanh_series, truncation_for
+
+from series_reference import monomial
 
 
 def _partitions_into_blocks(n, m):
@@ -282,6 +286,30 @@ def test_primes():
     assert is_prime(97)
     assert not is_prime(1)
     assert not is_prime(91)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-5, 1 << 17), st.integers(1 << 16, 1 << 34)))
+def test_is_prime_agrees_with_trial_division(n):
+    # below 2^16 is_prime is trial division; above it, Miller-Rabin
+    assert is_prime(n) == _trial_division(n)
+
+
+def test_is_prime_refuses_strong_pseudoprimes_and_decides_large_primes():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7; 3825123056546413051 to every prime
+    # base up to 23; 318665857834031151167461 to every prime base up to 37, so it takes the 13th base, 41
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461, 3215031751 * 1000003):
+        assert not is_prime(composite), composite
+    for prime in (65537, 1000000007, 2**61 - 1, 2**64 - 59, 2**80 - 65, 10**24 + 7):
+        assert is_prime(prime), prime
+    assert sequences.PRIME_TEST_LIMIT > 10**24 + 7
+    assert not is_prime(sequences.PRIME_TEST_LIMIT - 1)
+    with pytest.raises(ValueError, match="decided exactly only below"):
+        is_prime(sequences.PRIME_TEST_LIMIT)
 
 
 def test_stirling2_mod_p_column_pattern():

@@ -38,15 +38,18 @@ from polyseq.sequences import _exp_plus_one_numerators
 from polyseq.symmetrized import _hat_row, sym_cosecant_halves
 
 from polylog_reference import polylog_apply
+from series_reference import partial_y
 
 
 def test_sym_bernoulli_three_routes_agree():
+    # the third route, extraction from the two-variable function, is built once per level
     for n in range(4):
+        f = sym_bernoulli_bivariate(n, 5)
         for m in range(6):
             for l in range(6):
                 closed = sym_poly_bernoulli(m, l, n)
                 assert closed == sym_poly_bernoulli(m, l, n, method="definition")
-                assert closed == sym_poly_bernoulli(m, l, n, method="biseries")
+                assert closed == f.egf(l, m)
 
 
 def test_sym_bernoulli_levels_zero_and_one_are_plain_variants():
@@ -340,7 +343,15 @@ def test_first_kind_derivative_lemma():
                 acc1 = acc1 + d1.truncate(target) * weight
                 acc2 = acc2 + d2.truncate(target) * weight
             if j < n:
-                d1 = d1.partial_y()
-                d2 = d2.partial_y()
+                d1 = partial_y(d1)
+                d2 = partial_y(d2)
         assert acc1 / (plus**n).truncate(target) == f1n.truncate(target)
         assert acc2 / (minus**n).truncate(target) == f2n.truncate(target)
+
+
+def test_a_generating_function_sweep_builds_each_closed_form_row_once():
+    # sym-B's closed form reads `_sym_row` through the row cache: one miss per order m, not one build per value
+    fa._sym_row.cache_clear()
+    assert verify("GF_SYM_B", n=2, lmax=6).passed
+    info = fa._sym_row.cache_info()
+    assert (info.misses, info.hits) == (7, 7 * 7 - 7)
