@@ -210,6 +210,7 @@ class _Checker:
 
     def eq_mod(self, instance: str, lhs, rhs, p: int, N: int) -> None:
         lhs = self._bump(_exact(lhs, "a witness's lhs"))
+        _render(instance, p**N)  # each residue is below the modulus, and the report writes all three out
         lres = reduce_mod(lhs, p, N)
         rres = reduce_mod(rhs, p, N)
         self.witnesses.append(Witness(instance, str(lres.value), str(rres.value), p**N))
@@ -235,8 +236,9 @@ _REGISTRY: dict[str, tuple] = {}
 def identity(name: str, doc: str, *bound):
     """Register `fn` under `name` as `partial(fn, *bound)`, with the `Signature` declared on it.
 
-    Stacked decorators with different `bound` arguments register one helper for several
-    families.  A bound argument is positional, so a caller's parameters cannot override it.
+    Stacked decorators with different `bound` arguments register one helper
+    for several families.  A bound argument is positional, so a caller's
+    parameters cannot override it.
     """
 
     def wrap(fn):
@@ -266,7 +268,8 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
         raise UsageError(f"unknown identity {identity_id!r}; known: {', '.join(registry_ids())}")
     if perturb_index is not None and perturb_index < 0:
         raise UsageError(f"perturb index {perturb_index} must be >= 0")
-    merged = {**(params or {}), **kw}
+    merged = dict(params or {})
+    merged.update(kw)
     run, _, signature = _REGISTRY[identity_id]
     signature.check(identity_id, merged)
     checker = _Checker(perturb_index)
@@ -389,8 +392,13 @@ def _sum_level2(family: Family, tangent_weight, check, p: int, N: int, n: int, k
     _require(k >= N, "k >= N required")
     x = _FAMILIES[family][0]
     phi, total = _phi_sum(family, p, N, 2 * n, k)
-    label = f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi"
-    check.eq_mod(label, 2 ** (2 * n) * total, tangent_weight(n) * phi, p, N)
+    check.eq_mod(
+        f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi",
+        Fraction(2 ** (2 * n)) * total,
+        Fraction(tangent_weight(n) * phi),
+        p,
+        N,
+    )
     if N >= 2:
         check.eq_mod(f"sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) mod p^{N - 1}", total, 0, p, N - 1)
 
@@ -400,7 +408,7 @@ def _sum_level2(family: Family, tangent_weight, check, p: int, N: int, n: int, k
 def _sum_c(check, p: int, N: int, n: int, k: int):
     _require(k >= N, "k >= N required")
     phi, total = _phi_sum(Family.POLY_C, p, N, n, k)
-    check.eq_mod(f"sum_(i<{phi}) C_{n}^(-{k}-i)", total, (-1) ** n * phi, p, N)
+    check.eq_mod(f"sum_(i<{phi}) C_{n}^(-{k}-i)", total, Fraction((-1) ** n * phi), p, N)
 
 
 # --------------------------------------------------------------- 2-adic orders
@@ -415,7 +423,13 @@ def _two_order_cose(check, n: int, k: int):
 @identity("TWO_ORDER_COTA", "beta_{2n}^{(-2k-1)} = 0 mod 2^{2n-1} for n >= 1, k >= 0")
 @Signature("a 2-adic congruence", n=order(1, 2), k=weight(0))
 def _two_order_cota(check, n: int, k: int):
-    check.eq_mod(f"beta_{2 * n}^({-2 * k - 1}) mod 2^{2 * n - 1}", polycotangent(2 * n, -2 * k - 1), 0, 2, 2 * n - 1)
+    check.eq_mod(
+        f"beta_{2 * n}^({-2 * k - 1}) mod 2^{2 * n - 1}",
+        polycotangent(2 * n, -2 * k - 1),
+        0,
+        2,
+        2 * n - 1,
+    )
 
 
 # --------------------------------------------------------------- period props
@@ -453,7 +467,7 @@ def _period_cose_odd(check, p: int, k: int):
 
 
 @identity("PERIOD_COSE_P1", "D_{2n}^{(-p+1)} = 0 mod p unless (p-1) | 2n, then 1")
-@Signature("a period identity", p=PERIOD_PRIME, n=order(0, 2))
+@Signature("a period identity", p=ODD_PRIME, n=order(0, 2))
 def _period_cose_p1(check, p: int, n: int):
     want = 1 if (2 * n) % (p - 1) == 0 else 0
     check.eq_mod(f"D_{2 * n}^(-{p - 1})", polycosecant(2 * n, -(p - 1)), want, p, 1)
@@ -473,7 +487,9 @@ def _period_cota_p1(check, p: int, n: int):
 @Signature("a von Staudt-type congruence", n=order(1))
 def _cvs_bernoulli(check, n: int):
     _require(n == 1 or n % 2 == 0, "n must be 1 or an even positive integer")
-    total = bernoulli(n) + sum((Fraction(1, p) for p in primes_upto(n + 1) if n % (p - 1) == 0), Fraction(0))
+    total = bernoulli(n) + sum(
+        (Fraction(1, p) for p in primes_upto(n + 1) if n % (p - 1) == 0), Fraction(0)
+    )
     check.eq(f"denominator of B_{n} + sum 1/p", total.denominator, 1)
 
 
@@ -573,10 +589,23 @@ def valuation_report(p: int, n: int) -> ValuationReport:
     """Denominator orders and branch data for the even index 2n at odd prime p, checked as DENOM_ORDER's are."""
     _denom_order.signature.check("valuation_report", {"p": p, "n": n})
     n2 = 2 * n
-    b, d, bh = bernoulli(n2).denominator, polycosecant(n2, 1).denominator, polycotangent(n2, 1).denominator
+    b = bernoulli(n2).denominator
+    d = polycosecant(n2, 1).denominator
+    bh = polycotangent(n2, 1).denominator
     branch = "(p-1) | 2n" if n2 % (p - 1) == 0 else "(p-1) does not divide 2n"
-    orders = ord_p(b, p), ord_p(d, p), ord_p(bh, p)
-    return ValuationReport(p, n2, b, d, bh, *orders, alpha=n2 % (p - 1), gamma=min(n2, 2 * p - 3), branch=branch)
+    return ValuationReport(
+        p=p,
+        index=n2,
+        b=b,
+        d=d,
+        beta_hat=bh,
+        ord_b=ord_p(b, p),
+        ord_d=ord_p(d, p),
+        ord_beta_hat=ord_p(bh, p),
+        alpha=n2 % (p - 1),
+        gamma=min(n2, 2 * p - 3),
+        branch=branch,
+    )
 
 
 # ------------------------------------------------------------------- dualities
@@ -667,21 +696,29 @@ def _vanish_level2(family: Family, check, k: int, n: int, m: int):
 @identity("CONV_EQ5", "beta_{2n}^{(k)} = sum_i C(2n,2i) D_{2i}^{(k)}")
 @Signature("a conversion", n=Role("conversion", 0, 2), k=weight())
 def _conv_eq5(check, n: int, k: int):
-    rhs = polycotangent(2 * n, k, method="from_cosecant")
-    check.eq(f"beta_{2 * n}^({k}) vs binomial sum over D", polycotangent(2 * n, k), rhs)
+    check.eq(
+        f"beta_{2 * n}^({k}) vs binomial sum over D",
+        polycotangent(2 * n, k),
+        polycotangent(2 * n, k, method="from_cosecant"),
+    )
 
 
 @identity("CONV_EQ6", "D_{2n}^{(k)} = sum_i C(2n,2i) E_{2n-2i} beta_{2i}^{(k)}")
 @_conv_eq5.signature
 def _conv_eq6(check, n: int, k: int):
-    rhs = cosecant_from_cotangent(2 * n, k)
-    check.eq(f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), rhs)
+    check.eq(
+        f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), cosecant_from_cotangent(2 * n, k)
+    )
 
 
 @identity("KSHIFT", "D_n^{(k-1)} = sum_m C(n+1,2m+1) D_{n-2m}^{(k)}")
 @Signature("a conversion", n=Role("conversion", 0), k=weight())
 def _kshift(check, n: int, k: int):
-    check.eq(f"D_{n}^({k - 1}) vs weight-shift sum at weight {k}", polycosecant(n, k - 1), k_shift_recurrence(n, k))
+    check.eq(
+        f"D_{n}^({k - 1}) vs weight-shift sum at weight {k}",
+        polycosecant(n, k - 1),
+        k_shift_recurrence(n, k),
+    )
 
 
 # ------------------------------------------------- generating-function sweeps
@@ -731,7 +768,7 @@ def _gf_sym(bivariate, label, value, check, n: int, lmax: int):
 
 
 @identity("STIRLING_MOD_P", "S(n, ap-1) mod p is C(c-1,a-1) when n = a-1+c(p-1), c >= a, else 0")
-@Signature("a Stirling lemma", p=PRIME, a=order(1), nmax=order(0))
+@Signature("a Stirling lemma", p=PRIME, a=Role(minimum=1), nmax=order(0))
 def _stirling_mod_p(check, p: int, a: int, nmax: int):
     for n in range(nmax + 1):
         want = 0
@@ -749,8 +786,13 @@ def _stirling_cong(check, p: int, N: int, jmax: int, nmax: int):
     for n in range(N, nmax + 1):
         for m in range(n + phi, nmax + 1, phi):
             for j in range(jmax + 1):
-                lhs, rhs = factorial(j) * stirling2(n, j), factorial(j) * stirling2(m, j)
-                check.eq_mod(f"{j}! S({n},{j}) vs {j}! S({m},{j})", lhs, rhs, p, N)
+                check.eq_mod(
+                    f"{j}! S({n},{j}) vs {j}! S({m},{j})",
+                    factorial(j) * stirling2(n, j),
+                    factorial(j) * stirling2(m, j),
+                    p,
+                    N,
+                )
 
 
 # -------------------------------------------------------- oracle-diff utility

@@ -147,18 +147,14 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Exact below `PRIME_TEST_LIMIT`: trial division below 2^16, deterministic Miller-Rabin above."""
-    if n < 1 << 16:
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                return False
-            p += 1
-        return n >= 2
+    """Deterministic Miller-Rabin to the bases `_BASES`, exact below `PRIME_TEST_LIMIT`."""
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"primality of {n} is decided exactly only below {PRIME_TEST_LIMIT}")
-    if any(n % a == 0 for a in _BASES):
+    if n < 2:
         return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

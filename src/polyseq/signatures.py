@@ -15,18 +15,19 @@ from dataclasses import dataclass
 from .errors import HypothesisViolation, UsageError
 from .sequences import PRIME_TEST_LIMIT, is_prime
 
-# Every work cap, each on an index that is built: worst cases at the cap and past it, on a 2-core Xeon.
+# Every work cap, each on an index that is built.  Worst case at the largest value each admits, then past it:
+# one fresh process each, wall time and VmHWM, on a 2-core Xeon under Python 3.11.
 CAPS = {
-    "prime": PRIME_TEST_LIMIT - 1,  # is_prime is exact below PRIME_TEST_LIMIT
-    "exponent": 512,  # N of the modulus p^N
-    "order": 512,  # every order index: Stirling triangles to 512 peak near 43 MB, VANISH_S1_B takes 3.8 s
-    "phi terms": 256,  # the phi(p^N) terms of a SUM_* sum: SUM_COTA at order 512, 2.7 s; 13.5 s at 486 terms
-    "conversion": 256,  # CONV_EQ5/6's 2n, KSHIFT's n, each building every row below: 1.6 s; 28 s at 512
-    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 3.8 s; DUALITY_B 29 s at 256
-    "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 1.8 s; 43 s at 64 x 64
-    "stirling": 64,  # jmax and nmax of STIRLING_CONG: 1.3 s and 58 MB; 6.3 s and 156 MB at 96
-    "gf order": 32,  # nmax, kmax, lmax of a generating-function sweep: 6-18 s; minutes at 48
-    "gf level": 64,  # the level n of GF_SYM_*
+    "prime": PRIME_TEST_LIMIT - 1,  # is_prime is exact below PRIME_TEST_LIMIT: < 0.01 s, 17 MB
+    "exponent": 512,  # N of the modulus p^N: < 0.01 s, 17 MB; a modulus past Python's digit limit exits 2
+    "order": 512,  # every order index: VANISH_S1_B at m = 512, n = 511, 3.7 s and 76 MB; KUMMER_POLYB_B 231 MB at 1024
+    "phi terms": 256,  # the (p-1)p^(N-1) terms of a SUM_* sum: SUM_COTA at 2n = 512, 2.2 s; 13.5 s at 486 terms
+    "conversion": 256,  # CONV_EQ5/6's 2n, KSHIFT's n, each building every row below: 0.9 s; 27.5 s at 512
+    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 3.3 s and 31 MB; DUALITY_B 28.6 s at 256
+    "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 1.6 s and 27 MB; 42.8 s at 64 x 64
+    "stirling": 64,  # jmax and nmax of STIRLING_CONG: 1.0 s and 58 MB; 6.3 s and 156 MB at 96
+    "gf order": 32,  # nmax, kmax, lmax of a GF sweep: GF_SYM_COSE at level 64, 13.8 s and 19 MB; minutes at 48
+    "gf level": 64,  # the level n of GF_SYM_*, at its cap in the case above
     "table order": 64,  # the orders of `polyseq table`, `oracle-diff` and `valuation`
     "table weight": 32,  # the weights of `polyseq table` and `oracle-diff`, either sign
 }
@@ -49,7 +50,7 @@ class Role:
 
 PRIME, ODD_PRIME = Role("prime", prime="prime"), Role("prime", prime="an odd prime")
 EXPONENT, SUM_EXPONENT = Role("exponent", 1), Role("exponent", 1, phi=True)
-PERIOD_PRIME = Role("order", offset=-1, prime="an odd prime")  # p - 1 is an order or a weight
+PERIOD_PRIME = Role("order", offset=-1, prime="an odd prime")  # p - 1 is an order index
 
 
 def order(minimum: int | None, scale: int = 1) -> Role:
@@ -90,7 +91,7 @@ class Signature:
                 low = None if r.minimum is None else r.scale * r.minimum + r.offset
                 self._cap(r.cap, label, r.scale * params[name] + r.offset, low)
             if r.phi and params["p"] >= 2:
-                self._cap("phi terms", "phi(p^N)", _phi(params["p"], max(params[name], 1)), 1)
+                self._cap("phi terms", "(p-1)p^(N-1) terms", _phi(params["p"], max(params[name], 1)), 1)
         for name, r in self.roles.items():
             if r.minimum is not None and params[name] < r.minimum:
                 raise HypothesisViolation(f"{name} must be >= {r.minimum}")

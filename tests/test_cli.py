@@ -349,6 +349,11 @@ def _oracle_diff_argv(nmax, kmin, kmax):
             ["verify", "VANISH_S1_B", "--k", "8000", "--n", "3", "--m", "4"],
             "sum_j (-1)^j s(5,j+1) B_3^(-k-j) at k=8000: a value has more than 4300 digits",
         ),
+        # p^N within the exponent cap, but a modulus of about 12,300 digits
+        (
+            ["verify", "KUMMER_BERNOULLI", "--p", str(10**24 + 7), "--N", "512", "--m", "2", "--n", "2"],
+            "(1-p^(m-1))B_2/2 vs (1-p^(n-1))B_2/2: a value has more than 4300 digits",
+        ),
         # a generating-function sweep past its cap is refused before any series is built
         (["verify", "GF_SYM_B", "--n", "2", "--lmax", "99999999"], "lmax must stay within 0..32"),
         (["verify", "GF_SYM_B", "--n", "100000000", "--lmax", "2"], "n must stay within 0..64"),
@@ -372,7 +377,6 @@ def _oracle_diff_argv(nmax, kmin, kmax):
             "2m must stay within 2..512 in a Kummer congruence, not 514",
         ),
         (["verify", "PERIOD_B", "--p", "5", "--k", "513"], "k must stay within 0..512 in a period identity, not 513"),
-        (["verify", "PERIOD_COSE_P1", "--p", "1031", "--n", "1"], "p - 1 must stay within 512 in a period identity"),
         (
             ["verify", "KUMMER_COSE", "--p", str(2**89 - 1), "--N", "1", "--k", "1", "--m", "1", "--n", "1"],
             "p must stay within 3317044064679887385961980 in a Kummer congruence",
@@ -383,8 +387,14 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         ),
         (
             ["verify", "SUM_COSE", "--p", "97", "--N", "2", "--n", "8", "--k", "3"],
-            "phi(p^N) must stay within 1..256 in a sum congruence, not 9312",
+            "(p-1)p^(N-1) terms must stay within 1..256 in a sum congruence, not 9312",
         ),
+        # a composite p: the count of terms is capped before primality is tested, and named without a totient
+        (
+            ["verify", "SUM_COSE", "--p", "1000", "--N", "1", "--n", "1", "--k", "1"],
+            "(p-1)p^(N-1) terms must stay within 1..256 in a sum congruence, not 999",
+        ),
+        (["verify", "SUM_COSE", "--p", "9", "--N", "1", "--n", "1", "--k", "1"], "p = 9 must be an odd prime"),
         (["verify", "CONV_EQ6", "--n", "129", "--k", "1"], "2n must stay within 0..256 in a conversion, not 258"),
         (["verify", "DUALITY_B", "--lmax", "129"], "lmax must stay within 0..128 in a duality sweep, not 129"),
         (
@@ -412,6 +422,7 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "verify-perturb-negative",
         "verify-witness-past-the-digit-limit",
         "verify-vanishing-term-past-the-digit-limit",
+        "verify-modulus-past-the-digit-limit",
         "verify-gf-sym-b-lmax-past-the-cap",
         "verify-gf-sym-b-level-past-the-cap",
         "verify-gf-sym-cose-level-past-the-cap",
@@ -426,10 +437,11 @@ def _oracle_diff_argv(nmax, kmin, kmax):
         "verify-kummer-order-past-the-cap",
         "verify-kummer-doubled-order-past-the-cap",
         "verify-period-dual-order-past-the-cap",
-        "verify-period-weight-past-the-cap",
         "verify-prime-past-the-exact-primality-bound",
         "verify-exponent-past-the-cap",
         "verify-sum-phi-terms-past-the-cap",
+        "verify-sum-composite-p-terms-past-the-cap",
+        "verify-sum-composite-p-within-the-cap",
         "verify-conversion-order-past-the-cap",
         "verify-duality-lmax-past-the-cap",
         "verify-sym-duality-lmax-past-the-cap",

@@ -579,3 +579,11 @@ def test_sweeps_run_at_their_caps():
     assert verify("DUALITY_SYM_B", lmax=CAPS["sym duality"], nmax=1).passed
     assert verify("KSHIFT", n=CAPS["conversion"], k=0).passed
     assert verify("PERIOD_COTA_P1", p=509, n=CAPS["order"] // 2).passed
+
+
+def test_period_p1_identities_take_p_minus_1_as_a_weight_without_a_cap():
+    # D_{2n}^{(-p+1)} and beta_{2n}^{(-p+1)}: p - 1 is a weight here, so only 2n is capped as an order
+    assert verify("PERIOD_COSE_P1", p=1031, n=1).passed
+    assert verify("PERIOD_COTA_P1", p=1031, n=1).passed
+    with pytest.raises(UsageError, match="^2n must stay within 0..512 in a period identity, not 514$"):
+        verify("PERIOD_COSE_P1", p=3, n=257)

@@ -295,7 +295,7 @@ def _trial_division(n):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.integers(-5, 1 << 17), st.integers(1 << 16, 1 << 34)))
 def test_is_prime_agrees_with_trial_division(n):
-    # below 2^16 is_prime is trial division; above it, Miller-Rabin
+    # one Miller-Rabin path: a small n is decided by the division by the bases, a larger one by the rounds
     assert is_prime(n) == _trial_division(n)
 
 
