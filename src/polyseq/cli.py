@@ -18,7 +18,7 @@ from functools import cache
 
 from . import congruences as cg
 from .errors import PolyseqError, UsageError
-from .families import Family, family_row
+from .families import Family, _cell, _evaluate
 from .signatures import CAPS
 
 MAX_ORDER, MAX_WEIGHT = CAPS["table order"], CAPS["table weight"]
@@ -116,8 +116,9 @@ def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[i
     if n_lo < 0 or n_hi > MAX_ORDER:
         raise UsageError(f"order range must stay within 0..{MAX_ORDER}")
     _check_weights(family, k_lo, k_hi)
+    # each cell is str(family_row(...)[i]), written without building the Fraction
     ks = range(k_lo, k_hi + 1)
-    rows = [(n, [str(v) for v in family_row(family, n, ks)]) for n in range(n_lo, n_hi + 1)]
+    rows = [(n, _evaluate(family, n, ks, None, _cell)) for n in range(n_lo, n_hi + 1)]
     return OutputTable(family, n_range, k_range, rows)
 
 

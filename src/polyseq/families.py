@@ -22,14 +22,18 @@ The explicit closed forms of B, C, D, beta and TildeD share one shape,
 value(n, k) = sum_b c[b] b^-k / denominator, with integer c that do not
 depend on k.  A row builder per family returns (denominator, ((b, c), ...))
 and one evaluator, `_evaluate_row`, turns a row and a list of weights into
-values.  It steps the powers across ascending weights: the terms
-c b^-k of one weight come from the previous weight's by one small product per
-term, not a full power.  Every route takes (n, weights), so `family_row(family,
-n, ks)` builds a row once for all its weights, while `family_value` is the
-same call with one weight.  `_sym_row` also builds both symmetrized closed
-forms.  TildeD's `explicit` route at k <= 0 is `_tilde_row`, a Stirling sum
-over the bases 1..n+1; Sasaki's formula for D at k <= 0, the `sasaki` route,
-expands to the same sum over half the denominator.
+values.  It steps the powers across ascending weights: the terms c b^-k of
+one weight come from the previous weight's by one `map` of `operator.mul` or
+`floordiv` over the bases, in C, not a full power.  It hands each value's
+unreduced (numerator, denominator) to its `value` hook: `Fraction` by default,
+`_cell`, the same value's string, for `polyseq table`.  Every route takes
+(n, weights), so `family_row(family, n, ks)` builds a row once for all its
+weights, while `family_value` is the same call with one weight.  The builders'
+double sums sum_j w_j C(j, m) c^(j-m), c = +-1, are one Taylor shift,
+`_binomial_shift`.  `_sym_row` also builds both symmetrized closed forms.
+TildeD's `explicit` route at k <= 0 is `_tilde_row`, a Stirling sum over the
+bases 1..n+1; Sasaki's formula for D at k <= 0, the `sasaki` route, expands
+to the same sum over half the denominator.
 
 Every row is in lowest terms (`_row`): bases ascending, no zero c_b and no
 common factor of the denominator and the c_b.  Since the functions b^-k of
@@ -66,7 +70,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
+from operator import floordiv, mul
 
 from . import series as se
 from .errors import IndexParity, MethodDomain
@@ -169,22 +175,35 @@ def _row(denominator: int, terms) -> Row:
     return denominator, tuple(terms)
 
 
+def _binomial_shift(w: list[int], c: int) -> list[int]:
+    """[sum_j w_j C(j, m) c^(j-m) for m in range(len(w))] for c = 1 or -1: the coefficients of sum_j w_j (x + c)^j.
+
+    Taylor shift by Horner's rule in n^2/2 additions, where the double sum
+    takes n^2/2 binomials.  Each pass replaces every coefficient from the top
+    down by the suffix sum above it, one `accumulate` over the coefficients
+    listed from the top; c = -1 is c = 1 between two sign changes at odd m.
+    """
+    top = [x * c ** (j % 2) for j, x in enumerate(w)][::-1]
+    for length in range(len(top), 1, -1):
+        top[:length] = accumulate(top[:length])
+    return [x * c ** (m % 2) for m, x in enumerate(reversed(top))]
+
+
 def _cosecant_row(n: int) -> Row:
     """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1 over 2^n; empty at odd n.
 
-    Its term j at exponent k+1, C(j-1, 2i) / b^(k+1), is C(j, 2i+1) / (j b^k).
+    Its term j at exponent k+1, C(j-1, 2i) / b^(k+1), is C(j, 2i+1) / (j b^k),
+    so base b carries sum_j w_j C(j, b).
     """
     if n % 2 == 1:
         return _row(1, ())
     w = [0] + [(-1) ** (j + 1) * factorial(j - 1) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(1, n + 2)]
-    return _row(
-        2**n,
-        ((2 * i + 1, sum(w[j] * comb(j, 2 * i + 1) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
-    )
+    shifted = _binomial_shift(w, 1)
+    return _row(2**n, ((b, shifted[b]) for b in range(1, n + 2, 2)))
 
 
 def _cotangent_row(n: int) -> Row:
-    """The explicit Stirling sum of beta_n^{(k)}: bases 2i+1; empty at odd n."""
+    """The explicit Stirling sum of beta_n^{(k)}: bases 2i+1, base b carrying sum_j w_j C(j+1, b); empty at odd n."""
     if n % 2 == 1:
         return _row(1, ())
     w = [
@@ -194,10 +213,8 @@ def _cotangent_row(n: int) -> Row:
         * ((j + 1) * (j + 2) // 2 * stirling2(n, j + 2) + stirling2(n + 1, j + 1))
         for j in range(n + 1)
     ]
-    return _row(
-        2**n,
-        ((2 * i + 1, sum(w[j] * comb(j + 1, 2 * i + 1) for j in range(2 * i, n + 1))) for i in range(n // 2 + 1)),
-    )
+    shifted = _binomial_shift([0] + w, 1)
+    return _row(2**n, ((b, shifted[b]) for b in range(1, n + 2, 2)))
 
 
 @_cached
@@ -208,13 +225,8 @@ def _sym_row(m: int, n: int, dyadic: bool) -> Row:
     (here over 2^(n+m)), and j!S(l+1,j+1) = sum_b (-1)^(j+1-b) C(j,b-1) b^l.
     """
     w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
-    return _row(
-        2 ** (n + m) if dyadic else 1,
-        (
-            (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
-            for b in range(1, m + 2)
-        ),
-    )
+    shifted = _binomial_shift(w, -1)
+    return _row(2 ** (n + m) if dyadic else 1, ((b, shifted[b - 1]) for b in range(1, m + 2)))
 
 
 def _sasaki_row(n: int) -> Row:
@@ -248,10 +260,8 @@ def _tilde_row(n: int) -> Row:
     C(m+j, j) (m+j-1)! S(n+1, m+j) / 2^(m+j), here summed over r = m+j.
     """
     w = [0] + [factorial(r - 1) * stirling2(n + 1, r) * 2 ** (n + 1 - r) for r in range(1, n + 2)]
-    return _row(
-        2 ** (n + 1),
-        ((m, sum((-1) ** (r - m) * comb(r, m) * w[r] for r in range(m, n + 2))) for m in range(1, n + 2)),
-    )
+    shifted = _binomial_shift(w, -1)
+    return _row(2 ** (n + 1), ((m, shifted[m]) for m in range(1, n + 2)))
 
 
 def _row_sum(parts) -> Row:
@@ -274,39 +284,46 @@ def _rising(row: Row, n: int) -> Row:
     return _row(denominator, ((b, c * prod(range(b, b + n))) for b, c in terms))
 
 
-def _powers(pairs, last, x: int) -> tuple[int, list[int]]:
-    """(x, [c * b^x for b, c in pairs]), stepped from `last`, the same list at an earlier exponent y.
+def _powers(pairs, last, x: int) -> tuple[int, list[int], list[int] | None]:
+    """(x, [c * b^x for b, c in pairs], bases), stepped from `last`, the same triple at an earlier exponent y.
 
-    Rising, it multiplies by b^(x - y); falling by one, it divides exactly by
-    b.  A larger fall starts again from c: dividing by a large b^(y - x)
-    costs more than the powers it would save.
+    A step of one multiplies or divides exactly by b, in C, over `bases`, the
+    list of b built at the first such step and passed on, so a one-weight call
+    never builds it.  A larger rise multiplies by b^(x - y); a larger fall
+    starts again from c: dividing by a large b^(y - x) costs more than the
+    powers it would save.
     """
-    if last is not None:
-        y, powered = last
-        if x >= y:
-            step = x - y
-            return x, [p * b**step for p, (b, _) in zip(powered, pairs)]
-        if x == y - 1:
-            return x, [p // b for p, (b, _) in zip(powered, pairs)]
-    return x, [c * b**x for b, c in pairs]
+    if last is None:
+        return x, [c * b**x for b, c in pairs], None
+    y, powered, bases = last
+    if x == y + 1 or x == y - 1:
+        if bases is None:
+            bases = [b for b, _ in pairs]
+        return x, list(map(mul if x > y else floordiv, powered, bases)), bases
+    if x >= y:
+        step = x - y
+        return x, [p * b**step for p, (b, _) in zip(powered, pairs)], bases
+    return x, [c * b**x for b, c in pairs], bases
 
 
-def _evaluate_row(row: Row, ks) -> list[Fraction]:
-    """The row's value at each weight in `ks`: integer sums, then one Fraction each.
+def _evaluate_row(row: Row, ks, value=Fraction) -> list:
+    """The row's value at each weight in `ks`: integer sums, then `value(numerator, denominator)` each.
 
-    The terms of a weight are stepped from those of the previous weight on the
-    same side of exponent zero (see `_powers`), so consecutive weights cost
-    one small product or exact quotient per term instead of a full power.
+    `value` is `Fraction` by default; the table passes `_cell`, which writes
+    the same value's string without building a `Fraction`.  The terms of a
+    weight are stepped from those of the previous weight on the same side of
+    exponent zero (see `_powers`), so consecutive weights cost one product or
+    exact quotient per term, mapped in C, instead of a full power.
     """
     denominator, terms = row
     if not terms:
-        return [Fraction(0)] * len(ks)
+        return [value(0, 1)] * len(ks)
     values = []
     low = high = None
     for k in ks:
         if k <= 0:
             low = _powers(terms, low, -k)
-            values.append(Fraction(sum(low[1]), denominator))
+            values.append(value(sum(low[1]), denominator))
             continue
         if high is None:
             # b^-k = (L/b)^k / L^k over the lcm L of the bases; a list again
@@ -314,8 +331,17 @@ def _evaluate_row(row: Row, ks) -> list[Fraction]:
             lcm_all = lcm(*[b for b, _ in terms])
             scaled = [(lcm_all // b, c) for b, c in terms]
         high = _powers(scaled, high, k)
-        values.append(Fraction(sum(high[1]), lcm_all**k * denominator))
+        values.append(value(sum(high[1]), lcm_all**k * denominator))
     return values
+
+
+def _cell(numerator: int, denominator: int) -> str:
+    """str(Fraction(numerator, denominator)) for a positive denominator, reduced by one gcd."""
+    common = gcd(numerator, denominator)
+    if common != 1:
+        numerator //= common
+        denominator //= common
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 # ---------------------------------------------------------------- closed forms
@@ -430,11 +456,12 @@ def _method_at(family: Family, n: int, ks, method: str | None) -> str:
     return method
 
 
-def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
+def _evaluate(family: Family, n: int, ks, method: str | None, value=Fraction) -> list:
     """Values at (n, k) for each k in `ks`, all by one method: the named one or `_method_at`'s default.
 
     One weight reads the row through the method's cache, several build it
     without keeping it; `stirling_negk`, which has no row, goes cell by cell.
+    Each value is `value(numerator, denominator)`, as in `_evaluate_row`.
     """
     if n < 0:
         raise ValueError("order index must be non-negative")
@@ -442,8 +469,9 @@ def _evaluate(family: Family, n: int, ks, method: str | None) -> list[Fraction]:
         return []
     rows = ROUTES[family][_method_at(family, n, ks, method)][2]
     if rows is None:
-        return [_cotangent_stirling(n, k) for k in ks]
-    return _evaluate_row(rows(n) if len(ks) == 1 else getattr(rows, "__wrapped__", rows)(n), ks)
+        cells = [_cotangent_stirling(n, k) for k in ks]
+        return cells if value is Fraction else [value(c.numerator, c.denominator) for c in cells]
+    return _evaluate_row(rows(n) if len(ks) == 1 else getattr(rows, "__wrapped__", rows)(n), ks, value)
 
 
 def _value(family: Family, n: int, k: int, method: str | None) -> Fraction:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from polyseq import congruences as cg
 from polyseq.cli import MAX_ORDER, MAX_WEIGHT, OutputTable, build_parser, build_table, main
-from polyseq.families import Family
+from polyseq.families import Family, family_row
 from polyseq.signatures import Signature, weight
 
 
@@ -142,6 +142,18 @@ def test_full_grid_renders_byte_identical_to_the_references(family):
     # every field is an integer or a signed fraction, which QUOTE_MINIMAL never quotes
     assert all(_CELL.fullmatch(cell) for _, cells in table.rows for cell in cells)
     _assert_renders_like_the_references(table)
+
+
+@pytest.mark.parametrize(
+    "family, k_range",
+    [(family, (-MAX_WEIGHT, _k_max(family))) for family in _TABLE_FAMILIES]
+    # a row entirely below 0 takes beta's stirling_negk cells
+    + [("Cotangent", (-MAX_WEIGHT, -1))],
+)
+def test_full_grid_cells_are_the_family_row_strings(family, k_range):
+    ks = range(k_range[0], k_range[1] + 1)
+    want = [(n, [str(v) for v in family_row(family, n, ks)]) for n in range(MAX_ORDER + 1)]
+    assert build_table(family, (0, MAX_ORDER), k_range).rows == want
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Poly-Bernoulli, polycosecant and polycotangent numbers: golden values,
 method agreement, dualities, conversions, vanishing sums."""
 
+import sys
 from fractions import Fraction as F
 from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
@@ -514,13 +515,78 @@ _WEIGHT_LISTS = {
 }
 
 
+def _reference_powers(pairs, last, x):
+    """`families._powers` as it was before its steps of one ran in C: one product or quotient per term in Python."""
+    if last is not None:
+        y, powered = last
+        if x >= y:
+            step = x - y
+            return x, [p * b**step for p, (b, _) in zip(powered, pairs)]
+        if x == y - 1:
+            return x, [p // b for p, (b, _) in zip(powered, pairs)]
+    return x, [c * b**x for b, c in pairs]
+
+
+def _reference_stepped_evaluate_row(row, ks):
+    """`families._evaluate_row` as it was before the `value` hook, stepping with `_reference_powers`."""
+    denominator, terms = row
+    if not terms:
+        return [F(0)] * len(ks)
+    values = []
+    low = high = None
+    for k in ks:
+        if k <= 0:
+            low = _reference_powers(terms, low, -k)
+            values.append(F(sum(low[1]), denominator))
+            continue
+        if high is None:
+            lcm_all = lcm(*[b for b, _ in terms])
+            scaled = [(lcm_all // b, c) for b, c in terms]
+        high = _reference_powers(scaled, high, k)
+        values.append(F(sum(high[1]), lcm_all**k * denominator))
+    return values
+
+
 @pytest.mark.parametrize("name", _WEIGHT_LISTS)
 def test_evaluate_row_equals_the_unstepped_evaluator(name):
     ks = list(_WEIGHT_LISTS[name])
     rows = [build(n) for n in range(65) for _, build, _ in _ROW_REFERENCES.values()]
     rows += [row for family in Family for row in fa._series_rows(family, 24)]
     for row in rows:
-        assert fa._evaluate_row(row, ks) == _reference_evaluate_row(row, ks), (row[0], ks)
+        values = fa._evaluate_row(row, ks)
+        assert values == _reference_evaluate_row(row, ks), (row[0], ks)
+        assert values == _reference_stepped_evaluate_row(row, ks), (row[0], ks)
+
+
+def _every_route_row(n_max):
+    """Every distinct row of every route with rows, n = 0..n_max."""
+    routes = [rows for family in Family for _, _, rows in ROUTES[family].values() if rows is not None]
+    return list(dict.fromkeys(rows(n) for rows in routes for n in range(n_max + 1)))
+
+
+@pytest.mark.parametrize("name", _WEIGHT_LISTS)
+def test_cells_are_the_fraction_strings_on_every_route_row(name):
+    ks = list(_WEIGHT_LISTS[name])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the values at |k| = 300 have more digits than the default limit
+    try:
+        for row in _every_route_row(64):
+            assert fa._evaluate_row(row, ks, fa._cell) == [str(v) for v in fa._evaluate_row(row, ks)], (row[0], ks)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_cell_past_the_digit_limit_raises_as_its_fraction_string_does():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for numerator, denominator in ((10**4300, 3), (-3, 10**4300), (2 * 10**4300, 2)):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                str(F(numerator, denominator))
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                fa._cell(numerator, denominator)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_family_row_equals_family_value_per_weight():
@@ -1047,6 +1113,98 @@ def test_one_function_written_two_ways_is_one_tuple(denominator, terms, factor):
     # where every c_b is b e_b, the lift is the row of the e_b written at exponent k
     lifted = [(b, c * b * (common // b)) for b, c in terms]
     assert fa._row(common * denominator, lifted) == fa._row(denominator, terms)
+
+
+@st.composite
+def _scaled_rows(draw):
+    """A `_row_sum` of up to four drawn rows, each scaled by a drawn rational: empty, zero or negative cases included."""
+    parts = draw(
+        st.lists(st.tuples(st.fractions(-1000, 1000, max_denominator=999), st.integers(1, 10**6), _TERMS), max_size=4)
+    )
+    return fa._row_sum([(scale, fa._row(d, terms)) for scale, d, terms in parts])
+
+
+@given(row=_scaled_rows(), ks=st.lists(st.integers(-40, 40), max_size=8))
+@example(row=(1, ()), ks=[0, 3])  # the empty row
+@example(row=fa._row(1, [(1, 2), (2, -2)]), ks=[0, 1, -1])  # zero at k = 0 only
+@example(row=fa._row(3, [(1, -5), (7, 1)]), ks=[-2, 0, 2])  # negative values over a non-dyadic denominator
+def test_cells_are_the_fraction_strings_on_drawn_rows(row, ks):
+    assert fa._evaluate_row(row, ks, fa._cell) == [str(v) for v in fa._evaluate_row(row, ks)]
+
+
+# The four row builders as they were before `_binomial_shift`: one binomial per term of each double sum.
+
+
+def _reference_cosecant_row(n):
+    if n % 2 == 1:
+        return fa._row(1, ())
+    w = [0] + [(-1) ** (j + 1) * factorial(j - 1) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(1, n + 2)]
+    return fa._row(
+        2**n,
+        ((2 * i + 1, sum(w[j] * comb(j, 2 * i + 1) for j in range(2 * i + 1, n + 2))) for i in range(n // 2 + 1)),
+    )
+
+
+def _reference_cotangent_row(n):
+    if n % 2 == 1:
+        return fa._row(1, ())
+    w = [
+        (-1) ** j
+        * factorial(j)
+        * 2 ** (n - j)
+        * ((j + 1) * (j + 2) // 2 * stirling2(n, j + 2) + stirling2(n + 1, j + 1))
+        for j in range(n + 1)
+    ]
+    return fa._row(
+        2**n,
+        ((2 * i + 1, sum(w[j] * comb(j + 1, 2 * i + 1) for j in range(2 * i, n + 1))) for i in range(n // 2 + 1)),
+    )
+
+
+def _reference_sym_row(m, n, dyadic):
+    w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
+    return fa._row(
+        2 ** (n + m) if dyadic else 1,
+        (
+            (b, sum((-1) ** (j + 1 - b) * comb(j, b - 1) * w[j] for j in range(b - 1, m + 1)))
+            for b in range(1, m + 2)
+        ),
+    )
+
+
+def _reference_tilde_row(n):
+    w = [0] + [factorial(r - 1) * stirling2(n + 1, r) * 2 ** (n + 1 - r) for r in range(1, n + 2)]
+    return fa._row(
+        2 ** (n + 1),
+        ((m, sum((-1) ** (r - m) * comb(r, m) * w[r] for r in range(m, n + 2))) for m in range(1, n + 2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (fa._cosecant_row, _reference_cosecant_row),
+        (fa._cotangent_row, _reference_cotangent_row),
+        (fa._tilde_row, _reference_tilde_row),
+    ],
+    ids=["cosecant", "cotangent", "tilde"],
+)
+def test_shifted_rows_equal_the_binomial_double_sums(build, reference):
+    for n in range(257):
+        assert build(n) == reference(n), n
+
+
+def test_shifted_sym_rows_equal_the_binomial_double_sums():
+    for m in range(65):
+        for n in range(4):
+            for dyadic in (False, True):
+                assert fa._sym_row.__wrapped__(m, n, dyadic) == _reference_sym_row(m, n, dyadic), (m, n, dyadic)
+
+
+@given(w=st.lists(st.integers(-(10**9), 10**9), max_size=12), c=st.sampled_from([1, -1]))
+def test_binomial_shift_is_the_double_sum(w, c):
+    want = [sum(w[j] * comb(j, m) * c ** (j - m) for j in range(m, len(w))) for m in range(len(w))]
+    assert fa._binomial_shift(w, c) == want
 
 
 def test_bivariate_denominators_keep_at_most_128_orders():
