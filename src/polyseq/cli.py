@@ -13,8 +13,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import congruences as cg
 from .errors import PolyseqError, UsageError
@@ -26,8 +26,7 @@ MAX_ORDER, MAX_WEIGHT = CAPS["table order"], CAPS["table weight"]
 _FAMILY_ALIASES = {f.value.lower(): f for f in Family}
 
 
-@dataclass
-class OutputTable:
+class OutputTable(NamedTuple):
     family: Family
     n_range: tuple[int, int]
     k_range: tuple[int, int]
@@ -118,7 +117,14 @@ def build_table(family: Family | str, n_range: tuple[int, int], k_range: tuple[i
     _check_weights(family, k_lo, k_hi)
     # each cell is str(family_row(...)[i]), written without building the Fraction
     ks = range(k_lo, k_hi + 1)
-    rows = [(n, _evaluate(family, n, ks, None, _cell)) for n in range(n_lo, n_hi + 1)]
+    rows = []
+    try:
+        for n in range(n_lo, n_hi + 1):
+            rows.append((n, _evaluate(family, n, ks, None, _cell)))
+    except ValueError:
+        # the row again as Fractions, which need no string: any other ValueError raises here too
+        _evaluate(family, n, ks, None)
+        raise cg._digit_limit(f"{family.value} at n = {n}") from None
     return OutputTable(family, n_range, k_range, rows)
 
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd
+from typing import NamedTuple
 
 from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
 from .families import (
@@ -80,14 +81,15 @@ def ord_p(q, p: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class Residue:
-    value: int
-    modulus: int
+class Residue(NamedTuple("Residue", [("value", int), ("modulus", int)])):
+    """value mod modulus, with 0 <= value < modulus."""
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus:
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int):
+        if not 0 <= value < modulus:
             raise ValueError("residue out of range")
+        return super().__new__(cls, value, modulus)
 
     def __str__(self):
         return f"{self.value} (mod {self.modulus})"
@@ -111,8 +113,7 @@ def reduce_mod(q, p: int, N: int) -> Residue:
 # ------------------------------------------------------------------- reporting
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     instance: str
     lhs: str
     rhs: str
@@ -125,12 +126,11 @@ class Witness:
         return d
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     identity: str
     params: dict
     verdict: str
-    witnesses: list[Witness] = field(default_factory=list)
+    witnesses: Sequence[Witness] = ()
 
     @property
     def passed(self) -> bool:
@@ -151,8 +151,7 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     """Denominator data of B_{2n}, D_{2n}^{(1)}, beta_{2n}^{(1)} at one odd prime."""
 
     p: int
@@ -168,7 +167,13 @@ class ValuationReport:
     branch: str
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "b": str(self.b), "d": str(self.d), "beta_hat": str(self.beta_hat)}
+        return {**self._asdict(), "b": str(self.b), "d": str(self.d), "beta_hat": str(self.beta_hat)}
+
+
+def _digit_limit(where: str) -> UsageError:
+    """The bad-usage error for a value at `where` that str() refuses for its number of digits."""
+    limit = sys.get_int_max_str_digits()
+    return UsageError(f"{where}: a value has more than {limit} digits, Python's limit for integer string conversion")
 
 
 def _render(instance: str, value) -> str:
@@ -176,10 +181,7 @@ def _render(instance: str, value) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise UsageError(
-            f"{instance}: a value has more than {limit} digits, Python's limit for integer string conversion"
-        ) from None
+        raise _digit_limit(instance) from None
 
 
 class _Checker:

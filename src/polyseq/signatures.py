@@ -10,7 +10,7 @@ least value the theorem allows and primality (violated hypotheses,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HypothesisViolation, UsageError
 from .sequences import PRIME_TEST_LIMIT, is_prime
@@ -21,10 +21,10 @@ CAPS = {
     "prime": PRIME_TEST_LIMIT - 1,  # is_prime is exact below PRIME_TEST_LIMIT: < 0.01 s, 17 MB
     "exponent": 512,  # N of the modulus p^N: < 0.01 s, 17 MB; a modulus past Python's digit limit exits 2
     "order": 512,  # every order index: VANISH_S1_B at m = 512, n = 511, 3.7 s and 76 MB; KUMMER_POLYB_B 231 MB at 1024
-    "phi terms": 256,  # the (p-1)p^(N-1) terms of a SUM_* sum: SUM_COTA at 2n = 512, 2.2 s; 13.5 s at 486 terms
+    "phi terms": 256,  # the (p-1)p^(N-1) terms of a SUM_* sum: SUM_COTA at 2n = 512, 2.4 s, 43 MB; 13.5 s at 486 terms
     "conversion": 256,  # CONV_EQ5/6's 2n, KSHIFT's n, building every row below: CONV_EQ6 0.6 s and 23 MB; 8.6 s at 512
-    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 3.3 s and 31 MB; DUALITY_B 28.6 s at 256
-    "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 1.6 s and 27 MB; 42.8 s at 64 x 64
+    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 3.1 s and 53 MB; DUALITY_B 28.6 s at 256
+    "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 2.0 s and 49 MB; 42.8 s at 64 x 64
     "stirling": 64,  # jmax and nmax of STIRLING_CONG: 1.0 s and 58 MB; 6.3 s and 156 MB at 96
     "gf order": 32,  # nmax, kmax, lmax of a GF sweep: GF_SYM_COSE at level 64, 13.8 s and 19 MB; minutes at 48
     "gf level": 64,  # the level n of GF_SYM_*, at its cap in the case above
@@ -34,8 +34,7 @@ CAPS = {
 GF_MAX_ORDER, GF_MAX_LEVEL, PERIOD_MAX_ORDER = CAPS["gf order"], CAPS["gf level"], CAPS["order"]
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     """A parameter's declaration: the CAPS entry `cap` bounds the index `scale * value + offset` it builds,
     `minimum` is the theorem's least value, `prime` what a modulus p must be ("prime" or "an odd prime"),
     and `phi` caps the phi(p^N) terms of a sum as well, the parameter being N."""

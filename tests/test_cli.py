@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from polyseq import congruences as cg
 from polyseq.cli import MAX_ORDER, MAX_WEIGHT, OutputTable, build_parser, build_table, main
-from polyseq.families import Family, family_row
+from polyseq.families import _ANYWHERE, ROUTES, Family, family_row
 from polyseq.signatures import Signature, weight
 
 
@@ -472,6 +472,29 @@ def test_bad_input_exits_two(capsys, argv, message):
     assert code == 2
     assert message in err
     assert err.count("\n") == 1 and not out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "latex"])
+def test_table_past_the_digit_limit_exits_two(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+    try:
+        code, out, err = run_cli(capsys, "table", "--family", "PolyB_B", "--n", "64", "--k=32", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and not out
+    assert err == (
+        "error: PolyB_B at n = 64: a value has more than 640 digits, Python's limit for integer string conversion\n"
+    )
+
+
+def test_table_raises_any_other_value_error(monkeypatch):
+    def broken(n):
+        raise ValueError("planted")
+
+    monkeypatch.setitem(ROUTES[Family.POLY_B], "stirling", ("closed", _ANYWHERE, broken))
+    with pytest.raises(ValueError, match="^planted$"):
+        main(["table", "--family", "PolyB_B", "--n", "0..2", "--k", "0..1"])
 
 
 @pytest.mark.parametrize(

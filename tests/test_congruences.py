@@ -10,7 +10,11 @@ import pytest
 from polyseq import (
     HypothesisViolation,
     NotPIntegral,
+    Report,
+    Residue,
     UsageError,
+    ValuationReport,
+    Witness,
     ZeroValuation,
     oracle_diff,
     ord_p,
@@ -19,7 +23,10 @@ from polyseq import (
     valuation_report,
     verify,
 )
+from polyseq.cli import OutputTable
 from polyseq.congruences import _Checker, registry_doc
+from polyseq.families import Family
+from polyseq.signatures import Role
 
 
 def test_ord_p_examples():
@@ -268,6 +275,40 @@ def test_report_serialization_shape_and_stability():
     assert set(payload["witnesses"][0]) == {"instance", "lhs", "rhs", "modulus"}
     again = verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5)
     assert report.to_json() == again.to_json()
+
+
+_VALUATION_FIELDS = ("p", "index", "b", "d", "beta_hat", "ord_b", "ord_d", "ord_beta_hat", "alpha", "gamma", "branch")
+
+# record -> (its fields in order, its defaults, an instance)
+_RECORDS = {
+    "Residue": (("value", "modulus"), {}, Residue(1, 5)),
+    "Witness": (("instance", "lhs", "rhs", "modulus"), {"modulus": None}, Witness("x", "1", "1")),
+    "Report": (("identity", "params", "verdict", "witnesses"), {"witnesses": ()}, Report("X", {}, "pass")),
+    "ValuationReport": (_VALUATION_FIELDS, {}, ValuationReport(3, 2, 6, 3, 3, 1, 1, 1, 0, 2, "(p-1) | 2n")),
+    "Role": (
+        ("cap", "minimum", "scale", "offset", "prime", "phi"),
+        {"cap": None, "minimum": None, "scale": 1, "offset": 0, "prime": "", "phi": False},
+        Role(),
+    ),
+    "OutputTable": (("family", "n_range", "k_range", "rows"), {}, OutputTable(Family.COSECANT, (0, 0), (0, 0), [])),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_keep_their_fields_and_defaults_and_refuse_assignment(name):
+    fields, defaults, record = _RECORDS[name]
+    assert type(record)._fields == fields
+    assert type(record)._field_defaults == defaults
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_a_residue_outside_its_range_is_refused():
+    for value in (5, -1):
+        with pytest.raises(ValueError, match="^residue out of range$"):
+            Residue(value, 5)
+    assert str(Residue(4, 5)) == "4 (mod 5)"
 
 
 def test_equality_witnesses_have_no_modulus():

@@ -71,3 +71,17 @@ def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
     output = result.stdout + result.stderr
     assert result.returncode == 1, output
     assert "FAILED" in output and "INTERNALERROR" not in output, output
+
+
+def test_importing_polyseq_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter; modules loaded before the import (by a site hook, say) do not count
+    code = (
+        "import sys; before = set(sys.modules); import polyseq, polyseq.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert {"polyseq", "polyseq.cli", "polyseq.congruences"} <= added
+    assert not added & {"dataclasses", "inspect"}
