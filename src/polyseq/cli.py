@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from . import congruences as cg
@@ -137,10 +138,27 @@ def _cmd_table(args) -> int:
 _VERIFY_FLAGS = ("p", "N", "k", "m", "n", "a", "lmax", "nmax", "kmax", "jmax")
 
 
+def _write_report(payload: dict) -> None:
+    """Write the bytes of `report.to_json(indent=2) + "\n"`, where `payload` is `report.to_dict()`.
+
+    The encoder's chunks are joined into writes of at most 64 KiB (one chunk
+    longer than that is written alone), so a large sweep's text is never held
+    whole, and stdout takes a few large writes, not one per chunk.
+    """
+    batch, size = [], 0
+    for chunk in chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ("\n",)):
+        if size + len(chunk) > 1 << 16 and batch:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+        batch.append(chunk)
+        size += len(chunk)
+    sys.stdout.write("".join(batch))
+
+
 def _cmd_verify(args) -> int:
     params = {name: getattr(args, name) for name in _VERIFY_FLAGS if getattr(args, name) is not None}
     report = cg.verify(args.identity, params, perturb_index=args.perturb)
-    sys.stdout.write(report.to_json(indent=2) + "\n")
+    _write_report(report.to_dict())
     return 0 if report.passed else 1
 
 

@@ -239,6 +239,45 @@ def test_oracle_diff_cli(capsys):
     assert code == 0 and out == "all methods agree for TildeD up to n=6, k in -3..0\n"
 
 
+class _Writes(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("lmax", [24, 48])
+def test_verify_streams_the_report_text(monkeypatch, lmax):
+    # the report's bytes, written in batches of at most 64 KiB, never as one string of the whole text
+    stream = _Writes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["verify", "DUALITY_COTA", "--lmax", str(lmax)]) == 0
+    text = cg.verify("DUALITY_COTA", lmax=lmax).to_json(indent=2) + "\n"
+    assert stream.getvalue() == text
+    assert max(stream.sizes) <= 1 << 16
+    if len(text) > 1 << 16:
+        assert len(stream.sizes) > 1
+
+
+def test_oracle_diff_past_the_digit_limit_exits_two(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+    try:
+        code, out, err = run_cli(capsys, "oracle-diff", "--family", "PolyB_B", "--nmax", "64", "--kmin", "32", "--kmax", "32")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and not out
+    assert err == (
+        "error: PolyB_B(n=48, k=32) stirling vs series: a value has more than 640 digits, "
+        "Python's limit for integer string conversion\n"
+    )
+
+
 def test_valuation_cli(capsys):
     code, out, _ = run_cli(capsys, "valuation", "--p", "5", "--n", "1..3")
     assert code == 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -453,6 +454,22 @@ def test_oracle_diff():
     report = oracle_diff("Cotangent", 0, 3, 3)
     assert report.passed and report.witnesses and "note" not in report.params
     assert oracle_diff("TildeD", 0, 1, 1).params.get("note") == "single method"
+
+
+@pytest.mark.parametrize("family,method", [("PolyB_B", "stirling"), ("Cosecant", "explicit")])
+def test_oracle_diff_past_the_digit_limit_names_the_first_method(family, method):
+    # the first cell whose value has more digits than Python writes out is bad usage, not a counterexample
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+    try:
+        with pytest.raises(UsageError) as caught:
+            oracle_diff(family, 64, 32, 32)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == (
+        f"{family}(n=48, k=32) {method} vs series: a value has more than 640 digits, "
+        "Python's limit for integer string conversion"
+    )
 
 
 @pytest.mark.parametrize("n_max,k_min,k_max", [(-1, 2, -2), (3, 2, -2), (-1, 0, 0)])

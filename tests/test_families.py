@@ -1021,6 +1021,19 @@ def test_route_rows_are_the_series_rows_past_the_cli_cap():
     assert compared == 6 * 8 + 4
 
 
+def test_every_closed_form_domain_lies_inside_the_series_domain():
+    # oracle_diff compares a cell where the series domain and some other method's domain hold; this
+    # is the cell rule "two or more methods apply" only while no closed form reaches past the series
+    for family, routes in ROUTES.items():
+        series_holds = routes["series"][1][1]
+        for method, (kind, (_, holds), _) in routes.items():
+            if method == "series":
+                continue
+            assert kind == "closed", (family, method)
+            outside = [(n, k) for n in range(65) for k in range(-32, 33) if holds(n, k) and not series_holds(n, k)]
+            assert not outside, (family, method, outside[:5])
+
+
 def _reference_oracle_diff(family, n_max, k_min, k_max):
     """`congruences.oracle_diff` as it was before it compared rows: every method evaluated at every cell."""
     family = Family(family)
