@@ -263,13 +263,17 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
 
     `perturb_index` adds +1 to the left side of the chosen compared instance
     before reduction; it exists for negative-control self-tests.  An index
-    that names no instance plants no fault, so it raises UsageError instead
-    of reporting the unperturbed verdict.
+    that is not an int, a bool included, raises UsageError before the identity
+    runs.  So does one that names no instance: it plants no fault, and the
+    report would be the unperturbed verdict.
     """
     if identity_id not in _REGISTRY:
         raise UsageError(f"unknown identity {identity_id!r}; known: {', '.join(registry_ids())}")
-    if perturb_index is not None and perturb_index < 0:
-        raise UsageError(f"perturb index {perturb_index} must be >= 0")
+    if perturb_index is not None:
+        if not isinstance(perturb_index, int) or isinstance(perturb_index, bool):
+            raise UsageError(f"perturb index must be an int, not {perturb_index!r}")
+        if perturb_index < 0:
+            raise UsageError(f"perturb index {perturb_index} must be >= 0")
     merged = dict(params or {})
     merged.update(kw)
     run, _, signature = _REGISTRY[identity_id]

@@ -336,6 +336,26 @@ def test_perturbation_flips_verdict():
         assert broken.mismatches()
 
 
+def test_perturbing_the_first_and_last_instance_fails_every_golden_report():
+    # a negative control for each of the 45 parameter sets, which cover every identity
+    unflipped = []
+    for name, params, _ in GOLDEN_REPORTS:
+        last = len(verify(name, params).witnesses) - 1
+        for index in (0, last):
+            broken = verify(name, params, perturb_index=index)
+            if broken.passed or not broken.mismatches():
+                unflipped.append((name, params, index))
+    assert not unflipped
+
+
+@pytest.mark.parametrize("index", [False, True, 1.0, "0"], ids=["False", "True", "float", "str"])
+def test_verify_refuses_a_perturb_index_that_is_not_an_int(index):
+    # False once planted the fault at instance 0, True and 1.0 at instance 1, and "0" raised a bare TypeError
+    with pytest.raises(UsageError, match=f"^perturb index must be an int, not {index!r}$"):
+        verify("SUM_POLYB", dict(p=3, N=1, k=1, n=1), perturb_index=index)
+    assert verify("SUM_POLYB", dict(p=3, N=1, k=1, n=1), perturb_index=0).verdict == "fail"
+
+
 def test_registry_sweeps_over_documented_grids():
     # every congruence identity across p in {3,5,7}, N in {1,2}, small orders
     # and weights; hypothesis violations mark invalid lattice points

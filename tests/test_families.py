@@ -97,7 +97,7 @@ def test_odd_order_cosecant_rows_are_empty_without_a_stirling_sum(monkeypatch):
 
     monkeypatch.setattr(fa, "stirling2", unbuilt)
     for n in range(1, 64, 2):
-        assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, ()), n
+        assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, (), ()), n
 
 
 def test_method_agreement_sweep():
@@ -417,7 +417,7 @@ def _shifted_row(shift, denominator, terms):
     if shift > 0 and all(c % b**shift == 0 for b, c in terms):
         terms = [(b, c // b**shift) for b, c in terms]
         shift = 0
-    return shift, denominator, tuple(terms)
+    return shift, denominator, tuple(b for b, _ in terms), tuple(c for _, c in terms)
 
 
 def _shifted_cosecant_row(n):
@@ -430,8 +430,8 @@ def _shifted_cosecant_row(n):
 
 
 def _shifted_sasaki_row(n):
-    denominator, terms = fa._sym_row(n, 1, True)
-    return _shifted_row(1, denominator, [(b, 2 * c) for b, c in terms])
+    denominator, bases, numerators = fa._sym_row(n, 1, True)
+    return _shifted_row(1, denominator, [(b, 2 * c) for b, c in zip(bases, numerators)])
 
 
 def test_rows_at_exponent_k_equal_the_folded_rows_at_exponent_k_plus_one():
@@ -475,18 +475,20 @@ def test_power_rows_match_the_per_cell_closed_forms(n, ks):
 def test_power_rows_have_integer_entries_and_drop_zeros():
     for n in range(13):
         for family, (_, build, _) in _ROW_REFERENCES.items():
-            denominator, terms = build(n)
+            denominator, bases, numerators = build(n)
             assert isinstance(denominator, int) and denominator > 0
-            assert all(isinstance(c, int) and c != 0 for _, c in terms)
+            assert all(isinstance(b, int) for b in bases) and len(bases) == len(numerators)
+            assert all(isinstance(c, int) and c != 0 for c in numerators)
         # in lowest terms D's denominator 2^n reduces to 2 to the number of binary ones of n
         assert fa._cosecant_row(n)[0] == (1 if n % 2 else 2 ** bin(n).count("1"))
         if n % 2:
-            assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, ())
+            assert fa._cosecant_row(n) == fa._cotangent_row(n) == (1, (), ())
 
 
 def _reference_evaluate_row(row, ks, shift=0):
     """`families._evaluate_row` as it was before it stepped powers between weights, at exponent k + shift."""
-    denominator, terms = row
+    denominator, bases, numerators = row
+    terms = list(zip(bases, numerators))
     values = []
     scaled = None
     for k in ks:
@@ -515,34 +517,35 @@ _WEIGHT_LISTS = {
 }
 
 
-def _reference_powers(pairs, last, x):
-    """`families._powers` as it was before its steps of one ran in C: one product or quotient per term in Python."""
+def _reference_powers(bases, numerators, last, x):
+    """`families._powers` as it was before its steps of one ran in C: one product or quotient per term in Python,
+    and a rise of more than one multiplied by b^(x - y)."""
     if last is not None:
         y, powered = last
         if x >= y:
             step = x - y
-            return x, [p * b**step for p, (b, _) in zip(powered, pairs)]
+            return x, [p * b**step for p, b in zip(powered, bases)]
         if x == y - 1:
-            return x, [p // b for p, (b, _) in zip(powered, pairs)]
-    return x, [c * b**x for b, c in pairs]
+            return x, [p // b for p, b in zip(powered, bases)]
+    return x, [c * b**x for b, c in zip(bases, numerators)]
 
 
 def _reference_stepped_evaluate_row(row, ks):
     """`families._evaluate_row` as it was before the `value` hook, stepping with `_reference_powers`."""
-    denominator, terms = row
-    if not terms:
+    denominator, bases, numerators = row
+    if not bases:
         return [F(0)] * len(ks)
     values = []
     low = high = None
     for k in ks:
         if k <= 0:
-            low = _reference_powers(terms, low, -k)
+            low = _reference_powers(bases, numerators, low, -k)
             values.append(F(sum(low[1]), denominator))
             continue
         if high is None:
-            lcm_all = lcm(*[b for b, _ in terms])
-            scaled = [(lcm_all // b, c) for b, c in terms]
-        high = _reference_powers(scaled, high, k)
+            lcm_all = lcm(*bases)
+            scaled = [lcm_all // b for b in bases]
+        high = _reference_powers(scaled, numerators, high, k)
         values.append(F(sum(high[1]), lcm_all**k * denominator))
     return values
 
@@ -732,7 +735,7 @@ def test_series_rows_equal_the_closed_form_rows_at_every_weight():
     for family, (_, build, _) in _ROW_REFERENCES.items():
         for n in range(33):
             series_row = fa._series_rows(family, truncation_for(n))[n]
-            assert all(isinstance(c, int) and c != 0 for _, c in series_row[1])
+            assert all(isinstance(c, int) and c != 0 for c in series_row[2])
             assert series_row == build(n), (family, n)
             compared += 1
     assert compared == 132
@@ -781,8 +784,8 @@ def test_a_series_sweep_keeps_one_matrix_per_family():
 
 def test_oracle_diff_catches_a_changed_series_row(monkeypatch):
     rows = fa._series_rows(Family.COSECANT, 24)
-    denominator, ((b, c), *rest) = rows[4]
-    changed = rows[:4] + ((denominator, ((b, c + 1), *rest)),) + rows[5:]
+    denominator, bases, (c, *rest) = rows[4]
+    changed = rows[:4] + ((denominator, bases, (c + 1, *rest)),) + rows[5:]
     real = fa._series_rows
 
     def perturbed(family, order):
@@ -876,10 +879,10 @@ def test_tilde_row_is_the_series_row_at_every_weight():
         for n in range(order + 1):
             assert fa._tilde_row(n) == rows[n], (order, n)
     for n in range(13):
-        denominator, terms = fa._tilde_row(n)
+        denominator, _, numerators = fa._tilde_row(n)
         # in lowest terms the denominator 2^(n+1) reduces to 2^(1 + the number of binary ones of n)
         assert denominator == 2 ** (1 + bin(n).count("1"))
-        assert all(isinstance(c, int) and c != 0 for _, c in terms)
+        assert all(isinstance(c, int) and c != 0 for c in numerators)
 
 
 def test_conversion_rows_prove_the_identities_at_every_weight():
@@ -897,17 +900,17 @@ def test_conversion_rows_prove_the_identities_at_every_weight():
 
 
 def test_row_sum_scales_and_takes_the_common_denominator():
-    parts = [(3, (4, ((1, 2), (3, 5)))), (-2, (8, ((3, 1), (5, 7)))), (1, (2, ((1, -1),)))]
+    parts = [(3, (4, (1, 3), (2, 5))), (-2, (8, (3, 5), (1, 7))), (1, (2, (1,), (-1,)))]
     # over 8 the row is (8, 28, -14); in lowest terms the common factor 2 goes
-    assert fa._row_sum(parts) == (4, ((1, 4), (3, 14), (5, -7)))
+    assert fa._row_sum(parts) == (4, (1, 3, 5), (4, 14, -7))
     # terms that cancel are dropped
-    assert fa._row_sum([(1, (2, ((1, 1), (2, 3)))), (1, (2, ((2, -3),)))]) == (2, ((1, 1),))
+    assert fa._row_sum([(1, (2, (1, 2), (1, 3))), (1, (2, (2,), (-3,)))]) == (2, (1,), (1,))
     ks = range(-4, 5)
     want = [3 * a - 2 * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
     # a Fraction scale's denominator joins the common one: lcm(4*3, 8*2, 2*1) = 48
-    parts = [(F(1, 3), (4, ((1, 2), (3, 5)))), (F(-5, 2), (8, ((3, 1), (5, 7)))), (1, (2, ((1, -1),)))]
-    assert fa._row_sum(parts) == (48, ((1, -16), (3, 5), (5, -105)))
+    parts = [(F(1, 3), (4, (1, 3), (2, 5))), (F(-5, 2), (8, (3, 5), (1, 7))), (1, (2, (1,), (-1,)))]
+    assert fa._row_sum(parts) == (48, (1, 3, 5), (-16, 5, -105))
     want = [a / 3 - F(5, 2) * b + c for a, b, c in zip(*(fa._evaluate_row(row, ks) for _, row in parts))]
     assert fa._evaluate_row(fa._row_sum(parts), ks) == want
 
@@ -961,8 +964,8 @@ def test_oracle_diff_catches_a_changed_tilde_row(monkeypatch):
     kind, domain, _ = ROUTES[Family.TILDE_D]["explicit"]
 
     def perturbed(n):
-        denominator, ((b, c), *rest) = fa._tilde_row(n)
-        return (denominator, ((b, c + 1 if n == 4 else c), *rest))
+        denominator, bases, (c, *rest) = fa._tilde_row(n)
+        return (denominator, bases, (c + 1 if n == 4 else c, *rest))
 
     with monkeypatch.context() as patch:
         # a plain builder, with no cache, so the planted row is kept nowhere
@@ -979,8 +982,8 @@ def test_oracle_diff_catches_a_changed_closed_form_row(monkeypatch):
     def perturbed(n):
         row = fa._cosecant_row(n)
         if n == 4:
-            denominator, ((b, c), *rest) = row
-            row = (denominator, ((b, c + 1), *rest))
+            denominator, bases, (c, *rest) = row
+            row = (denominator, bases, (c + 1, *rest))
         return row
 
     with monkeypatch.context() as patch:
@@ -1103,14 +1106,19 @@ _TERMS = st.dictionaries(st.integers(1, 40), st.integers(-(10**6), 10**6), max_s
 _ROW_KS = range(-6, 7)
 
 
+def _unreduced_row(denominator, terms):
+    """(denominator, bases, numerators) of the (b, c_b) pairs as drawn: unsorted, zeros and common factors kept."""
+    return denominator, tuple(b for b, _ in terms), tuple(c for _, c in terms)
+
+
 @given(denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
 def test_row_is_in_lowest_terms_and_ignores_a_common_factor(denominator, terms, factor):
     row = fa._row(denominator, terms)
     assert fa._row(factor * denominator, [(b, factor * c) for b, c in terms]) == row
-    d, t = row
-    assert gcd(d, *[c for _, c in t]) == 1
-    assert [b for b, _ in t] == sorted(b for b, c in terms if c)
-    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((denominator, terms), _ROW_KS)
+    d, bases, numerators = row
+    assert gcd(d, *numerators) == 1
+    assert list(bases) == sorted(b for b, c in terms if c)
+    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row(_unreduced_row(denominator, terms), _ROW_KS)
 
 
 @given(denominator=st.integers(1, 10**6), terms=_TERMS, factor=st.integers(1, 10**4))
@@ -1122,7 +1130,8 @@ def test_one_function_written_two_ways_is_one_tuple(denominator, terms, factor):
     row = fa._row(common * denominator, [(b, c * (common // b)) for b, c in terms])
     for multiple in (factor * common, prod(b for b, _ in terms)):
         assert fa._row(multiple * denominator, [(b, c * (multiple // b)) for b, c in terms]) == row
-    assert fa._evaluate_row(row, _ROW_KS) == _reference_evaluate_row((denominator, terms), _ROW_KS, shift=1)
+    want = _reference_evaluate_row(_unreduced_row(denominator, terms), _ROW_KS, shift=1)
+    assert fa._evaluate_row(row, _ROW_KS) == want
     # where every c_b is b e_b, the lift is the row of the e_b written at exponent k
     lifted = [(b, c * b * (common // b)) for b, c in terms]
     assert fa._row(common * denominator, lifted) == fa._row(denominator, terms)
@@ -1137,12 +1146,16 @@ def _scaled_rows(draw):
     return fa._row_sum([(scale, fa._row(d, terms)) for scale, d, terms in parts])
 
 
-@given(row=_scaled_rows(), ks=st.lists(st.integers(-40, 40), max_size=8))
-@example(row=(1, ()), ks=[0, 3])  # the empty row
+@given(row=_scaled_rows(), ks=st.lists(st.integers(-40, 40), max_size=12))
+@example(row=(1, (), ()), ks=[0, 3])  # the empty row
 @example(row=fa._row(1, [(1, 2), (2, -2)]), ks=[0, 1, -1])  # zero at k = 0 only
 @example(row=fa._row(3, [(1, -5), (7, 1)]), ks=[-2, 0, 2])  # negative values over a non-dyadic denominator
+@example(row=fa._row(5, [(2, 3), (3, -1), (6, 7)]), ks=[-9, -9, -8, -10, -4, 3, 2, 2, 7, 6, -1, 1])  # gaps, repeats, falls
 def test_cells_are_the_fraction_strings_on_drawn_rows(row, ks):
-    assert fa._evaluate_row(row, ks, fa._cell) == [str(v) for v in fa._evaluate_row(row, ks)]
+    # any step other than one starts afresh, so gaps, repeats and falls are checked against the unstepped sums
+    values = fa._evaluate_row(row, ks)
+    assert values == _reference_evaluate_row(row, ks)
+    assert fa._evaluate_row(row, ks, fa._cell) == [str(v) for v in values]
 
 
 # The four row builders as they were before `_binomial_shift`: one binomial per term of each double sum.

@@ -118,11 +118,12 @@ def test_sym_rows_collapse_to_plain_rows():
     # lowest terms over twice D's denominator
     for m in range(30):
         assert _sym_row(m, 0, False) == fa._poly_bernoulli_row("B", m)
-        _, c_terms = fa._poly_bernoulli_row("C", m)
-        assert _sym_row(m, 1, False) == (1, tuple((b, c * b) for b, c in c_terms))
+        _, c_bases, c_numerators = fa._poly_bernoulli_row("C", m)
+        assert _sym_row(m, 1, False) == (1, c_bases, tuple(c * b for b, c in zip(c_bases, c_numerators)))
         if m % 2 == 0:
-            denominator, d_terms = fa._cosecant_row(m)
-            assert _sym_row(m, 1, True) == (2 * denominator, tuple((b, c * b) for b, c in d_terms))
+            denominator, d_bases, d_numerators = fa._cosecant_row(m)
+            lifted = tuple(c * b for b, c in zip(d_bases, d_numerators))
+            assert _sym_row(m, 1, True) == (2 * denominator, d_bases, lifted)
 
 
 def test_hat_numbers_vanish_at_odd_order():
