@@ -46,7 +46,6 @@ from .families import (
 from .sequences import bernoulli, primes_upto, stirling1, stirling2, tangent
 from .series import _exact
 from .signatures import EXPONENT, ODD_PRIME, PERIOD_PRIME, PRIME, SUM_EXPONENT, Role, Signature, _phi, order, weight
-from .signatures import GF_MAX_LEVEL, GF_MAX_ORDER, PERIOD_MAX_ORDER  # noqa: F401 (read from here too)
 from .symmetrized import (
     sym_bernoulli_bivariate,
     sym_cosecant_bivariate,
@@ -294,10 +293,10 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
 # family function up by name when called, so a wrapper later installed on
 # that name (bench/tracer.py installs one) sees the call.
 _FAMILIES = {
-    Family.POLY_B: ("B", lambda n, k, **kw: poly_bernoulli("B", n, k, **kw)),
-    Family.POLY_C: ("C", lambda n, k, **kw: poly_bernoulli("C", n, k, **kw)),
-    Family.COSECANT: ("D", lambda n, k, **kw: polycosecant(n, k, **kw)),
-    Family.COTANGENT: ("beta", lambda n, k, **kw: polycotangent(n, k, **kw)),
+    Family.POLY_B: ("B", lambda n, k: poly_bernoulli("B", n, k)),
+    Family.POLY_C: ("C", lambda n, k: poly_bernoulli("C", n, k)),
+    Family.COSECANT: ("D", lambda n, k: polycosecant(n, k)),
+    Family.COTANGENT: ("beta", lambda n, k: polycotangent(n, k)),
 }
 
 
@@ -641,12 +640,12 @@ def _duality_polyb(family: Family, shift: int, check, lmax: int):
 @identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 0)
 @_duality_polyb.signature
 def _duality_level2(family: Family, shift: int, check, lmax: int):
-    x, value = _FAMILIES[family]
+    x = _FAMILIES[family][0]
     _swaps(
         check,
         lmax,
         lambda m, l: f"{x}_{2 * m}^({-2 * l - shift}) vs {x}_{2 * l}^({-2 * m - shift})",
-        lambda m, l: value(2 * m, -2 * l - shift, method="explicit"),
+        lambda m, l: family_value_by_method(family, 2 * m, -2 * l - shift, "explicit"),
     )
 
 

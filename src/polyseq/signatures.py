@@ -31,7 +31,6 @@ CAPS = {
     "table order": 64,  # the orders of `polyseq table`, `oracle-diff` and `valuation`
     "table weight": 32,  # the weights of `polyseq table` and `oracle-diff`, either sign
 }
-GF_MAX_ORDER, GF_MAX_LEVEL, PERIOD_MAX_ORDER = CAPS["gf order"], CAPS["gf level"], CAPS["order"]
 
 
 class Role(NamedTuple):

@@ -1,5 +1,6 @@
 """Command-line interface: tables, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import functools
@@ -340,6 +341,13 @@ def test_one_parser_serves_every_call():
     assert "identities: " + ", ".join(cg.registry_ids()) in " ".join(out.split())
     assert _main_captured(table) == first
     assert build_parser() is build_parser()
+
+
+def test_verify_flags_are_the_parameters_the_registry_declares():
+    declared = {name for _, _, signature in cg._REGISTRY.values() for name in signature.roles}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in commands.choices["verify"]._actions for o in a.option_strings if o.startswith("--")}
+    assert options - {"--help", "--perturb"} == {f"--{name}" for name in declared}
 
 
 def test_build_table_defaults_to_exact_strings():

@@ -171,6 +171,14 @@ def test_reports_match_their_recorded_digests():
     assert not changed
 
 
+def test_the_cli_writes_each_golden_report_byte_for_byte(capsys):
+    from polyseq.cli import main
+
+    for name, params, _ in GOLDEN_REPORTS:
+        assert main(["verify", name, *(f"--{key}={value}" for key, value in params.items())]) == 0, name
+        assert capsys.readouterr().out == verify(name, params).to_json(indent=2) + "\n", name
+
+
 def test_kummer_cose_worked_example():
     report = verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5)
     assert report.passed
@@ -545,6 +553,7 @@ def test_the_checker_refuses_a_float_on_either_side():
 
 def test_generating_function_sweeps_refuse_bounds_past_their_caps_before_building(monkeypatch):
     from polyseq import congruences as cg
+    from polyseq.signatures import CAPS
 
     def unbuilt(*args):
         raise AssertionError("a series was built for a sweep past its cap")
@@ -552,12 +561,12 @@ def test_generating_function_sweeps_refuse_bounds_past_their_caps_before_buildin
     for name in ("cosecant_bivariate", "sym_bernoulli_bivariate", "sym_cosecant_bivariate"):
         monkeypatch.setattr(cg, name, unbuilt)
     past = [
-        ("GF_BIVARIATE", dict(nmax=cg.GF_MAX_ORDER + 1, kmax=0), "nmax must stay within 0..32"),
-        ("GF_BIVARIATE", dict(nmax=0, kmax=cg.GF_MAX_ORDER + 1), "kmax must stay within 0..32"),
-        ("GF_SYM_B", dict(n=cg.GF_MAX_LEVEL + 1, lmax=0), "n must stay within 0..64"),
-        ("GF_SYM_B", dict(n=0, lmax=cg.GF_MAX_ORDER + 1), "lmax must stay within 0..32"),
-        ("GF_SYM_COSE", dict(n=cg.GF_MAX_LEVEL + 1, lmax=0), "n must stay within 0..64"),
-        ("GF_SYM_COSE", dict(n=0, lmax=cg.GF_MAX_ORDER + 1), "lmax must stay within 0..32"),
+        ("GF_BIVARIATE", dict(nmax=CAPS["gf order"] + 1, kmax=0), "nmax must stay within 0..32"),
+        ("GF_BIVARIATE", dict(nmax=0, kmax=CAPS["gf order"] + 1), "kmax must stay within 0..32"),
+        ("GF_SYM_B", dict(n=CAPS["gf level"] + 1, lmax=0), "n must stay within 0..64"),
+        ("GF_SYM_B", dict(n=0, lmax=CAPS["gf order"] + 1), "lmax must stay within 0..32"),
+        ("GF_SYM_COSE", dict(n=CAPS["gf level"] + 1, lmax=0), "n must stay within 0..64"),
+        ("GF_SYM_COSE", dict(n=0, lmax=CAPS["gf order"] + 1), "lmax must stay within 0..32"),
     ]
     for identity, params, message in past:
         with pytest.raises(UsageError, match=message):
@@ -565,12 +574,12 @@ def test_generating_function_sweeps_refuse_bounds_past_their_caps_before_buildin
 
 
 def test_generating_function_sweeps_run_at_their_caps():
-    from polyseq.congruences import GF_MAX_LEVEL, GF_MAX_ORDER
+    from polyseq.signatures import CAPS
 
-    assert verify("GF_BIVARIATE", dict(nmax=GF_MAX_ORDER, kmax=1)).passed
-    assert verify("GF_BIVARIATE", dict(nmax=1, kmax=GF_MAX_ORDER)).passed
-    assert verify("GF_SYM_B", dict(n=GF_MAX_LEVEL, lmax=2)).passed
-    assert verify("GF_SYM_COSE", dict(n=GF_MAX_LEVEL, lmax=2)).passed
+    assert verify("GF_BIVARIATE", dict(nmax=CAPS["gf order"], kmax=1)).passed
+    assert verify("GF_BIVARIATE", dict(nmax=1, kmax=CAPS["gf order"])).passed
+    assert verify("GF_SYM_B", dict(n=CAPS["gf level"], lmax=2)).passed
+    assert verify("GF_SYM_COSE", dict(n=CAPS["gf level"], lmax=2)).passed
 
 
 _PERIODS = ("PERIOD_B", "PERIOD_C", "PERIOD_CPK", "PERIOD_COSE_ODD")
@@ -591,10 +600,34 @@ def test_period_identities_refuse_an_order_index_past_the_cap_before_building(mo
             verify(name, p=10008, k=-1)
 
 
-def test_period_identities_run_at_the_largest_prime_within_the_cap():
-    from polyseq.congruences import PERIOD_MAX_ORDER
+def test_sum_polyb_holds_below_its_hypothesis_n_at_least_N(monkeypatch):
+    # a finding, pinned: the paper states n >= N, yet with only that hypothesis lifted every case
+    # 1 <= n < N, p in {3, 5, 7}, N <= 4, N <= k <= N + 3 that the phi-terms cap admits passes
+    from polyseq import congruences as cg
 
-    assert PERIOD_MAX_ORDER == 512  # 509 is the largest prime p with p - 1 <= 512
+    cases = [(p, N, k, n) for p in (3, 5, 7) for N in range(1, 5) for n in range(1, N) for k in range(N, N + 4)]
+    capped = {(5, 4), (7, 3), (7, 4)}  # (p-1)p^(N-1) > 256 terms
+    for p, N, k, n in cases:
+        if (p, N) not in capped:
+            with pytest.raises(HypothesisViolation, match="^n >= N required$"):
+                verify("SUM_POLYB", dict(p=p, N=N, k=k, n=n))
+    required = cg._require
+    monkeypatch.setattr(cg, "_require", lambda condition, message: message == "n >= N required" or required(condition, message))
+    passed = 0
+    for p, N, k, n in cases:
+        if (p, N) in capped:
+            with pytest.raises(UsageError, match=r"^\(p-1\)p\^\(N-1\) terms must stay within 1\.\.256 "):
+                verify("SUM_POLYB", dict(p=p, N=N, k=k, n=n))
+        else:
+            assert verify("SUM_POLYB", dict(p=p, N=N, k=k, n=n)).passed, (p, N, k, n)
+            passed += 1
+    assert (passed, len(cases)) == (40, 72)
+
+
+def test_period_identities_run_at_the_largest_prime_within_the_cap():
+    from polyseq.signatures import CAPS
+
+    assert CAPS["order"] == 512  # 509 is the largest prime p with p - 1 <= 512
     for name in _PERIODS:
         assert verify(name, p=509, k=1).passed, name
 

@@ -1011,6 +1011,16 @@ def test_every_row_route_is_the_series_row_at_every_weight():
     assert fa._route_row(Family.COTANGENT, 4, "stirling_negk") is None
 
 
+def test_stirling_negk_cells_are_the_explicit_row_on_the_whole_cli_grid():
+    # every cell `polyseq table` can take by stirling_negk: even n <= 64 at k -32..-1, 1,056 cells
+    ks = range(-32, 0)
+    cells = 0
+    for n in range(0, 65, 2):
+        assert fa._evaluate(Family.COTANGENT, n, ks, "stirling_negk") == fa._evaluate_row(fa._cotangent_row(n), ks), n
+        cells += len(ks)
+    assert cells == 1056
+
+
 def test_route_rows_are_the_series_rows_past_the_cli_cap():
     # the CLI stops at n = 64; rows in lowest terms are equal tuples past it too
     compared = 0
