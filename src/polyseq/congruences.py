@@ -13,7 +13,10 @@ are the per-family choices: the `Family`, and where the statements differ,
 a weight shift or a right-hand side.  `identity(name, doc, *bound)` registers
 `partial(helper, *bound)`, so stacked decorators register the one helper once
 per family, and a caller cannot override a bound argument.  Witness labels
-and values come from one table, `_FAMILIES`: Family -> (symbol, value).
+take each family's symbol from one table, `_FAMILIES`: Family -> symbol.
+Every value of B, C, D and beta is read through `families.family_value`, at
+the family's default route, or through `family_value_by_method` where an
+identity names its route: the level-two dualities and CONV_EQ5.
 
 Each helper declares its parameters once, by role, in a `signatures.Signature`,
 which `verify()` checks before the body runs.
@@ -37,11 +40,9 @@ from .families import (
     _route_row,
     cosecant_bivariate,
     cosecant_from_cotangent,
+    family_value,
     family_value_by_method,
     k_shift_recurrence,
-    poly_bernoulli,
-    polycosecant,
-    polycotangent,
 )
 from .sequences import bernoulli, primes_upto, stirling1, stirling2, tangent
 from .series import _exact
@@ -289,15 +290,8 @@ def verify(identity_id: str, params: dict | None = None, perturb_index: int | No
     return report
 
 
-# Family -> (symbol in witness labels, value at (n, k)).  A value looks its
-# family function up by name when called, so a wrapper later installed on
-# that name (bench/tracer.py installs one) sees the call.
-_FAMILIES = {
-    Family.POLY_B: ("B", lambda n, k: poly_bernoulli("B", n, k)),
-    Family.POLY_C: ("C", lambda n, k: poly_bernoulli("C", n, k)),
-    Family.COSECANT: ("D", lambda n, k: polycosecant(n, k)),
-    Family.COTANGENT: ("beta", lambda n, k: polycotangent(n, k)),
-}
+# Family -> its symbol in witness labels
+_FAMILIES = {Family.POLY_B: "B", Family.POLY_C: "C", Family.COSECANT: "D", Family.COTANGENT: "beta"}
 
 
 # ------------------------------------------------------- classical congruences
@@ -315,8 +309,8 @@ def _kummer_bernoulli(check, p: int, N: int, m: int, n: int):
 
 def _residue_pair(family: Family, check, p: int, N: int, k: int, m: int, n: int):
     """One witness X_m^{(-k)} vs X_n^{(-k)} mod p^N."""
-    x, value = _FAMILIES[family]
-    check.eq_mod(f"{x}_{m}^(-{k}) vs {x}_{n}^(-{k})", value(m, -k), value(n, -k), p, N)
+    x = _FAMILIES[family]
+    check.eq_mod(f"{x}_{m}^(-{k}) vs {x}_{n}^(-{k})", family_value(family, m, -k), family_value(family, n, -k), p, N)
 
 
 @identity("KUMMER_POLYB_B", "B_m^{(-k)} = B_n^{(-k)} mod p^N for m = n mod phi(p^N), m,n >= N", Family.POLY_B)
@@ -353,9 +347,9 @@ def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
     _require((2 * n) % (p - 1) != 0, "(p-1) must not divide 2n")
     _require((2 * m - 2 * n) % _phi(p, N) == 0, "2m = 2n mod (p-1)p^{N-1} required")
     for family in (Family.COSECANT, Family.COTANGENT):
-        x, value = _FAMILIES[family]
-        lhs = (1 - Fraction(p) ** (2 * m - 1)) * value(2 * m, 1) / (2 * m)
-        rhs = (1 - Fraction(p) ** (2 * n - 1)) * value(2 * n, 1) / (2 * n)
+        x = _FAMILIES[family]
+        lhs = (1 - Fraction(p) ** (2 * m - 1)) * family_value(family, 2 * m, 1) / (2 * m)
+        rhs = (1 - Fraction(p) ** (2 * n - 1)) * family_value(family, 2 * n, 1) / (2 * n)
         check.eq_mod(f"(1-p^(2m-1)){x}_{2 * m}^(1)/2m vs 2n counterpart", lhs, rhs, p, N)
 
 
@@ -365,8 +359,7 @@ def _kummer_cose_remark(check, p: int, N: int, m: int, n: int):
 def _phi_sum(family: Family, p: int, N: int, n: int, k: int) -> tuple[int, Fraction]:
     """phi(p^N) and sum_{i < phi(p^N)} X_n^{(-k-i)}."""
     phi = _phi(p, N)
-    value = _FAMILIES[family][1]
-    return phi, sum((value(n, -(k + i)) for i in range(phi)), Fraction(0))
+    return phi, sum((family_value(family, n, -(k + i)) for i in range(phi)), Fraction(0))
 
 
 @identity("SUM_POLYB", "sum_{i<phi(p^N)} B_n^{(-k-i)} = 0 mod p^N for n >= N, k >= N")
@@ -395,7 +388,7 @@ def _sum_polyb(check, p: int, N: int, k: int, n: int):
 @Signature("a sum congruence", p=ODD_PRIME, N=SUM_EXPONENT, n=order(0, 2), k=weight(1))
 def _sum_level2(family: Family, tangent_weight, check, p: int, N: int, n: int, k: int):
     _require(k >= N, "k >= N required")
-    x = _FAMILIES[family][0]
+    x = _FAMILIES[family]
     phi, total = _phi_sum(family, p, N, 2 * n, k)
     check.eq_mod(
         f"2^{2 * n} sum_(i<{phi}) {x}_{2 * n}^(-{k}-i) vs tangent weight * phi",
@@ -422,7 +415,7 @@ def _sum_c(check, p: int, N: int, n: int, k: int):
 @identity("TWO_ORDER_COSE", "D_{2n}^{(-2k)} = 0 mod 2^{2n} for n, k >= 1")
 @Signature("a 2-adic congruence", n=order(1, 2), k=weight(1))
 def _two_order_cose(check, n: int, k: int):
-    check.eq_mod(f"D_{2 * n}^(-{2 * k}) mod 2^{2 * n}", polycosecant(2 * n, -2 * k), 0, 2, 2 * n)
+    check.eq_mod(f"D_{2 * n}^(-{2 * k}) mod 2^{2 * n}", family_value(Family.COSECANT, 2 * n, -2 * k), 0, 2, 2 * n)
 
 
 @identity("TWO_ORDER_COTA", "beta_{2n}^{(-2k-1)} = 0 mod 2^{2n-1} for n >= 1, k >= 0")
@@ -430,7 +423,7 @@ def _two_order_cose(check, n: int, k: int):
 def _two_order_cota(check, n: int, k: int):
     check.eq_mod(
         f"beta_{2 * n}^({-2 * k - 1}) mod 2^{2 * n - 1}",
-        polycotangent(2 * n, -2 * k - 1),
+        family_value(Family.COTANGENT, 2 * n, -2 * k - 1),
         0,
         2,
         2 * n - 1,
@@ -445,44 +438,44 @@ def _two_order_cota(check, n: int, k: int):
 @Signature("a period identity", p=PERIOD_PRIME, k=order(0))
 def _period_b(check, p: int, k: int):
     want = 2 if (k != 0 and k % (p - 1) == 0) else 1
-    check.eq_mod(f"B_{p - 1}^(-{k})", poly_bernoulli("B", p - 1, -k), want, p, 1)
-    check.eq_mod(f"dual B_{k}^(-{p - 1})", poly_bernoulli("B", k, -(p - 1)), want, p, 1)
+    check.eq_mod(f"B_{p - 1}^(-{k})", family_value(Family.POLY_B, p - 1, -k), want, p, 1)
+    check.eq_mod(f"dual B_{k}^(-{p - 1})", family_value(Family.POLY_B, k, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_C", "C_{p-2}^{(-k-1)} = 0 or 1 mod p (1 iff (p-1) | k), with the dual restatement")
 @_period_b.signature
 def _period_c(check, p: int, k: int):
     want = 1 if k % (p - 1) == 0 else 0
-    check.eq_mod(f"C_{p - 2}^(-{k + 1})", poly_bernoulli("C", p - 2, -(k + 1)), want, p, 1)
-    check.eq_mod(f"dual C_{k}^(-{p - 1})", poly_bernoulli("C", k, -(p - 1)), want, p, 1)
+    check.eq_mod(f"C_{p - 2}^(-{k + 1})", family_value(Family.POLY_C, p - 2, -(k + 1)), want, p, 1)
+    check.eq_mod(f"dual C_{k}^(-{p - 1})", family_value(Family.POLY_C, k, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_CPK", "C_{p-1}^{(-k-1)} = 1 mod p, with the dual restatement C_k^{(-p)} = 1")
 @_period_b.signature
 def _period_cpk(check, p: int, k: int):
-    check.eq_mod(f"C_{p - 1}^(-{k + 1})", poly_bernoulli("C", p - 1, -(k + 1)), 1, p, 1)
-    check.eq_mod(f"dual C_{k}^(-{p})", poly_bernoulli("C", k, -p), 1, p, 1)
+    check.eq_mod(f"C_{p - 1}^(-{k + 1})", family_value(Family.POLY_C, p - 1, -(k + 1)), 1, p, 1)
+    check.eq_mod(f"dual C_{k}^(-{p})", family_value(Family.POLY_C, k, -p), 1, p, 1)
 
 
 @identity("PERIOD_COSE_ODD", "D_{p-1}^{(-2k-1)} = 1 mod p, with the dual restatement D_{2k}^{(-p)} = 1")
 @Signature("a period identity", p=PERIOD_PRIME, k=order(0, 2))
 def _period_cose_odd(check, p: int, k: int):
-    check.eq_mod(f"D_{p - 1}^({-2 * k - 1})", polycosecant(p - 1, -2 * k - 1), 1, p, 1)
-    check.eq_mod(f"dual D_{2 * k}^(-{p})", polycosecant(2 * k, -p), 1, p, 1)
+    check.eq_mod(f"D_{p - 1}^({-2 * k - 1})", family_value(Family.COSECANT, p - 1, -2 * k - 1), 1, p, 1)
+    check.eq_mod(f"dual D_{2 * k}^(-{p})", family_value(Family.COSECANT, 2 * k, -p), 1, p, 1)
 
 
 @identity("PERIOD_COSE_P1", "D_{2n}^{(-p+1)} = 0 mod p unless (p-1) | 2n, then 1")
 @Signature("a period identity", p=ODD_PRIME, n=order(0, 2))
 def _period_cose_p1(check, p: int, n: int):
     want = 1 if (2 * n) % (p - 1) == 0 else 0
-    check.eq_mod(f"D_{2 * n}^(-{p - 1})", polycosecant(2 * n, -(p - 1)), want, p, 1)
+    check.eq_mod(f"D_{2 * n}^(-{p - 1})", family_value(Family.COSECANT, 2 * n, -(p - 1)), want, p, 1)
 
 
 @identity("PERIOD_COTA_P1", "beta_{2n}^{(-p+1)} = 1 mod p, or 2 when 2n != 0 and (p-1) | 2n")
 @_period_cose_p1.signature
 def _period_cota_p1(check, p: int, n: int):
     want = 2 if (n != 0 and (2 * n) % (p - 1) == 0) else 1
-    check.eq_mod(f"beta_{2 * n}^(-{p - 1})", polycotangent(2 * n, -(p - 1)), want, p, 1)
+    check.eq_mod(f"beta_{2 * n}^(-{p - 1})", family_value(Family.COTANGENT, 2 * n, -(p - 1)), want, p, 1)
 
 
 # ---------------------------------------------------- denominators / valuation
@@ -503,10 +496,10 @@ def _cvs(family: Family, check, p: int, k: int, n: int, coprime_rhs):
 
     The residue is compared only once the scaled value is shown p-integral.
     """
-    x, value = _FAMILIES[family]
+    x = _FAMILIES[family]
     divides = n % (p - 1) == 0
     e = k if divides else k - 1
-    scaled = Fraction(p) ** e * value(n, k)
+    scaled = Fraction(p) ** e * family_value(family, n, k)
     ok = check.p_integral(f"p-part of denominator of p^{e} {x}_{n}^({k})", scaled, p)
     rhs = -1 if divides else coprime_rhs(p, n, k)
     if ok:
@@ -595,8 +588,8 @@ def valuation_report(p: int, n: int) -> ValuationReport:
     _denom_order.signature.check("valuation_report", {"p": p, "n": n})
     n2 = 2 * n
     b = bernoulli(n2).denominator
-    d = polycosecant(n2, 1).denominator
-    bh = polycotangent(n2, 1).denominator
+    d = family_value(Family.COSECANT, n2, 1).denominator
+    bh = family_value(Family.COTANGENT, n2, 1).denominator
     branch = "(p-1) | 2n" if n2 % (p - 1) == 0 else "(p-1) does not divide 2n"
     return ValuationReport(
         p=p,
@@ -627,12 +620,12 @@ def _swaps(check, lmax: int, label, value) -> None:
 @identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax", Family.POLY_C, 1)
 @Signature("a duality sweep", lmax=Role("duality", 0))
 def _duality_polyb(family: Family, shift: int, check, lmax: int):
-    x, value = _FAMILIES[family]
+    x = _FAMILIES[family]
     _swaps(
         check,
         lmax,
         lambda m, l: f"{x}_{m}^(-{l + shift}) vs {x}_{l}^(-{m + shift})",
-        lambda m, l: value(m, -(l + shift)),
+        lambda m, l: family_value(family, m, -(l + shift)),
     )
 
 
@@ -640,7 +633,7 @@ def _duality_polyb(family: Family, shift: int, check, lmax: int):
 @identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 0)
 @_duality_polyb.signature
 def _duality_level2(family: Family, shift: int, check, lmax: int):
-    x = _FAMILIES[family][0]
+    x = _FAMILIES[family]
     _swaps(
         check,
         lmax,
@@ -672,8 +665,8 @@ def _duality_sym(label, value, check, lmax: int, nmax: int):
 
 def _vanishing_sum(family: Family, check, k: int, n: int, m: int):
     """sum_j (-1)^j s(m+1, j+1) X_n^{(-k-j)} = 0, with every term in the witness."""
-    x, value = _FAMILIES[family]
-    terms = [(-1) ** j * stirling1(m + 1, j + 1) * value(n, -(k + j)) for j in range(m + 1)]
+    x = _FAMILIES[family]
+    terms = [(-1) ** j * stirling1(m + 1, j + 1) * family_value(family, n, -(k + j)) for j in range(m + 1)]
     label = f"sum_j (-1)^j s({m + 1},j+1) {x}_{n}^(-k-j) at k={k}"
     rendered = ", ".join(_render(label, t) for t in terms)
     check.eq(f"{label}; terms: {rendered}", sum(terms, Fraction(0)), 0)
@@ -703,8 +696,8 @@ def _vanish_level2(family: Family, check, k: int, n: int, m: int):
 def _conv_eq5(check, n: int, k: int):
     check.eq(
         f"beta_{2 * n}^({k}) vs binomial sum over D",
-        polycotangent(2 * n, k),
-        polycotangent(2 * n, k, method="from_cosecant"),
+        family_value(Family.COTANGENT, 2 * n, k),
+        family_value_by_method(Family.COTANGENT, 2 * n, k, "from_cosecant"),
     )
 
 
@@ -712,7 +705,9 @@ def _conv_eq5(check, n: int, k: int):
 @_conv_eq5.signature
 def _conv_eq6(check, n: int, k: int):
     check.eq(
-        f"D_{2 * n}^({k}) vs Euler-weighted sum over beta", polycosecant(2 * n, k), cosecant_from_cotangent(2 * n, k)
+        f"D_{2 * n}^({k}) vs Euler-weighted sum over beta",
+        family_value(Family.COSECANT, 2 * n, k),
+        cosecant_from_cotangent(2 * n, k),
     )
 
 
@@ -721,7 +716,7 @@ def _conv_eq6(check, n: int, k: int):
 def _kshift(check, n: int, k: int):
     check.eq(
         f"D_{n}^({k - 1}) vs weight-shift sum at weight {k}",
-        polycosecant(n, k - 1),
+        family_value(Family.COSECANT, n, k - 1),
         k_shift_recurrence(n, k),
     )
 
@@ -745,7 +740,7 @@ def _gf_bivariate(check, nmax: int, kmax: int):
         nmax,
         kmax,
         lambda n, k: f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})",
-        lambda n, k: polycosecant(n, -k),
+        lambda n, k: family_value(Family.COSECANT, n, -k),
     )
 
 

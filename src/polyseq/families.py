@@ -48,11 +48,14 @@ once per order and evaluates a method only where they differ.
 Each method in `ROUTES` holds its row builder: a closed form's behind one
 bounded LRU cache, the series route's reading the family's matrix, which is
 its cache.  A call's default route is the first method whose domain holds at
-every weight of the call.  A one-weight call (`family_value`, and so
-`poly_bernoulli`, `polycosecant`) and `_route_row` read the row through that
-cache; a call with several weights (`family_row`) builds the row once and
-keeps nothing.  So a table row crossing 0 reads beta's and D's `explicit`
-rows; only a range entirely below 0 takes beta's rowless `stirling_negk`.
+every weight of the call.  For every family but beta that is one closed form
+at every weight: D's `explicit` row comes before `sasaki`, whose row is the
+same tuple at every even n up to the order cap.  A one-weight call
+(`family_value`, and so `poly_bernoulli`, `polycosecant`, `polycotangent`)
+and `_route_row` read the row through that cache; a call with several weights
+(`family_row`) builds the row once and keeps nothing.  So a beta table row
+crossing 0 reads its `explicit` row; only a range entirely below 0 takes
+beta's rowless `stirling_negk`.
 The odd-order zeros of D and beta are rows too: at odd n each route of
 either family whose domain holds there gives the empty row, which
 `_evaluate_row` reads as zeros at once, so `_evaluate` names no family.
@@ -407,8 +410,8 @@ ROUTES = {
         "series": ("oracle", _ANYWHERE, partial(_series_row, Family.POLY_C)),
     },
     Family.COSECANT: {
-        "sasaki": ("closed", _SASAKI, _cached(_sasaki_row)),
         "explicit": ("closed", _ANYWHERE, _cached(_cosecant_row)),
+        "sasaki": ("closed", _SASAKI, _cached(_sasaki_row)),
         "series": ("oracle", _ANYWHERE, partial(_series_row, Family.COSECANT)),
     },
     Family.COTANGENT: {
@@ -508,7 +511,7 @@ def poly_bernoulli_polynomial(n: int, k: int, x) -> Fraction:
 
 
 def polycosecant(n: int, k: int, method: str | None = None) -> Fraction:
-    """D_n^{(k)}; zero at odd n.  Methods: explicit, sasaki (weight <= 0), series."""
+    """D_n^{(k)}; zero at odd n.  Methods: explicit (the default), sasaki (weight <= 0), series."""
     return _value(Family.COSECANT, n, k, method)
 
 

@@ -5,8 +5,8 @@ integer numerators of the ordinary coefficients (a `Series` is the one-row
 grid), in lowest terms: no integer above one divides the denominator and
 every numerator.  So two series are equal, and hash alike, exactly when
 their (denominator, grid) pairs are.  Values are immutable.  `Fraction`s are
-made only where a caller reads values: `coeffs` builds its tuple on the
-first read and keeps it, `coefficient` builds one, and `egf`, the weighted
+made only where a caller reads values: `coeffs` builds its tuple on each
+read and keeps nothing, `coefficient` builds one, and `egf`, the weighted
 a_n = n! * c_n, scales that one.
 
 Every operator runs on integers.  A sum rescales both grids to the lcm of
@@ -85,16 +85,14 @@ def _new(cls, den: int, grid):
     out = object.__new__(cls)
     out._den = den
     out._grid = tuple([tuple(row) for row in grid])
-    out._coeffs = None
     return out
 
 
-def _set_fractions(self, rows, coeffs) -> None:
+def _set_fractions(self, rows) -> None:
     """Self from rows of Fractions: over the lcm of lowest-terms denominators no factor is common to all."""
     den = lcm(*[c.denominator for row in rows for c in row])
     self._den = den
     self._grid = tuple([tuple([c.numerator * (den // c.denominator) for c in row]) for row in rows])
-    self._coeffs = coeffs
 
 
 def _product(a, b) -> list[list[int]]:
@@ -215,20 +213,18 @@ def _mul(self, other):
 class Series:
     """Truncated series sum_{n=0}^{order} c_n t^n: integer numerators over one denominator."""
 
-    __slots__ = ("_den", "_grid", "_coeffs")
+    __slots__ = ("_den", "_grid")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = tuple([_exact(c, "a coefficient") for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        _set_fractions(self, (cs,), cs)
+        _set_fractions(self, (cs,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on the first read and kept."""
-        if self._coeffs is None:
-            self._coeffs = tuple([Fraction(x, self._den) if x else _ZERO for x in self._grid[0]])
-        return self._coeffs
+        """The coefficients as Fractions, built from the integer grid on each read."""
+        return tuple([Fraction(x, self._den) if x else _ZERO for x in self._grid[0]])
 
     @property
     def order(self) -> int:
@@ -356,7 +352,7 @@ def _geometric(start, step, count: int) -> list:
 class BiSeries:
     """Truncated series sum c_{m,l} t^m y^l on a (T_t+1) x (T_y+1) grid of integer numerators over one denominator."""
 
-    __slots__ = ("_den", "_grid", "_coeffs")
+    __slots__ = ("_den", "_grid")
 
     def __init__(self, coeffs: Iterable[Iterable[Scalar]]):
         rows = tuple([tuple([_exact(c, "a coefficient") for c in row]) for row in coeffs])
@@ -365,15 +361,13 @@ class BiSeries:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged coefficient grid")
-        _set_fractions(self, rows, rows)
+        _set_fractions(self, rows)
 
     @property
     def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The coefficient grid as Fractions, built on the first read and kept."""
-        if self._coeffs is None:
-            d = self._den
-            self._coeffs = tuple([tuple([Fraction(x, d) if x else _ZERO for x in row]) for row in self._grid])
-        return self._coeffs
+        """The coefficient grid as Fractions, built from the integer grid on each read."""
+        d = self._den
+        return tuple([tuple([Fraction(x, d) if x else _ZERO for x in row]) for row in self._grid])
 
     @property
     def orders(self) -> tuple[int, int]:

@@ -11,8 +11,10 @@ The hat-numbers at (m, n) are one row: TildeD's cached rows scaled by the
 weighted coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
 `sequences._exp_plus_one_numerators`.  Each definition, a first-kind Stirling
 sum over weights, is `families._rising` of that row or of the B-polynomial
-row.  The closed-form, hat and definition rows are read through the bounded
-row cache of the plain families, `families._cached`, keyed by (m, n).  Both
+row.  The closed-form and definition rows are read through the bounded row
+cache of the plain families, `families._cached`, keyed by (m, n).  The hat
+row keeps no cache: its readers are the cached definition row and
+`copoly_hat`, so a duality sweep builds each (m, n) once anyway.  Both
 families dispatch through one helper, `_symmetrized`, whose first parameters
 are the per-family choices, as in `congruences.identity`.
 """
@@ -69,7 +71,6 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
     return _symmetrized("poly-Bernoulli", False, fa._bernoulli_polynomial_row, m, l, n, method)
 
 
-@fa._cached
 def _hat_row(m: int, n: int) -> fa.Row:
     """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
     factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -622,6 +623,74 @@ def test_sum_polyb_holds_below_its_hypothesis_n_at_least_N(monkeypatch):
             assert verify("SUM_POLYB", dict(p=p, N=N, k=k, n=n)).passed, (p, N, k, n)
             passed += 1
     assert (passed, len(cases)) == (40, 72)
+
+
+# (identity, the one hypothesis's message, parameters inside every other hypothesis, what the body
+# gives with that message lifted): a refactor that drops or widens the hypothesis turns the exit-2
+# refusal into this counterexample.  "2m" and "2n" are the orders 2 * m and 2 * n of the level-two
+# identities, so KUMMER_COSE's 2m = 56 is m = 28.
+_SHARP_HYPOTHESES = [
+    ("KUMMER_BERNOULLI", "m = n mod phi(p^N) required", dict(p=3, N=1, m=2, n=1), NotPIntegral),
+    ("KUMMER_BERNOULLI", "(p-1) must not divide n", dict(p=3, N=1, m=4, n=2), NotPIntegral),
+    ("KUMMER_POLYB_B", "m = n mod phi(p^N) required", dict(p=3, N=1, k=1, m=2, n=1), "fail"),
+    ("KUMMER_POLYB_B", "m, n >= N required", dict(p=3, N=2, k=2, m=7, n=1), "fail"),
+    ("KUMMER_POLYB_C", "m = n mod phi(p^N) required", dict(p=3, N=1, k=2, m=2, n=1), "fail"),
+    ("KUMMER_POLYB_C", "m, n >= N required", dict(p=3, N=3, k=3, m=19, n=1), "fail"),
+    ("KUMMER_COSE", "2m = 2n mod phi(p^N) required", dict(p=3, N=2, k=2, m=2, n=1), "fail"),
+    ("KUMMER_COSE", "2m, 2n >= N required", dict(p=3, N=4, k=3, m=28, n=1), "fail"),
+    ("KUMMER_COTA", "2m = 2n mod phi(p^N) required", dict(p=3, N=2, k=1, m=2, n=1), "fail"),
+    ("KUMMER_COTA", "2m, 2n >= N required", dict(p=3, N=3, k=2, m=10, n=1), "fail"),
+    ("KUMMER_COSE_REMARK", "(p-1) must not divide 2n", dict(p=3, N=1, m=2, n=1), NotPIntegral),
+    ("KUMMER_COSE_REMARK", "2m = 2n mod (p-1)p^{N-1} required", dict(p=5, N=1, m=2, n=1), NotPIntegral),
+    ("SUM_POLYB", "k >= N required", dict(p=3, N=1, k=0, n=2), "fail"),
+    ("SUM_COSE", "k >= N required", dict(p=3, N=2, k=1, n=1), "fail"),
+    ("SUM_COTA", "k >= N required", dict(p=3, N=2, k=1, n=1), "fail"),
+    ("SUM_C", "k >= N required", dict(p=3, N=2, k=1, n=2), "fail"),
+    ("CVS_BERNOULLI", "n must be 1 or an even positive integer", dict(n=3), "fail"),
+    ("CVS_POLYB", "k+2 <= p <= n+1 required", dict(p=2, k=2, n=3), "fail"),
+    ("CVS_COSE", "k+2 <= p <= 2n+1 required", dict(p=3, k=2, n=4), "fail"),
+    ("CVS_COTA", "k+2 <= p <= 2n+1 required", dict(p=3, k=2, n=4), "fail"),
+    ("VANISH_S1_B", "0 <= n <= m-1 required (the sum does not vanish at n = m)", dict(k=0, n=1, m=1), "fail"),
+    ("VANISH_S1_COSE", "m >= 2n+1 required (the sum does not vanish at m = 2n)", dict(k=0, n=1, m=1), "fail"),
+    ("VANISH_S1_COTA", "m >= 2n+1 required (the sum does not vanish at m = 2n)", dict(k=0, n=1, m=0), "fail"),
+]
+
+
+# each message as the id's short hypothesis, without spaces
+_HYPOTHESIS_IDS = {
+    "m = n mod phi(p^N) required": "m=n_mod_phi",
+    "(p-1) must not divide n": "p-1_not_dividing_n",
+    "m, n >= N required": "m,n>=N",
+    "2m = 2n mod phi(p^N) required": "2m=2n_mod_phi",
+    "2m, 2n >= N required": "2m,2n>=N",
+    "(p-1) must not divide 2n": "p-1_not_dividing_2n",
+    "2m = 2n mod (p-1)p^{N-1} required": "2m=2n_mod_phi",
+    "k >= N required": "k>=N",
+    "n must be 1 or an even positive integer": "n=1_or_even",
+    "k+2 <= p <= n+1 required": "k+2<=p<=n+1",
+    "k+2 <= p <= 2n+1 required": "k+2<=p<=2n+1",
+    "0 <= n <= m-1 required (the sum does not vanish at n = m)": "n<m",
+    "m >= 2n+1 required (the sum does not vanish at m = 2n)": "m>=2n+1",
+}
+
+
+@pytest.mark.parametrize(
+    "name,message,params,lifted",
+    _SHARP_HYPOTHESES,
+    ids=[f"{name}-{_HYPOTHESIS_IDS[message]}" for name, message, _, _ in _SHARP_HYPOTHESES],
+)
+def test_each_hypothesis_has_a_counterexample_just_outside_it(monkeypatch, name, message, params, lifted):
+    from polyseq import congruences as cg
+
+    with pytest.raises(HypothesisViolation, match=f"^{re.escape(message)}$"):
+        verify(name, params)
+    required = cg._require
+    monkeypatch.setattr(cg, "_require", lambda condition, text: text == message or required(condition, text))
+    if lifted == "fail":
+        assert verify(name, params).verdict == "fail"
+    else:
+        with pytest.raises(lifted):
+            verify(name, params)
 
 
 def test_period_identities_run_at_the_largest_prime_within_the_cap():

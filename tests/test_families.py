@@ -398,9 +398,11 @@ def _cosecant_sasaki(n, k):
 
 
 def test_sasaki_row_is_the_explicit_row():
-    # a power-basis row is unique, so equal rows prove Sasaki's formula equal
-    # to the explicit one at every weight of these orders
-    for n in range(0, 65, 2):
+    # a power-basis row is unique, so equal rows prove Sasaki's row equal to the
+    # explicit one at every weight of these orders, (0, 0) included, where the
+    # row reads 1; D's default route is its explicit row, and rests on this.
+    # CI checks the even orders above 256 up to the order cap, 512
+    for n in range(0, 257, 2):
         assert fa._sasaki_row(n) == fa._cosecant_row(n), n
 
 
