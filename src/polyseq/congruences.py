@@ -36,6 +36,7 @@ from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
 from .families import (
     ROUTES,
     Family,
+    _cell,
     _evaluate_row,
     _route_row,
     cosecant_bivariate,
@@ -805,14 +806,16 @@ def oracle_diff(family: Family | str, n_max: int, k_min: int, k_max: int) -> Rep
     other method's domain holds; those methods' domains are read from
     `ROUTES` once per call and taken in order of name.  The series row of
     each order is read once, through `_route_row`, and evaluated at every
-    compared weight of that order.  A method whose row at n is that row, as a
-    tuple in lowest terms, agrees with the series at every weight, so its
-    witness writes the series value's text on both sides; any other method,
-    and a cell route, which has no row, is evaluated and compared.
+    compared weight of that order as integer pairs, each written once as
+    text by `_cell`, with no `Fraction`.  A method whose row at n is that
+    row, as a tuple in lowest terms, agrees with the series at every weight,
+    so its witness writes that text on both sides.  Any other method, and
+    the rowless cell route, is read through `family_value_by_method` and
+    compared by text: exact, as both sides are in lowest terms.
 
     Witnesses are built here, not through `_Checker`: nothing is perturbed,
-    and every value compared is a `Fraction` from the evaluator, so there is
-    no float or other inexact type to refuse.
+    and every value compared comes from the evaluator, so there is no float
+    or other inexact type to refuse.
     """
     family = Family(family)
     for name, bound in (("n_max", n_max), ("k_min", k_min), ("k_max", k_max)):
@@ -823,34 +826,39 @@ def oracle_diff(family: Family | str, n_max: int, k_min: int, k_max: int) -> Rep
     routes = ROUTES[family]
     series_holds = routes["series"][1][1]
     others = sorted((name, holds) for name, (_, (_, holds), _) in routes.items() if name != "series")
+    label = family.value
     witnesses: list[Witness] = []
     ok = True
     for n in range(n_max + 1):
-        cells = []
+        ks, cells = [], []
         for k in range(k_min, k_max + 1):
             if series_holds(n, k):
                 methods = [name for name, holds in others if holds(n, k)]
                 if methods:
-                    cells.append((k, methods))
+                    ks.append(k)
+                    cells.append(methods)
         if not cells:
             continue
         series_row = _route_row(family, n, "series")
-        references = _evaluate_row(series_row, [k for k, _ in cells])
+        pairs = _evaluate_row(series_row, ks, lambda *pair: pair)
         same_row: dict[str, bool] = {}
-        for (k, methods), reference in zip(cells, references):
-            instances = [f"{family.value}(n={n}, k={k}) {name} vs series" for name in methods]
-            text = _render(instances[0], reference)
-            for name, instance in zip(methods, instances):
+        for k, methods, pair in zip(ks, cells, pairs):
+            cell = f"{label}(n={n}, k={k})"
+            try:
+                text = _cell(*pair)
+            except ValueError:
+                raise _digit_limit(f"{cell} {methods[0]} vs series") from None
+            for name in methods:
+                instance = f"{cell} {name} vs series"
                 if name not in same_row:
                     same_row[name] = _route_row(family, n, name) == series_row
                 if same_row[name]:
                     witnesses.append(Witness(instance, text, text))
                     continue
-                value = family_value_by_method(family, n, k, name)
-                witnesses.append(Witness(instance, _render(instance, value), text))
-                if value != reference:
-                    ok = False
-    params = {"family": family.value, "n_max": n_max, "k_min": k_min, "k_max": k_max}
+                value = _render(instance, family_value_by_method(family, n, k, name))
+                witnesses.append(Witness(instance, value, text))
+                ok = ok and value == text
+    params = {"family": label, "n_max": n_max, "k_min": k_min, "k_max": k_max}
     if not witnesses:
         params["note"] = "single method"
     return Report("ORACLE_DIFF", params, "pass" if ok else "fail", witnesses)

@@ -472,23 +472,29 @@ def _value(family: Family, n: int, k: int, method: str | None) -> Fraction:
     return _evaluate(family, n, (k,), method)[0]
 
 
+def _family(family: Family | str) -> Family:
+    """The member as it is, without the Enum call; `Family(family)`, and its ValueError, for anything else."""
+    # an Enum with members has no subclasses; on a str, isinstance() is about five times slower
+    return family if type(family) is Family else Family(family)
+
+
 def applicable_methods(family: Family | str, n: int, k: int) -> dict[str, str]:
     """Methods defined at (n, k) for a family, keyed by name, valued by kind."""
-    return {name: kind for name, (kind, (_, holds), _) in ROUTES[Family(family)].items() if holds(n, k)}
+    return {name: kind for name, (kind, (_, holds), _) in ROUTES[_family(family)].items() if holds(n, k)}
 
 
 def family_value_by_method(family: Family | str, n: int, k: int, method: str) -> Fraction:
-    return _value(Family(family), n, k, method)
+    return _value(_family(family), n, k, method)
 
 
 def family_value(family: Family | str, n: int, k: int) -> Fraction:
     """Dispatch a (family, order, weight) address to its default route."""
-    return _value(Family(family), n, k, None)
+    return _value(_family(family), n, k, None)
 
 
 def family_row(family: Family | str, n: int, ks) -> list[Fraction]:
     """[family_value(family, n, k) for k in ks], building each route's row once."""
-    return _evaluate(Family(family), n, tuple(ks), None)
+    return _evaluate(_family(family), n, tuple(ks), None)
 
 
 # ------------------------------------------------------------------ families

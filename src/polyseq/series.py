@@ -230,15 +230,18 @@ class Series:
     def order(self) -> int:
         return len(self._grid[0]) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        """Ordinary coefficient c_n."""
+    def _numerator(self, n: int) -> int:
         if n > self.order:
             raise IndexBeyondTruncation(f"coefficient {n} beyond truncation order {self.order}")
-        return Fraction(self._grid[0][n], self._den)
+        return self._grid[0][n]
+
+    def coefficient(self, n: int) -> Fraction:
+        """Ordinary coefficient c_n."""
+        return Fraction(self._numerator(n), self._den)
 
     def egf(self, n: int) -> Fraction:
-        """Factorial-weighted coefficient a_n = n! * c_n."""
-        return factorial(n) * self.coefficient(n)
+        """Factorial-weighted coefficient a_n = n! * c_n, one Fraction of the scaled numerator."""
+        return Fraction(self._numerator(n) * factorial(n), self._den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all retained are zero."""
@@ -373,15 +376,18 @@ class BiSeries:
     def orders(self) -> tuple[int, int]:
         return (len(self._grid) - 1, len(self._grid[0]) - 1)
 
-    def coefficient(self, m: int, l: int) -> Fraction:
+    def _numerator(self, m: int, l: int) -> int:
         tt, ty = self.orders
         if m > tt or l > ty:
             raise IndexBeyondTruncation(f"coefficient ({m},{l}) beyond truncation {self.orders}")
-        return Fraction(self._grid[m][l], self._den)
+        return self._grid[m][l]
+
+    def coefficient(self, m: int, l: int) -> Fraction:
+        return Fraction(self._numerator(m, l), self._den)
 
     def egf(self, m: int, l: int) -> Fraction:
-        """m! * l! times the ordinary coefficient."""
-        return factorial(m) * factorial(l) * self.coefficient(m, l)
+        """m! * l! times the ordinary coefficient, one Fraction of the scaled numerator."""
+        return Fraction(self._numerator(m, l) * factorial(m) * factorial(l), self._den)
 
     def truncate(self, orders: tuple[int, int]) -> "BiSeries":
         tt, ty = orders

@@ -1087,6 +1087,37 @@ def test_oracle_diff_equals_the_cell_by_cell_reference_on_single_weight_sweeps()
             assert oracle_diff(family, 24, k, k).to_json() == want, (family, k)
 
 
+def test_a_warm_oracle_diff_builds_no_fraction_where_every_method_has_a_row(monkeypatch):
+    # every compared method's row is the series row here, so each cell's text comes from an integer pair
+    sweeps = [(family, 24, -12, 12) for family in (Family.POLY_B, Family.POLY_C, Family.COSECANT)]
+    sweeps += [(Family.TILDE_D, 24, -12, 0), (Family.COTANGENT, 24, 0, 12)]  # beta's k >= 0 avoids stirling_negk
+    real = F.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    for sweep in sweeps:
+        assert oracle_diff(*sweep).passed  # fills the row caches and the series matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", staticmethod(counted))
+            report = oracle_diff(*sweep)
+        assert report.passed and report.witnesses, sweep
+        assert built == [], sweep
+
+
+def test_oracle_diff_shows_a_fault_planted_in_the_rowless_route_as_text(monkeypatch):
+    real = fa._cotangent_stirling
+    monkeypatch.setattr(fa, "_cotangent_stirling", lambda n, k: real(n, k) + 1)
+    report = oracle_diff("Cotangent", 6, -2, -2)
+    assert report.verdict == "fail"
+    assert [w.instance for w in report.mismatches()] == [
+        f"Cotangent(n={n}, k=-2) stirling_negk vs series" for n in (0, 2, 4, 6)
+    ]
+    assert report.to_json() == _reference_oracle_diff("Cotangent", 6, -2, -2).to_json()
+
+
 @st.composite
 def _oracle_sweeps(draw):
     """(family, n_max, k_min, k_max) with n_max <= 12 and weights in -12..12, TildeD's at most 0."""
