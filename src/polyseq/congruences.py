@@ -14,9 +14,10 @@ a weight shift or a right-hand side.  `identity(name, doc, *bound)` registers
 `partial(helper, *bound)`, so stacked decorators register the one helper once
 per family, and a caller cannot override a bound argument.  Witness labels
 take each family's symbol from one table, `_FAMILIES`: Family -> symbol.
-Every value of B, C, D and beta is read through `families.family_value`, at
-the family's default route, or through `family_value_by_method` where an
-identity names its route: the level-two dualities and CONV_EQ5.
+Every value of B, C, D and beta is read at the family's default route, through
+`families.family_value`, or `family_row` where a duality sweep reads an
+order's row once; only CONV_EQ5 and `oracle_diff` name a route, through
+`family_value_by_method`.
 
 Each helper declares its parameters once, by role, in a `signatures.Signature`,
 which `verify()` checks before the body runs.
@@ -41,6 +42,7 @@ from .families import (
     _route_row,
     cosecant_bivariate,
     cosecant_from_cotangent,
+    family_row,
     family_value,
     family_value_by_method,
     k_shift_recurrence,
@@ -610,37 +612,31 @@ def valuation_report(p: int, n: int) -> ValuationReport:
 # ------------------------------------------------------------------- dualities
 
 
-def _swaps(check, lmax: int, label, value) -> None:
-    """One witness value(m, l) vs value(l, m) for each l < m <= lmax."""
+def _swaps(check, lmax: int, label, values) -> None:
+    """One witness values[m][l] vs values[l][m] for each l < m <= lmax, values[m] listing order m at l = 0..lmax."""
     for m in range(lmax + 1):
         for l in range(m):
-            check.eq(label(m, l), value(m, l), value(l, m))
+            check.eq(label(m, l), values[m][l], values[l][m])
 
 
-@identity("DUALITY_B", "B_m^{(-l)} = B_l^{(-m)} for all l < m <= lmax", Family.POLY_B, 0)
-@identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax", Family.POLY_C, 1)
+@identity("DUALITY_B", "B_m^{(-l)} = B_l^{(-m)} for all l < m <= lmax", Family.POLY_B, 1, 0)
+@identity("DUALITY_C", "C_m^{(-l-1)} = C_l^{(-m-1)} for all l < m <= lmax", Family.POLY_C, 1, 1)
+@identity("DUALITY_COSE", "D_{2m}^{(-2l-1)} = D_{2l}^{(-2m-1)} for all l < m <= lmax", Family.COSECANT, 2, 1)
+@identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 2, 0)
 @Signature("a duality sweep", lmax=Role("duality", 0))
-def _duality_polyb(family: Family, shift: int, check, lmax: int):
-    x = _FAMILIES[family]
-    _swaps(
-        check,
-        lmax,
-        lambda m, l: f"{x}_{m}^(-{l + shift}) vs {x}_{l}^(-{m + shift})",
-        lambda m, l: family_value(family, m, -(l + shift)),
-    )
+def _duality(family: Family, s: int, shift: int, check, lmax: int):
+    """X_{sm}^{(-(sl + shift))} = X_{sl}^{(-(sm + shift))} for l < m <= lmax, each order's row read once.
 
-
-@identity("DUALITY_COSE", "D_{2m}^{(-2l-1)} = D_{2l}^{(-2m-1)} for all l < m <= lmax", Family.COSECANT, 1)
-@identity("DUALITY_COTA", "beta_{2m}^{(-2l)} = beta_{2l}^{(-2m)} for all l < m <= lmax", Family.COTANGENT, 0)
-@_duality_polyb.signature
-def _duality_level2(family: Family, shift: int, check, lmax: int):
+    The row is read at every weight 0..-(s lmax + shift), in steps of one, and
+    sliced [shift::s] to the sweep's weights.  They start at 0, so the default
+    route of D and beta is the `explicit` row: `stirling_negk` needs weight <= -1.
+    """
     x = _FAMILIES[family]
-    _swaps(
-        check,
-        lmax,
-        lambda m, l: f"{x}_{2 * m}^({-2 * l - shift}) vs {x}_{2 * l}^({-2 * m - shift})",
-        lambda m, l: family_value_by_method(family, 2 * m, -2 * l - shift, "explicit"),
-    )
+    weights = range(0, -(s * lmax + shift) - 1, -1)
+    values = [family_row(family, s * m, weights)[shift::s] for m in range(lmax + 1)]
+    # B and C write the weight as -(l + shift), "-0" included; D and beta write it signed
+    text = (lambda l: f"-{l + shift}") if s == 1 else (lambda l: str(-(s * l + shift)))
+    _swaps(check, lmax, lambda m, l: f"{x}_{s * m}^({text(l)}) vs {x}_{s * l}^({text(m)})", values)
 
 
 @identity(
@@ -658,7 +654,8 @@ def _duality_level2(family: Family, shift: int, check, lmax: int):
 @Signature("a duality sweep", lmax=Role("sym duality", 0), nmax=Role("sym duality", 0))
 def _duality_sym(label, value, check, lmax: int, nmax: int):
     for n in range(nmax + 1):
-        _swaps(check, lmax, lambda m, l: f"{label(m, l, n)} vs swapped", lambda m, l: value(m, l, n))
+        values = [[value(m, l, n) for l in range(lmax + 1)] for m in range(lmax + 1)]
+        _swaps(check, lmax, lambda m, l: f"{label(m, l, n)} vs swapped", values)
 
 
 # ------------------------------------------------- first-kind-Stirling sweeps

@@ -386,10 +386,11 @@ def _bernoulli_polynomial_row(n: int, x: Fraction) -> Row:
 
 # ------------------------------------------------------------------ route table
 
-# A domain is (what a route needs, predicate on (n, k)).
+# A domain is (what a route needs, predicate on (n, k)).  Sasaki's row gives D_0^{(0)} = 1 too; (0, 0) stays
+# outside its domain only so that `oracle_diff` on Cosecant compares no `sasaki` witness there (ROADMAP item 16).
 _ANYWHERE = ("any (n, k)", lambda n, k: True)
 _SASAKI = (
-    "an even index and weight <= 0 except (0, 0), where its sum is empty but the value is 1",
+    "an even index and weight <= 0, except (0, 0)",
     lambda n, k: n % 2 == 0 and k <= 0 and (n, k) != (0, 0),
 )
 _EVEN_NEGATIVE_WEIGHT = ("an even index and weight <= -1", lambda n, k: n % 2 == 0 and k <= -1)

@@ -23,7 +23,7 @@ CAPS = {
     "order": 512,  # every order index: VANISH_S1_B at m = 512, n = 511, 3.7 s and 76 MB; KUMMER_POLYB_B 231 MB at 1024
     "phi terms": 256,  # the (p-1)p^(N-1) terms of a SUM_* sum: SUM_COTA at 2n = 512, 2.4 s, 43 MB; 13.5 s at 486 terms
     "conversion": 256,  # CONV_EQ5/6's 2n, KSHIFT's n, building every row below: CONV_EQ6 0.6 s and 23 MB; 8.6 s at 512
-    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 3.4 s and 32 MB; DUALITY_B 28.6 s at 256
+    "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 1.2 s and 33 MB; DUALITY_COTA 12.4 s and 150 MB at 256
     "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 1.9 s and 29 MB; 42.8 s at 64 x 64
     "stirling": 64,  # jmax and nmax of STIRLING_CONG: 1.0 s and 58 MB; 6.3 s and 156 MB at 96
     "gf order": 32,  # nmax, kmax, lmax of a GF sweep: GF_SYM_COSE at level 64, 13.8 s and 19 MB; minutes at 48

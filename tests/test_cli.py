@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyseq import congruences as cg
+from polyseq import families as fa
 from polyseq.cli import MAX_ORDER, MAX_WEIGHT, OutputTable, build_parser, build_table, main
 from polyseq.families import _ANYWHERE, ROUTES, Family, family_row
 from polyseq.signatures import Signature, weight
@@ -238,6 +239,13 @@ def test_oracle_diff_cli(capsys):
     )
     # TildeD's explicit row is compared with its series route
     assert code == 0 and out == "all methods agree for TildeD up to n=6, k in -3..0\n"
+
+
+def test_oracle_diff_cli_exits_one_on_a_mismatch(capsys, monkeypatch):
+    real = fa._cotangent_stirling
+    monkeypatch.setattr(fa, "_cotangent_stirling", lambda n, k: real(n, k) + 1)
+    code, out, err = run_cli(capsys, "oracle-diff", "--family", "Cotangent", "--nmax", "4", "--kmin=-2", "--kmax", "0")
+    assert (code, out, err) == (1, "mismatch: Cotangent(n=0, k=-2) stirling_negk vs series: 2 != 1\n", "")
 
 
 class _Writes(io.StringIO):

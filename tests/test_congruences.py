@@ -25,10 +25,11 @@ from polyseq import (
     valuation_report,
     verify,
 )
+from polyseq import families as fa
 from polyseq.cli import OutputTable
 from polyseq.congruences import _Checker, registry_doc
-from polyseq.families import Family
-from polyseq.signatures import Role
+from polyseq.families import Family, family_value, family_value_by_method
+from polyseq.signatures import CAPS, Role
 
 
 def test_ord_p_examples():
@@ -268,6 +269,52 @@ def test_duality_reports():
         assert len(report.witnesses) == 21
     assert verify("DUALITY_SYM_B", lmax=4, nmax=3).passed
     assert verify("DUALITY_SYM_COSE", lmax=4, nmax=3).passed
+
+
+# identity -> (family, its symbol, scale s, shift): X_{sm}^{(-(sl + shift))} vs X_{sl}^{(-(sm + shift))}
+_PLAIN_DUALITIES = {
+    "DUALITY_B": (Family.POLY_B, "B", 1, 0),
+    "DUALITY_C": (Family.POLY_C, "C", 1, 1),
+    "DUALITY_COSE": (Family.COSECANT, "D", 2, 1),
+    "DUALITY_COTA": (Family.COTANGENT, "beta", 2, 0),
+}
+
+
+def _reference_duality(name, lmax):
+    """A plain duality sweep as it was before it read rows: both values of every witness read cell by cell,
+    B and C at their default route and D and beta by their explicit route, under the same labels."""
+    family, x, s, shift = _PLAIN_DUALITIES[name]
+    checker = _Checker()
+    for m in range(lmax + 1):
+        for l in range(m):
+            if s == 1:
+                label = f"{x}_{m}^(-{l + shift}) vs {x}_{l}^(-{m + shift})"
+                lhs, rhs = family_value(family, m, -(l + shift)), family_value(family, l, -(m + shift))
+            else:
+                label = f"{x}_{2 * m}^({-2 * l - shift}) vs {x}_{2 * l}^({-2 * m - shift})"
+                lhs = family_value_by_method(family, 2 * m, -2 * l - shift, "explicit")
+                rhs = family_value_by_method(family, 2 * l, -2 * m - shift, "explicit")
+            checker.eq(label, lhs, rhs)
+    return Report(name, {"lmax": lmax}, "pass" if checker.ok else "fail", checker.witnesses)
+
+
+@pytest.mark.parametrize("name", _PLAIN_DUALITIES)
+def test_plain_duality_sweeps_equal_the_cell_by_cell_reference(name):
+    assert verify(name, lmax=24).to_json() == _reference_duality(name, 24).to_json()
+
+
+def test_a_duality_sweep_at_its_cap_builds_each_orders_row_once(monkeypatch):
+    # read cell by cell, the 129 rows would pass twice through the 128-row LRU and be built 256 times
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return fa._poly_bernoulli_row("B", n)
+
+    kind, domain, _ = fa.ROUTES[Family.POLY_B]["stirling"]
+    monkeypatch.setitem(fa.ROUTES[Family.POLY_B], "stirling", (kind, domain, fa._cached(counting)))
+    assert verify("DUALITY_B", lmax=CAPS["duality"]).passed
+    assert sorted(built) == list(range(CAPS["duality"] + 1))
 
 
 def test_stirling_identities():

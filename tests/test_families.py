@@ -1,6 +1,7 @@
 """Poly-Bernoulli, polycosecant and polycotangent numbers: golden values,
 method agreement, dualities, conversions, vanishing sums."""
 
+import re
 import sys
 from fractions import Fraction as F
 from functools import lru_cache, partial
@@ -19,6 +20,7 @@ from polyseq import (
     cosecant_bivariate,
     cosecant_from_cotangent,
     euler_number,
+    euler_polynomial,
     family_row,
     family_value,
     k_shift_recurrence,
@@ -33,11 +35,11 @@ from polyseq import (
     tilde_cosecant,
 )
 from polyseq import families as fa
-from polyseq.cli import build_table
+from polyseq.cli import OutputTable, build_table
 from polyseq.congruences import Report, _Checker
 from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
-from polyseq.series import constant, exp_scaled, truncation_for
+from polyseq.series import BiSeries, constant, exp_scaled, truncation_for
 
 import series_reference
 from polylog_reference import _reciprocal_power, polylog_apply
@@ -116,7 +118,7 @@ def test_sasaki_method_domain():
     with pytest.raises(MethodDomain):
         polycosecant(3, -1, method="sasaki")
     with pytest.raises(MethodDomain):
-        polycosecant(0, 0, method="sasaki")  # empty sum; the true value is 1
+        polycosecant(0, 0, method="sasaki")  # excluded, although Sasaki's row gives the true value 1 there
     assert polycosecant(0, 0) == 1
 
 
@@ -1284,3 +1286,38 @@ def test_bivariate_denominators_keep_at_most_128_orders():
         cache(orders)
     info = cache.cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (128, 128, 144)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: poly_bernoulli("D", 2, 1), ValueError, "variant must be 'B' or 'C'", id="variant"),
+        pytest.param(
+            lambda: poly_bernoulli_polynomial(-1, 0, 0), ValueError, "order index must be non-negative", id="polynomial"
+        ),
+        pytest.param(lambda: k_shift_recurrence(-1, 0), ValueError, "order index must be non-negative", id="k-shift"),
+        pytest.param(lambda: bernoulli(-1), ValueError, "Bernoulli index must be non-negative", id="bernoulli"),
+        pytest.param(lambda: euler_number(-1), ValueError, "Euler-number index must be non-negative", id="euler"),
+        pytest.param(
+            lambda: euler_polynomial(-1, 0), ValueError, "Euler-polynomial index must be non-negative", id="euler-poly"
+        ),
+        pytest.param(lambda: copoly_hat(-1, 0, 0), ValueError, "indices must be non-negative", id="hat"),
+        pytest.param(
+            lambda: constant(1, 4) ** -1, ValueError, "series powers take non-negative integer exponents", id="power"
+        ),
+        pytest.param(
+            lambda: BiSeries([]), ValueError, "a bivariate series needs at least the constant coefficient", id="empty"
+        ),
+        pytest.param(lambda: BiSeries([[1, 2], [3]]), ValueError, "ragged coefficient grid", id="ragged"),
+        pytest.param(
+            lambda: OutputTable(Family.COSECANT, (0, 0), (0, 0), []).render("xml"),
+            UsageError,
+            "unknown format 'xml'",
+            id="format",
+        ),
+    ],
+)
+def test_a_bad_argument_raises_its_error_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert raised.type is error
