@@ -17,7 +17,8 @@ take each family's symbol from one table, `_FAMILIES`: Family -> symbol.
 Every value of B, C, D and beta is read at the family's default route, through
 `families.family_value`, or `family_row` where a duality sweep reads an
 order's row once; only CONV_EQ5 and `oracle_diff` name a route, through
-`family_value_by_method`.
+`family_value_by_method`.  The GF sweeps read one row per order, D's default
+`explicit` row for GF_BIVARIATE, and compare integer pairs as text, `eq_pairs`.
 
 Each helper declares its parameters once, by role, in a `signatures.Signature`,
 which `verify()` checks before the body runs.
@@ -37,9 +38,11 @@ from .errors import HypothesisViolation, NotPIntegral, UsageError, ZeroValuation
 from .families import (
     ROUTES,
     Family,
+    _bernoulli_polynomial_row,
     _cell,
     _evaluate_row,
     _route_row,
+    _sym_row,
     cosecant_bivariate,
     cosecant_from_cotangent,
     family_row,
@@ -50,12 +53,7 @@ from .families import (
 from .sequences import bernoulli, primes_upto, stirling1, stirling2, tangent
 from .series import _exact
 from .signatures import EXPONENT, ODD_PRIME, PERIOD_PRIME, PRIME, SUM_EXPONENT, Role, Signature, _phi, order, weight
-from .symmetrized import (
-    sym_bernoulli_bivariate,
-    sym_cosecant_bivariate,
-    sym_poly_bernoulli,
-    sym_polycosecant,
-)
+from .symmetrized import _definition_row, _hat_row, sym_bernoulli_bivariate, sym_cosecant_bivariate
 
 # ------------------------------------------------------------------ primitives
 
@@ -212,6 +210,17 @@ class _Checker:
         self.witnesses.append(Witness(instance, _render(instance, lhs), _render(instance, rhs)))
         if lhs != rhs:
             self.ok = False
+
+    def eq_pairs(self, instance: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> None:
+        """`eq` on (numerator, denominator) pairs, d > 0, compared as `_cell`'s lowest-terms text; +1 is (n + d, d)."""
+        if self._count == self._perturb:
+            lhs = (lhs[0] + lhs[1], lhs[1])
+        self._count += 1
+        try:
+            self.witnesses.append(witness := Witness(instance, _cell(*lhs), _cell(*rhs)))
+        except ValueError:
+            raise _digit_limit(instance) from None
+        self.ok = self.ok and witness.lhs == witness.rhs
 
     def eq_mod(self, instance: str, lhs, rhs, p: int, N: int) -> None:
         lhs = self._bump(_exact(lhs, "a witness's lhs"))
@@ -643,18 +652,22 @@ def _duality(family: Family, s: int, shift: int, check, lmax: int):
     "DUALITY_SYM_B",
     "symmetrized poly-Bernoulli duality at every level n <= nmax (definition route)",
     lambda m, l, n: f"sym-B(m={m}, l={l}, n={n})",
-    lambda m, l, n: sym_poly_bernoulli(m, l, n, method="definition"),
+    _bernoulli_polynomial_row,
+    1,
 )
 @identity(
     "DUALITY_SYM_COSE",
     "symmetrized polycosecant duality at every level n <= nmax (definition route)",
     lambda m, l, n: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n})",
-    lambda m, l, n: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
+    _hat_row,
+    2,
 )
 @Signature("a duality sweep", lmax=Role("sym duality", 0), nmax=Role("sym duality", 0))
-def _duality_sym(label, value, check, lmax: int, nmax: int):
+def _duality_sym(label, base, s: int, check, lmax: int, nmax: int):
+    """Each (sm, n) `_definition_row` of `base` read once, at weights 0..-s lmax sliced [::s], as in `_duality`."""
+    weights = range(0, -s * lmax - 1, -1)
     for n in range(nmax + 1):
-        values = [[value(m, l, n) for l in range(lmax + 1)] for m in range(lmax + 1)]
+        values = [_evaluate_row(_definition_row(base, s * m, n), weights)[::s] for m in range(lmax + 1)]
         _swaps(check, lmax, lambda m, l: f"{label(m, l, n)} vs swapped", values)
 
 
@@ -722,24 +735,27 @@ def _kshift(check, n: int, k: int):
 # ------------------------------------------------- generating-function sweeps
 
 
-def _coefficients(check, f, rows: int, cols: int, label, value) -> None:
-    """One witness f.egf(i, j) vs value(i, j) for each i <= rows, j <= cols."""
-    for i in range(rows + 1):
-        for j in range(cols + 1):
-            check.eq(label(i, j), f.egf(i, j), value(i, j))
+def _pairs(row, count: int) -> list[tuple[int, int]]:
+    """The row's values at the weights 0, -1, ..., -count, as unreduced (numerator, denominator) pairs."""
+    return _evaluate_row(row, range(0, -count - 1, -1), lambda *pair: pair)
+
+
+def _coefficients(check, f, label, values) -> None:
+    """One witness per cell: f's weighted coefficient, its numerator times i! j!, vs the pair values[i][j]."""
+    columns = [factorial(j) for j in range(len(f._grid[0]))]
+    for i, (row, pairs) in enumerate(zip(f._grid, values)):
+        scale = factorial(i)
+        for j, (x, pair) in enumerate(zip(row, pairs)):
+            check.eq_pairs(label(i, j), (x * scale * columns[j], f._den), pair)
 
 
 @identity("GF_BIVARIATE", "the two-variable cosecant function reproduces D_n^{(-k)} for n <= nmax, k <= kmax")
 @Signature("a generating-function sweep", nmax=Role("gf order", 0), kmax=Role("gf order", 0))
 def _gf_bivariate(check, nmax: int, kmax: int):
-    _coefficients(
-        check,
-        cosecant_bivariate((nmax, kmax)),
-        nmax,
-        kmax,
-        lambda n, k: f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})",
-        lambda n, k: family_value(Family.COSECANT, n, -k),
-    )
+    # each order's row is read once, by D's default route: its `explicit` row
+    values = [_pairs(_route_row(Family.COSECANT, n, "explicit"), kmax) for n in range(nmax + 1)]
+    gf = cosecant_bivariate((nmax, kmax))
+    _coefficients(check, gf, lambda n, k: f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})", values)
 
 
 @identity(
@@ -747,19 +763,22 @@ def _gf_bivariate(check, nmax: int, kmax: int):
     "the two-variable symmetrized function reproduces the closed form for l, m <= lmax",
     lambda n, orders: sym_bernoulli_bivariate(n, orders),
     lambda l, m, n: f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})",
-    lambda l, m, n: sym_poly_bernoulli(m, l, n, method="closed_form"),
+    # witness (l, m) is the closed form at order m and weight -l: one row per m, transposed
+    lambda n, lmax: list(zip(*[_pairs(_sym_row(m, n, dyadic=False), lmax) for m in range(lmax + 1)])),
 )
 @identity(
     "GF_SYM_COSE",
     "the two-part bivariate function reproduces the symmetrized polycosecant numbers for m, l <= lmax",
     lambda n, orders: sym_cosecant_bivariate(n, orders),
     lambda m, l, n: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})",
-    lambda m, l, n: sym_polycosecant(m, l, n, method="definition"),
+    # one definition row per even m; sym-D is zero at odd m, the empty row's value
+    lambda n, lmax: [
+        _pairs(_definition_row(_hat_row, m, n) if m % 2 == 0 else (1, (), ()), lmax) for m in range(lmax + 1)
+    ],
 )
 @Signature("a generating-function sweep", n=Role("gf level", 0), lmax=Role("gf order", 0))
-def _gf_sym(bivariate, label, value, check, n: int, lmax: int):
-    f = bivariate(n, (lmax, lmax))
-    _coefficients(check, f, lmax, lmax, lambda i, j: label(i, j, n), lambda i, j: value(i, j, n))
+def _gf_sym(bivariate, label, values, check, n: int, lmax: int):
+    _coefficients(check, bivariate(n, (lmax, lmax)), lambda i, j: label(i, j, n), values(n, lmax))
 
 
 # ------------------------------------------------------------ Stirling lemmas

@@ -16,7 +16,8 @@ from the columns' integer grids over their common denominator, with no
 read their rows from it.  The series route evaluates those rows like the
 closed forms below.  The rows come from series arithmetic on the generating
 function alone, never from Stirling numbers, so the oracle stays independent
-of the closed forms.
+of the closed forms.  So is the two-variable cosecant function: one quotient
+F(t, y) and its reflection F(-t, y), as `cosecant_bivariate` says.
 
 The explicit closed forms of B, C, D, beta and TildeD share one shape,
 value(n, k) = sum_b c[b] b^-k / denominator, with integer c that do not depend
@@ -551,27 +552,20 @@ def tilde_cosecant(m: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=128)
-def _bivariate_denominators(orders: tuple[int, int]) -> tuple[tuple[se.BiSeries, se.BiSeries, se.BiSeries], ...]:
-    """(e^{st}, e^{st+y}, 1 + e^{st} + e^y - e^{st+y}) for s = 1, then s = -1."""
-    ey = se.biseries_exp(0, 1, orders)
-    parts = []
-    for sign in (1, -1):
-        et = se.biseries_exp(sign, 0, orders)
-        ety = se.biseries_exp(sign, 1, orders)
-        parts.append((et, ety, 1 + et + ey - ety))
-    return tuple(parts)
+def _bivariate_denominators(orders: tuple[int, int]) -> tuple[se.BiSeries, se.BiSeries, se.BiSeries]:
+    """(e^t, e^{t+y}, 1 + e^t + e^y - e^{t+y}); their e^{-t} mirrors are these at -t, which `se._reflected` gives."""
+    et, ety = se.biseries_exp(1, 0, orders), se.biseries_exp(1, 1, orders)
+    return et, ety, 1 + et + se.biseries_exp(0, 1, orders) - ety
 
 
 def cosecant_bivariate(orders: tuple[int, int] | int) -> se.BiSeries:
-    """Two-variable function whose weighted coefficients are D_n^{(-k)}.
+    """Two-variable function whose weighted coefficients are D_n^{(-k)}: 1 + F(t, y) + F(-t, y), where
 
-    1 + e^t(e^y - 1) / (1 + e^t + e^y - e^{t+y})
-      + e^{-t}(e^y - 1) / (1 + e^{-t} + e^y - e^{-t+y}),
-    with each numerator e^{st}(e^y - 1) taken as e^{st+y} - e^{st}.
+    F = e^t(e^y - 1) / (1 + e^t + e^y - e^{t+y}), its numerator taken as
+    e^{t+y} - e^t.  F(-t, y) is F's grid reflected in t, so it costs one division.
     """
     if isinstance(orders, int):
         orders = (orders, orders)
-    result = se.biseries_constant(1, orders)
-    for et, ety, denominator in _bivariate_denominators(orders):
-        result = result + (ety - et) / denominator
-    return result
+    et, ety, denominator = _bivariate_denominators(orders)
+    f = (ety - et) / denominator
+    return 1 + f + se._reflected(f)

@@ -15,11 +15,12 @@ the product of the denominators; a quotient's numerators come from a
 fraction-free recurrence in powers of the divisor's lead numerator (see
 `_quotient` and `_divided`).  One gcd over the grid, in `_new`, brings each
 result to lowest terms.  The constructors build grids from integers: e^{ct}
-at c = p/q and order T is p^n q^(T-n) T!/n! over q^T T!.  The operators
-both classes share (negation, `+`, `-`, `*`, `==`, `hash` and the integer
-tail of `/`) are written once and listed under their operator names in each
-class, so a wrapper installed per class (bench/tracer.py installs one) sees
-each class's calls.
+at c = p/q and order T is p^n q^(T-n) T!/n! over q^T T!; `_reflected` gives
+f(-t, y) by negating f's odd t-rows, so f and its mirror cost one quotient.
+The operators both classes share (negation, `+`, `-`, `*`, `==`, `hash` and
+the integer tail of `/`) are written once and listed under their operator
+names in each class, so a wrapper installed per class (bench/tracer.py
+installs one) sees each class's calls.
 
 One cache, `tanh_half(order)`, holds what three families' generating
 functions share; it grows for the life of the process.  `families` reads
@@ -414,6 +415,11 @@ class BiSeries:
 
     def __pow__(self, exponent: int) -> "BiSeries":
         return _power(self, exponent, biseries_constant(1, self.orders))
+
+
+def _reflected(f: BiSeries) -> BiSeries:
+    """f(-t, y): the same grid with its odd t-rows negated, so no quotient in t is taken twice."""
+    return _new(BiSeries, f._den, [[-x for x in row] if m % 2 else row for m, row in enumerate(f._grid)])
 
 
 def biseries_constant(value: Scalar, orders: tuple[int, int]) -> BiSeries:

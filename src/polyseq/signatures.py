@@ -26,7 +26,7 @@ CAPS = {
     "duality": 128,  # lmax of DUALITY_B, _C, _COSE, _COTA: 1.2 s and 33 MB; DUALITY_COTA 12.4 s and 150 MB at 256
     "sym duality": 32,  # lmax and nmax of DUALITY_SYM_*: 1.9 s and 29 MB; 42.8 s at 64 x 64
     "stirling": 64,  # jmax and nmax of STIRLING_CONG: 1.0 s and 58 MB; 6.3 s and 156 MB at 96
-    "gf order": 32,  # nmax, kmax, lmax of a GF sweep: GF_SYM_COSE at level 64, 13.8 s and 19 MB; minutes at 48
+    "gf order": 32,  # nmax, kmax, lmax of a GF sweep: GF_SYM_COSE at level 64, 6.4 s and 19 MB; minutes at 48
     "gf level": 64,  # the level n of GF_SYM_*, at its cap in the case above
     "table order": 64,  # the orders of `polyseq table`, `oracle-diff` and `valuation`
     "table weight": 32,  # the weights of `polyseq table` and `oracle-diff`, either sign

@@ -14,9 +14,10 @@ sum over weights, is `families._rising` of that row or of the B-polynomial
 row.  The closed-form and definition rows are read through the bounded row
 cache of the plain families, `families._cached`, keyed by (m, n).  The hat
 row keeps no cache: its readers are the cached definition row and
-`copoly_hat`, so a duality sweep builds each (m, n) once anyway.  Both
-families dispatch through one helper, `_symmetrized`, whose first parameters
-are the per-family choices, as in `congruences.identity`.
+`copoly_hat`, and a duality sweep reads each (m, n) row once.  Both families
+dispatch through one helper, `_symmetrized`, whose first parameters are the
+per-family choices, as in `congruences.identity`.  The two-part function's
+halves are one quotient and its reflection in t, `series._reflected`.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def sym_polycosecant(m: int, l: int, n: int, method: str = "closed_form") -> Fra
 
 
 def sym_cosecant_halves(n: int, orders: tuple[int, int]) -> tuple[se.BiSeries, se.BiSeries]:
-    """The two summands n! e^{+-t+y} / (1 + e^{+-t} + e^y - e^{+-t+y})^{n+1}."""
-    return tuple(
-        (ety * factorial(n)) / denominator ** (n + 1) for _, ety, denominator in fa._bivariate_denominators(orders)
-    )
+    """The two summands n! e^{+-t+y} / (1 + e^{+-t} + e^y - e^{+-t+y})^{n+1}: one quotient and its reflection in t."""
+    _, ety, denominator = fa._bivariate_denominators(orders)
+    first = (ety * factorial(n)) / denominator ** (n + 1)
+    return first, se._reflected(first)
 
 
 def sym_cosecant_bivariate(n: int, orders: tuple[int, int] | int) -> se.BiSeries:

@@ -11,6 +11,11 @@ import pytest
 
 from polyseq import (
     HypothesisViolation,
+    cosecant_bivariate,
+    sym_bernoulli_bivariate,
+    sym_cosecant_bivariate,
+    sym_poly_bernoulli,
+    sym_polycosecant,
     NotPIntegral,
     Report,
     Residue,
@@ -301,6 +306,87 @@ def _reference_duality(name, lmax):
 @pytest.mark.parametrize("name", _PLAIN_DUALITIES)
 def test_plain_duality_sweeps_equal_the_cell_by_cell_reference(name):
     assert verify(name, lmax=24).to_json() == _reference_duality(name, 24).to_json()
+
+
+# identity -> (witness label, per-cell definition value), both at (m, l, n)
+_SYM_DUALITIES = {
+    "DUALITY_SYM_B": (
+        lambda m, l, n: f"sym-B(m={m}, l={l}, n={n})",
+        lambda m, l, n: sym_poly_bernoulli(m, l, n, method="definition"),
+    ),
+    "DUALITY_SYM_COSE": (
+        lambda m, l, n: f"sym-D(2m={2 * m}, 2l={2 * l}, n={n})",
+        lambda m, l, n: sym_polycosecant(2 * m, 2 * l, n, method="definition"),
+    ),
+}
+
+
+def _reference_duality_sym(name, lmax, nmax):
+    """A symmetrized duality sweep as it was before it read rows: every value of each level's table read cell by cell."""
+    label, value = _SYM_DUALITIES[name]
+    checker = _Checker()
+    for n in range(nmax + 1):
+        values = [[value(m, l, n) for l in range(lmax + 1)] for m in range(lmax + 1)]
+        for m in range(lmax + 1):
+            for l in range(m):
+                checker.eq(f"{label(m, l, n)} vs swapped", values[m][l], values[l][m])
+    return Report(name, {"lmax": lmax, "nmax": nmax}, "pass" if checker.ok else "fail", checker.witnesses)
+
+
+@pytest.mark.parametrize("name", _SYM_DUALITIES)
+def test_symmetrized_duality_sweeps_equal_the_cell_by_cell_reference(name):
+    for lmax in range(7):
+        for nmax in range(4):
+            assert verify(name, lmax=lmax, nmax=nmax).to_json() == _reference_duality_sym(name, lmax, nmax).to_json()
+
+
+def _reference_gf(name, params, perturb_index=None):
+    """A generating-function sweep as it was before it read rows: f.egf(i, j) against one value lookup per cell,
+    both compared as Fractions by `check.eq`, under the same labels."""
+    if name == "GF_BIVARIATE":
+        rows, cols = params["nmax"], params["kmax"]
+        f = cosecant_bivariate((rows, cols))
+        label = lambda n, k: f"[t^{n} y^{k}] weighted vs D_{n}^(-{k})"
+        value = lambda n, k: family_value(Family.COSECANT, n, -k)
+    elif name == "GF_SYM_B":
+        n, rows = params["n"], params["lmax"]
+        f, cols = sym_bernoulli_bivariate(n, (rows, rows)), rows
+        label = lambda l, m: f"[x^{l} y^{m}] weighted vs sym-B(m={m}, l={l}, n={n})"
+        value = lambda l, m: sym_poly_bernoulli(m, l, n, method="closed_form")
+    else:
+        n, rows = params["n"], params["lmax"]
+        f, cols = sym_cosecant_bivariate(n, (rows, rows)), rows
+        label = lambda m, l: f"[t^{m} y^{l}] weighted vs sym-D(m={m}, l={l}, n={n})"
+        value = lambda m, l: sym_polycosecant(m, l, n, method="definition")
+    checker = _Checker(perturb_index)
+    for i in range(rows + 1):
+        for j in range(cols + 1):
+            checker.eq(label(i, j), f.egf(i, j), value(i, j))
+    return Report(name, dict(params), "pass" if checker.ok else "fail", checker.witnesses)
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [("GF_BIVARIATE", [dict(nmax=a, kmax=b) for a, b in ((0, 0), (4, 3), (3, 4), (10, 10))])]
+    + [(name, [dict(n=n, lmax=lmax) for n in range(4) for lmax in range(7)]) for name in ("GF_SYM_B", "GF_SYM_COSE")],
+    ids=["GF_BIVARIATE", "GF_SYM_B", "GF_SYM_COSE"],
+)
+def test_generating_function_sweeps_equal_the_per_cell_reference(name, grid):
+    # compared as text, each witness must write the parent's bytes, unperturbed and perturbed at the
+    # first, a middle and the last instance
+    for params in grid:
+        count = len(_reference_gf(name, params).witnesses)
+        for index in (None, 0, count // 2, count - 1):
+            report = verify(name, params, perturb_index=index)
+            assert report.to_json() == _reference_gf(name, params, index).to_json(), (params, index)
+            assert report.passed == (index is None)
+
+
+def test_a_pair_past_the_digit_limit_is_bad_usage():
+    limit = sys.get_int_max_str_digits()
+    for lhs, rhs in (((10**limit, 3), (1, 1)), ((1, 1), (1, 10**limit + 1))):
+        with pytest.raises(UsageError, match=rf"^cell \(1, 2\): a value has more than {limit} digits"):
+            _Checker().eq_pairs("cell (1, 2)", lhs, rhs)
 
 
 def test_a_duality_sweep_at_its_cap_builds_each_orders_row_once(monkeypatch):

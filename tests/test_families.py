@@ -39,7 +39,7 @@ from polyseq.cli import OutputTable, build_table
 from polyseq.congruences import Report, _Checker
 from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
-from polyseq.series import BiSeries, constant, exp_scaled, truncation_for
+from polyseq.series import BiSeries, biseries_constant, biseries_exp, constant, exp_scaled, truncation_for
 
 import series_reference
 from polylog_reference import _reciprocal_power, polylog_apply
@@ -202,6 +202,39 @@ def test_bivariate_function_reproduces_cosecant():
     for n in range(9):
         for k in range(9):
             assert f.egf(n, k) == polycosecant(n, -k)
+
+
+def _reference_cosecant_bivariate(orders):
+    """The two-variable cosecant function as two quotients, the e^{-t} one divided on its own:
+    1 + sum over s = 1, -1 of (e^{st+y} - e^{st}) / (1 + e^{st} + e^y - e^{st+y})."""
+    ey = biseries_exp(0, 1, orders)
+    result = biseries_constant(1, orders)
+    for sign in (1, -1):
+        et, ety = biseries_exp(sign, 0, orders), biseries_exp(sign, 1, orders)
+        result = result + (ety - et) / (1 + et + ey - ety)
+    return result
+
+
+def test_the_bivariate_function_is_its_two_quotient_sum_at_every_pair_of_orders():
+    for a in range(13):
+        for b in range(13):
+            assert cosecant_bivariate((a, b)) == _reference_cosecant_bivariate((a, b)), (a, b)
+
+
+def test_the_bivariate_function_divides_once(monkeypatch):
+    # F(-t, y) is F's grid reflected in t; the e^{-t} quotient, divided on its own, made a second division
+    divisions = []
+    divide = BiSeries.__truediv__
+
+    def counting(self, other):
+        divisions.append(other.orders)
+        return divide(self, other)
+
+    monkeypatch.setattr(BiSeries, "__truediv__", counting)
+    for orders in ((6, 5), (6, 5), (0, 0)):
+        divisions.clear()
+        cosecant_bivariate(orders)
+        assert divisions == [orders]
 
 
 def test_cosecant_from_cotangent():

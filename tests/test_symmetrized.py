@@ -23,6 +23,7 @@ from polyseq import (
 from polyseq import families as fa
 from polyseq import symmetrized as sy
 from polyseq.series import (
+    BiSeries,
     Series,
     biseries_constant,
     biseries_exp,
@@ -351,8 +352,43 @@ def test_first_kind_derivative_lemma():
 
 
 def test_a_generating_function_sweep_builds_each_closed_form_row_once():
-    # sym-B's closed form reads `_sym_row` through the row cache: one miss per order m, not one build per value
+    # GF_SYM_B reads each order's closed-form row once, at all its weights: one miss per order m and no hits
     fa._sym_row.cache_clear()
     assert verify("GF_SYM_B", n=2, lmax=6).passed
     info = fa._sym_row.cache_info()
-    assert (info.misses, info.hits) == (7, 7 * 7 - 7)
+    assert (info.misses, info.hits) == (7, 0)
+
+
+def _reference_sym_cosecant_halves(n, orders):
+    """The two summands n! e^{st+y} / (1 + e^{st} + e^y - e^{st+y})^{n+1}, s = 1 and -1, each divided on its own."""
+    ey = biseries_exp(0, 1, orders)
+    halves = []
+    for sign in (1, -1):
+        et, ety = biseries_exp(sign, 0, orders), biseries_exp(sign, 1, orders)
+        halves.append((ety * factorial(n)) / (1 + et + ey - ety) ** (n + 1))
+    return tuple(halves)
+
+
+def test_the_second_half_is_the_first_reflected_at_every_pair_of_orders():
+    # the second half is the direct e^{-t} quotient, and the summed function their sum
+    for n in range(4):
+        for a in range(13):
+            for b in range(13):
+                first, second = _reference_sym_cosecant_halves(n, (a, b))
+                assert sym_cosecant_halves(n, (a, b)) == (first, second), (n, a, b)
+                assert sym_cosecant_bivariate(n, (a, b)) == first + second, (n, a, b)
+
+
+def test_the_two_part_function_divides_once(monkeypatch):
+    divisions = []
+    divide = BiSeries.__truediv__
+
+    def counting(self, other):
+        divisions.append(other.orders)
+        return divide(self, other)
+
+    monkeypatch.setattr(BiSeries, "__truediv__", counting)
+    for n in range(3):
+        divisions.clear()
+        sym_cosecant_bivariate(n, (6, 5))
+        assert divisions == [(6, 5)]
