@@ -21,14 +21,15 @@ order's row once; only CONV_EQ5 and `oracle_diff` name a route, through
 `explicit` row for GF_BIVARIATE, and compare integer pairs as text, `eq_pairs`.
 
 Each helper declares its parameters once, by role, in a `signatures.Signature`,
-which `verify()` checks before the body runs.
+which `verify()` checks before the body runs.  The records it returns,
+`Report`, `Witness` and `ValuationReport`, live in `reports`, with the one
+writer of a report's JSON: `%` templates built once per indent and filled
+once per witness, with no dict of the report built on the way.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd
@@ -50,6 +51,7 @@ from .families import (
     family_value_by_method,
     k_shift_recurrence,
 )
+from .reports import Report, ValuationReport, Witness
 from .sequences import bernoulli, primes_upto, stirling1, stirling2, tangent
 from .series import _exact
 from .signatures import EXPONENT, ODD_PRIME, PERIOD_PRIME, PRIME, SUM_EXPONENT, Role, Signature, _phi, order, weight
@@ -109,66 +111,6 @@ def reduce_mod(q, p: int, N: int) -> Residue:
         raise NotPIntegral(f"{q} has a factor {common} in its denominator")
     value = q.numerator * pow(q.denominator, -1, modulus) % modulus
     return Residue(value, modulus)
-
-
-# ------------------------------------------------------------------- reporting
-
-
-class Witness(NamedTuple):
-    instance: str
-    lhs: str
-    rhs: str
-    modulus: int | None = None
-
-    def to_dict(self) -> dict:
-        d = {"instance": self.instance, "lhs": self.lhs, "rhs": self.rhs}
-        if self.modulus is not None:
-            d["modulus"] = self.modulus
-        return d
-
-
-class Report(NamedTuple):
-    identity: str
-    params: dict
-    verdict: str
-    witnesses: Sequence[Witness] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def mismatches(self) -> list[Witness]:
-        return [w for w in self.witnesses if w.lhs != w.rhs]
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "verdict": self.verdict,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-
-class ValuationReport(NamedTuple):
-    """Denominator data of B_{2n}, D_{2n}^{(1)}, beta_{2n}^{(1)} at one odd prime."""
-
-    p: int
-    index: int  # the even order 2n
-    b: int
-    d: int
-    beta_hat: int
-    ord_b: int
-    ord_d: int
-    ord_beta_hat: int
-    alpha: int  # 2n mod (p-1)
-    gamma: int  # min(2n, 2p-3)
-    branch: str
-
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "b": str(self.b), "d": str(self.d), "beta_hat": str(self.beta_hat)}
 
 
 def _digit_limit(where: str) -> UsageError:

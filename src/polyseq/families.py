@@ -27,7 +27,10 @@ weights into values.  Where the exponent moves by one from the previous
 weight's, it steps the terms c b^-k by one `map` of `operator.mul` or
 `floordiv` over the stored bases, in C; any other exponent is computed afresh.
 No workload takes another step: one pass of `table` takes 12,348 steps of one
-and 392 fresh starts, `verify` 24,971 and `oracle` 3,320 fresh starts.  It
+and 392 fresh starts, `verify` 24,971 and `oracle` 3,320 fresh starts.  A
+positive weight reads b^-k as (L/b)^k / L^k over the lcm L of the bases, and
+L and the scaled bases L/b come from one bounded cache keyed by the bases
+alone, `_scaled_bases`, so every row on the same bases shares them.  It
 hands each value's unreduced (numerator, denominator) to its `value` hook:
 `Fraction` by default, `_cell`, the same value's string, for `polyseq table`.
 Every route takes (n, weights), so `family_row(family, n, ks)` builds a row
@@ -302,6 +305,18 @@ def _powers(bases, numerators, last, x: int) -> tuple[int, list[int]]:
     return x, list(map(mul, numerators, map(pow, bases, repeat(x))))
 
 
+# 64 sets of bases hold the 61 that one `oracle` pass reads at positive weights, the series rows of B, C, D and beta
+# at n <= 24; `table` reads each set about once, and a larger cache only keeps more of its large scaled bases
+@lru_cache(maxsize=64)
+def _scaled_bases(bases: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(L, L // b for each base b) over the lcm L of the bases, shared by every row with these bases.
+
+    It is keyed by the bases alone, not by a route or an order, so a row
+    that a test plants in `ROUTES` reads its own bases' values."""
+    common = lcm(*bases)
+    return common, tuple([common // b for b in bases])
+
+
 def _evaluate_row(row: Row, ks, value=Fraction) -> list:
     """The row's value at each weight in `ks`: integer sums, then `value(numerator, denominator)` each.
 
@@ -323,8 +338,7 @@ def _evaluate_row(row: Row, ks, value=Fraction) -> list:
             continue
         if high is None:
             # b^-k = (L/b)^k / L^k over the lcm L of the bases
-            lcm_all = lcm(*bases)
-            scaled = [lcm_all // b for b in bases]
+            lcm_all, scaled = _scaled_bases(bases)
         high = _powers(scaled, numerators, high, k)
         values.append(value(sum(high[1]), lcm_all**k * denominator))
     return values

@@ -2,10 +2,11 @@
 
 Stirling triangles are memoized as growing row tables; a lock keeps row
 extension idempotent under concurrent use.  The weighted coefficients of
-(e^t+1)^{1-n} are one second-kind Stirling sum, `_exp_plus_one_numerators`;
-its n = 2 case, the Euler-polynomial values E_j(0), is cached per truncation
-and gives the Bernoulli, Euler and tangent numbers as integer sums, with no
-series.
+(e^t+1)^{1-n} are one second-kind Stirling sum, `_exp_plus_one_numerators`,
+built once per level n in a list that grows under the same lock, the last 64
+levels kept; its n = 2 case, the Euler-polynomial values E_j(0), is cached
+per truncation and gives the Bernoulli, Euler and tangent numbers as integer
+sums, with no series.
 """
 
 from __future__ import annotations
@@ -56,18 +57,31 @@ def stirling1(n: int, m: int) -> int:
     return _STIRLING1_ROWS[n][m]
 
 
+@lru_cache(maxsize=64)
+def _exp_plus_one_level(n: int) -> tuple[list[int], list[int]]:
+    """Level n's falling factorials r! C(1-n, r) and numerators N_i built so far; only
+    `_exp_plus_one_numerators` extends them, under the lock."""
+    return [1], []
+
+
 def _exp_plus_one_numerators(n: int, m: int) -> list[int]:
     """Integers N_0..N_m with N_i / 2^(n+i) the weighted coefficients of (e^t+1)^{1-n}.
 
     e^t + 1 = 2(1 + u) with u = (e^t-1)/2, so (e^t+1)^{1-n} = sum_r C(1-n,r)
     2^{1-n-r} (e^t-1)^r, and (e^t-1)^r has weighted coefficients r! S(i,r):
     N_i = sum_r r! C(1-n,r) S(i,r) 2^{i+1-r}, with the generalized binomial,
-    so r! C(1-n,r) is the falling factorial (1-n)(-n)...(2-n-r).
+    so r! C(1-n,r) is the falling factorial (1-n)(-n)...(2-n-r).  No N_i
+    depends on m, so each level's list is built once, extended as m grows.
     """
-    falling = [1]
-    for r in range(m):
-        falling.append(falling[-1] * (1 - n - r))
-    return [sum(falling[r] * stirling2(i, r) << (i + 1 - r) for r in range(i + 1)) for i in range(m + 1)]
+    falling, numerators = _exp_plus_one_level(n)
+    if len(numerators) <= m:
+        stirling2(m, m)  # the triangle's rows to m first: `_extend_triangle` takes the lock, which is not reentrant
+        with _lock:
+            for i in range(len(numerators), m + 1):
+                falling.append(falling[-1] * (1 - n - i))
+                terms = enumerate(zip(falling, _STIRLING2_ROWS[i]))
+                numerators.append(sum(f * s << (i + 1 - r) for r, (f, s) in terms))
+    return numerators[: m + 1]
 
 
 @lru_cache(maxsize=None)

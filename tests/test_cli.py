@@ -273,6 +273,26 @@ def test_verify_streams_the_report_text(monkeypatch, lmax):
         assert len(stream.sizes) > 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["DUALITY_COTA", "--lmax", "24"],
+        ["DUALITY_SYM_COSE", "--lmax", "4", "--nmax", "3"],
+        ["KUMMER_COSE", "--p", "3", "--N", "2", "--k", "3", "--m", "2", "--n", "5"],
+        ["CVS_COSE", "--p", "5", "--k", "2", "--n", "4", "--perturb", "0"],
+    ],
+    ids=["duality", "sym-duality", "modulus", "fail"],
+)
+def test_verify_stdout_is_the_json_modules_text(capsys, argv):
+    # the json module's own text of the report's dict, not the report's writer
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    params = {flag[2:]: int(value) for flag, value in flags.items() if flag != "--perturb"}
+    report = cg.verify(argv[0], params, perturb_index=0 if "--perturb" in flags else None)
+    assert code == (0 if report.passed else 1)
+    assert out == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 def test_oracle_diff_past_the_digit_limit_exits_two(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)  # the smallest limit Python accepts

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polyseq import (
     HypothesisViolation,
@@ -418,6 +420,35 @@ def test_report_serialization_shape_and_stability():
     assert set(payload["witnesses"][0]) == {"instance", "lhs", "rhs", "modulus"}
     again = verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5)
     assert report.to_json() == again.to_json()
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, astral and line-separator characters, or any text
+_TEXT = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f aZ09-%{}é☃\u2028\U0001f600')) | st.text()
+_PARAMS = st.dictionaries(
+    _TEXT, st.none() | st.booleans() | st.integers() | _TEXT | st.lists(st.integers(), max_size=3), max_size=4
+)
+_WITNESSES = st.lists(
+    st.builds(Witness, _TEXT, _TEXT, _TEXT, st.none() | st.just(0) | st.integers(0, 10**60)), max_size=4
+)
+_INDENTS = (None, 0, 2, 4)
+
+
+@given(report=st.builds(Report, _TEXT, _PARAMS, _TEXT, _WITNESSES))
+@example(report=Report("X", {}, "pass"))  # no params, no witnesses
+@example(report=Report('"é\\', {"b": [1], "a": {}}, "fail", [Witness("\x00", "1", "1", 0), Witness("", "-1/2", "☃")]))
+def test_report_text_is_the_json_modules_at_every_indent(report):
+    # the template writer against the json module's text of `to_dict`, the reference layout
+    for indent in _INDENTS:
+        want = json.dumps(report.to_dict(), sort_keys=True, indent=indent)
+        assert report.to_json(indent) == "".join(report.json_chunks(indent)) == want, indent
+
+
+def test_report_chunks_are_one_per_witness_between_a_head_and_a_tail():
+    report = verify("KUMMER_COSE", p=3, N=2, k=3, m=2, n=5)
+    for indent in _INDENTS:
+        chunks = list(report.json_chunks(indent))
+        assert len(chunks) == len(report.witnesses) + 2
+        assert json.loads("".join(chunks)) == report.to_dict()
 
 
 _VALUATION_FIELDS = ("p", "index", "b", "d", "beta_hat", "ord_b", "ord_d", "ord_beta_hat", "alpha", "gamma", "branch")

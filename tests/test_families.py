@@ -1236,6 +1236,47 @@ def test_cells_are_the_fraction_strings_on_drawn_rows(row, ks):
     assert fa._evaluate_row(row, ks, fa._cell) == [str(v) for v in values]
 
 
+@given(
+    row=_scaled_rows(),
+    numerators=st.lists(st.integers(-(10**6), 10**6), min_size=40, max_size=40),
+    ks=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+)
+def test_positive_weights_are_the_fraction_sums_on_drawn_rows(row, numerators, ks):
+    # a second row on the same bases reads the scaled bases that the first one cached
+    denominator, bases, _ = row
+    for d, bases, numerators in (row, (denominator, bases, tuple(numerators[: len(bases)]))):
+        want = [sum((F(c, b**k) for b, c in zip(bases, numerators)), F(0)) / d for k in ks]
+        assert fa._evaluate_row((d, bases, numerators), ks) == want
+
+
+def test_the_scaled_bases_cache_stays_within_its_bound_on_the_table_grid():
+    fa._scaled_bases.cache_clear()
+    for family in ("PolyB_B", "PolyB_C", "Cosecant", "Cotangent"):
+        build_table(family, (0, 64), (-32, 32))
+    info = fa._scaled_bases.cache_info()
+    # the grid asks for more sets of bases than the cache keeps
+    assert info.misses > info.maxsize >= info.currsize
+
+
+def test_oracle_diff_catches_a_changed_row_at_a_positive_weight(monkeypatch):
+    kind, domain, _ = ROUTES[Family.POLY_C]["stirling"]
+    # the true rows' bases are scaled and cached first
+    assert oracle_diff("PolyB_C", 6, 3, 3).passed
+
+    def perturbed(n):
+        # one more term, at a base no true row of order n has: bases cached for the order, not for
+        # the bases themselves, would drop it
+        denominator, bases, numerators = fa._poly_bernoulli_row("C", n)
+        return fa._row(denominator, [*zip(bases, numerators), (n + 9, 1)] if n == 4 else zip(bases, numerators))
+
+    with monkeypatch.context() as patch:
+        patch.setitem(ROUTES[Family.POLY_C], "stirling", (kind, domain, perturbed))
+        report = oracle_diff("PolyB_C", 6, 3, 3)
+    assert report.verdict == "fail"
+    assert [w.instance for w in report.mismatches()] == ["PolyB_C(n=4, k=3) stirling vs series"]
+    assert oracle_diff("PolyB_C", 6, 3, 3).passed
+
+
 # The four row builders as they were before `_binomial_shift`: one binomial per term of each double sum.
 
 

@@ -1,5 +1,6 @@
 """Stirling triangles, Bernoulli/Euler/tangent numbers, totient."""
 
+import threading
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
@@ -160,6 +161,45 @@ def test_euler_polynomial_keeps_one_cache_entry_per_order():
     assert sequences._euler_at_zero.cache_info().currsize == 1
     euler_polynomial(30, 2)
     assert sequences._euler_at_zero.cache_info().currsize == 2
+
+
+def _fresh_exp_plus_one_numerator(n, i):
+    """N_i = sum_r r! C(1-n, r) S(i, r) 2^(i+1-r), summed afresh, as before each level kept its list."""
+    return sum(prod(1 - n - j for j in range(r)) * stirling2(i, r) * 2 ** (i + 1 - r) for r in range(i + 1))
+
+
+def test_exp_plus_one_numerators_are_built_once_per_level_in_any_order():
+    sequences._exp_plus_one_level.cache_clear()
+    for n in (0, 1, 2, 5, 33):
+        for m in (5, 0, 12, 3, 30, 7):
+            want = [_fresh_exp_plus_one_numerator(n, i) for i in range(m + 1)]
+            assert sequences._exp_plus_one_numerators(n, m) == want, (n, m)
+        # one list per level, grown to the largest order asked for
+        assert len(sequences._exp_plus_one_level(n)[1]) == 31
+    assert sequences._exp_plus_one_level.cache_info().currsize == 5
+    for n in range(200):
+        sequences._exp_plus_one_numerators(n, 2)
+    info = sequences._exp_plus_one_level.cache_info()
+    assert info.currsize == info.maxsize < 200
+
+
+def test_exp_plus_one_numerators_extend_safely_across_threads():
+    sequences._exp_plus_one_level.cache_clear()
+    orders = [list(range(0, 41, step)) for step in (1, 3, 7, 40)]
+    results = [[] for _ in orders]
+
+    def read(index):
+        for m in orders[index]:
+            results[index].append(sequences._exp_plus_one_numerators(7, m))
+
+    threads = [threading.Thread(target=read, args=(index,)) for index in range(len(orders))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    want = [_fresh_exp_plus_one_numerator(7, i) for i in range(41)]
+    for ms, got in zip(orders, results):
+        assert got == [want[: m + 1] for m in ms]
 
 
 def test_euler_polynomial_links_to_euler_numbers():
