@@ -35,11 +35,10 @@ hands each value's unreduced (numerator, denominator) to its `value` hook:
 `Fraction` by default, `_cell`, the same value's string, for `polyseq table`.
 Every route takes (n, weights), so `family_row(family, n, ks)` builds a row
 once for all its weights, while `family_value` is the same call with one
-weight.  The builders' double sums sum_j w_j C(j, m) c^(j-m), c = +-1, are
-one Taylor shift, `_binomial_shift`.  `_sym_row` also builds both symmetrized
-closed forms.  TildeD's `explicit` route at k <= 0 is `_tilde_row`, a
-Stirling sum over the bases 1..n+1; Sasaki's formula for D at k <= 0, the
-`sasaki` route, expands to the same sum over half the denominator.
+weight.  D, beta, TildeD and both symmetrized numbers (`_sym_row`) are each
+a weight list w and one Stirling kernel, `_shifted_row`: the Taylor shift
+`_binomial_shift` of w, sum_j w_j C(j, m) c^(j-m) for c = +-1, read at the
+row's bases.  Sasaki's D at k <= 0 is TildeD's row over half its denominator.
 
 Every row is in lowest terms (`_row`): bases ascending, no zero c_b and no
 common factor of the denominator and the c_b.  Since the functions b^-k of
@@ -64,14 +63,14 @@ The odd-order zeros of D and beta are rows too: at odd n each route of
 either family whose domain holds there gives the empty row, which
 `_evaluate_row` reads as zeros at once, so `_evaluate` names no family.
 
-A family's generating function times a fixed series (cosh t, sech t, sinh t,
-e^{-xt}) gives the conversions, the k-shift recurrence and the poly-Bernoulli
-polynomials B_n^{(k)}(x): index n of the product, sum_j C(n,j) a(n-j) F_j, is
-one row, the cached rows F_j scaled by `_row_sum` (by rationals where x
-enters) over a common denominator.  `_rising(row, n)` multiplies each c_b by
-b(b+1)...(b+n-1), so its value at k is sum_j s(n,j) times the row's at k - j:
-the k-shift sum at n = 1, and the symmetrized definitions.  Every closed form
-and definition is thus a row, and `_series_rows` feeds only the `series` route.
+A family's generating function times a fixed series A(t) (cosh t, sech t,
+sinh t, e^{-xt}) gives the conversions, the k-shift recurrence and
+B_n^{(k)}(x): index n of the product is one row, `_times_series`, the
+family's cached rows summed by `_row_sum` with integer scales over one
+denominator.  `_rising(row, n)` multiplies each c_b by b(b+1)...(b+n-1), so
+its value at k is sum_j s(n,j) times the row's at k - j: the k-shift sum at
+n = 1, and the symmetrized definitions.  Every closed form and definition is
+thus a row, and `_series_rows` feeds only the `series` route.
 """
 
 from __future__ import annotations
@@ -199,6 +198,12 @@ def _binomial_shift(w: list[int], c: int) -> list[int]:
     return [x * c ** (m % 2) for m, x in enumerate(reversed(top))]
 
 
+def _shifted_row(denominator: int, w: list[int], c: int, bases, offset: int = 0) -> Row:
+    """The Stirling kernel: the row over `denominator` giving base b entry b - offset of `_binomial_shift(w, c)`."""
+    shifted = _binomial_shift(w, c)
+    return _row(denominator, ((b, shifted[b - offset]) for b in bases))
+
+
 def _cosecant_row(n: int) -> Row:
     """The explicit double Stirling sum of D_n^{(k)}: bases 2i+1 over 2^n; empty at odd n.
 
@@ -208,23 +213,16 @@ def _cosecant_row(n: int) -> Row:
     if n % 2 == 1:
         return _row(1, ())
     w = [0] + [(-1) ** (j + 1) * factorial(j - 1) * 2 ** (n + 1 - j) * stirling2(n + 1, j) for j in range(1, n + 2)]
-    shifted = _binomial_shift(w, 1)
-    return _row(2**n, ((b, shifted[b]) for b in range(1, n + 2, 2)))
+    return _shifted_row(2**n, w, 1, range(1, n + 2, 2))
 
 
 def _cotangent_row(n: int) -> Row:
     """The explicit Stirling sum of beta_n^{(k)}: bases 2i+1, base b carrying sum_j w_j C(j+1, b); empty at odd n."""
     if n % 2 == 1:
         return _row(1, ())
-    w = [
-        (-1) ** j
-        * factorial(j)
-        * 2 ** (n - j)
-        * ((j + 1) * (j + 2) // 2 * stirling2(n, j + 2) + stirling2(n + 1, j + 1))
-        for j in range(n + 1)
-    ]
-    shifted = _binomial_shift([0] + w, 1)
-    return _row(2**n, ((b, shifted[b]) for b in range(1, n + 2, 2)))
+    parts = [(j + 1) * (j + 2) // 2 * stirling2(n, j + 2) + stirling2(n + 1, j + 1) for j in range(n + 1)]
+    w = [0] + [(-1) ** j * factorial(j) * 2 ** (n - j) * part for j, part in enumerate(parts)]
+    return _shifted_row(2**n, w, 1, range(1, n + 2, 2))
 
 
 @_cached
@@ -235,8 +233,7 @@ def _sym_row(m: int, n: int, dyadic: bool) -> Row:
     (here over 2^(n+m)), and j!S(l+1,j+1) = sum_b (-1)^(j+1-b) C(j,b-1) b^l.
     """
     w = [factorial(j + n) * stirling2(m + 1, j + 1) * (2 ** (m - j) if dyadic else 1) for j in range(m + 1)]
-    shifted = _binomial_shift(w, -1)
-    return _row(2 ** (n + m) if dyadic else 1, ((b, shifted[b - 1]) for b in range(1, m + 2)))
+    return _shifted_row(2 ** (n + m) if dyadic else 1, w, -1, range(1, m + 2), offset=1)
 
 
 def _sasaki_row(n: int) -> Row:
@@ -245,8 +242,7 @@ def _sasaki_row(n: int) -> Row:
     With i!S(K,i) = sum_b (-1)^(i-b) C(i,b) b^K, base b carries sum_i (-1)^(i-b)
     C(i,b) (i-1)! 2^(n+1-i) S(n+1,i), which is `_tilde_row`'s sum: twice its row.
     """
-    denominator, bases, numerators = _tilde_row(n)
-    return _row(denominator, zip(bases, [2 * c for c in numerators]))
+    return _row_sum([(2, _tilde_row(n))])
 
 
 def _poly_bernoulli_row(variant: str, n: int) -> Row:
@@ -270,19 +266,18 @@ def _tilde_row(n: int) -> Row:
     C(m+j, j) (m+j-1)! S(n+1, m+j) / 2^(m+j), here summed over r = m+j.
     """
     w = [0] + [factorial(r - 1) * stirling2(n + 1, r) * 2 ** (n + 1 - r) for r in range(1, n + 2)]
-    shifted = _binomial_shift(w, -1)
-    return _row(2 ** (n + 1), ((m, shifted[m]) for m in range(1, n + 2)))
+    return _shifted_row(2 ** (n + 1), w, -1, range(1, n + 2))
 
 
-def _row_sum(parts) -> Row:
-    """The row of sum scale * row over (scale, row) pairs, over the lcm of d * scale.denominator."""
-    denominator = lcm(*[d * scale.denominator for scale, (d, _, _) in parts])
+def _row_sum(parts, denominator: int = 1) -> Row:
+    """The row of sum scale * row over (scale, row) pairs, over `denominator` times the lcm of d * scale.denominator."""
+    common = lcm(*[d * scale.denominator for scale, (d, _, _) in parts])
     coefficients: dict[int, int] = {}
     for scale, (d, bases, numerators) in parts:
-        factor = scale.numerator * (denominator // (d * scale.denominator))
+        factor = scale.numerator * (common // (d * scale.denominator))
         for b, c in zip(bases, numerators):
             coefficients[b] = coefficients.get(b, 0) + factor * c
-    return _row(denominator, coefficients.items())
+    return _row(common * denominator, coefficients.items())
 
 
 def _rising(row: Row, n: int) -> Row:
@@ -375,28 +370,32 @@ def _route_row(family: Family, n: int, method: str) -> Row | None:
     return None if rows is None else rows(n)
 
 
+def _times_series(a, denominator: int, family: Family, method: str, n: int) -> Row:
+    """Index n of A(t) times the family's function, A's weighted coefficients the integers a_i / denominator:
+    sum_j C(n,j) a_(n-j) X_j over the method's rows X_j, skipping each j where a_(n-j) = 0."""
+    parts = [(comb(n, j) * a[n - j], _route_row(family, j, method)) for j in range(n + 1) if a[n - j]]
+    return _row_sum(parts, denominator)
+
+
 def _from_cosecant_row(n: int) -> Row:
     """beta_n^{(k)} = sum_i C(n,2i) D_{2i}^{(k)}, the cosecant function times cosh t; empty at odd n."""
-    if n % 2 == 1:
-        return _row(1, ())
-    return _row_sum([(comb(n, j), _route_row(Family.COSECANT, j, "explicit")) for j in range(0, n + 1, 2)])
+    return _times_series([1 - i % 2 for i in range(n + 1)], 1, Family.COSECANT, "explicit", n)
 
 
 def _cosecant_from_cotangent_row(n: int) -> Row:
-    """sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t times beta's function."""
-    return _row_sum(
-        [(comb(n, j) * euler_number(n - j), _route_row(Family.COTANGENT, j, "explicit")) for j in range(0, n + 1, 2)]
-    )
+    """sum_i C(n,2i) E_{n-2i} beta_{2i}^{(k)} for even n: sech t, the Euler numbers, times beta's function."""
+    return _times_series([euler_number(i) for i in range(n + 1)], 1, Family.COTANGENT, "explicit", n)
 
 
 def _k_shift_row(n: int) -> Row:
     """sum_m C(n+1, 2m+1) D_{n-2m}^{(k)}: index n+1 of sinh t times D's function."""
-    return _row_sum([(comb(n + 1, j), _route_row(Family.COSECANT, j, "explicit")) for j in range(n % 2, n + 1, 2)])
+    return _times_series([i % 2 for i in range(n + 2)], 1, Family.COSECANT, "explicit", n + 1)
 
 
 def _bernoulli_polynomial_row(n: int, x: Fraction) -> Row:
-    """B_n^{(k)}(x) = sum_j C(n,j) (-x)^(n-j) B_j^{(k)}: e^{-xt} times B's function, over B's cached rows."""
-    return _row_sum([(comb(n, j) * (-x) ** (n - j), _route_row(Family.POLY_B, j, "stirling")) for j in range(n + 1)])
+    """B_n^{(k)}(x) = sum_j C(n,j) (-x)^(n-j) B_j^{(k)}: e^{-xt} times B's function; (-p/q)^i = (-p)^i q^(n-i) / q^n."""
+    p, q = x.numerator, x.denominator
+    return _times_series([(-p) ** i * q ** (n - i) for i in range(n + 1)], q**n, Family.POLY_B, "stirling", n)
 
 
 # ------------------------------------------------------------------ route table

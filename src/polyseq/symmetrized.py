@@ -7,8 +7,8 @@ C-variants; the closed forms are manifestly symmetric, the definitional
 routes are not, which is what makes the duality checks meaningful.  Both
 closed forms are rows from `families._sym_row` read by `_evaluate_row`; the
 level-one cosecant row, doubled, is D's row at weight one lower.
-The hat-numbers at (m, n) are one row: TildeD's cached rows scaled by the
-weighted coefficients of (e^t+1)^{1-n}, the second-kind Stirling sums of
+The hat-numbers at (m, n) are one row: `families._times_series` of TildeD's
+cached rows and (e^t+1)^{1-n}, with coefficients N_i / 2^(n+i) from
 `sequences._exp_plus_one_numerators`.  Each definition, a first-kind Stirling
 sum over weights, is `families._rising` of that row or of the B-polynomial
 row.  The closed-form and definition rows are read through the bounded row
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import factorial
 
 from . import families as fa
 from . import series as se
@@ -73,10 +73,9 @@ def sym_poly_bernoulli(m: int, l: int, n: int, method: str = "closed_form") -> F
 
 
 def _hat_row(m: int, n: int) -> fa.Row:
-    """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h the weighted coefficients of (e^t+1)^{1-n}."""
-    factor = [Fraction(numerator, 1 << (n + i)) for i, numerator in enumerate(_exp_plus_one_numerators(n, m))]
-    tilde = fa.Family.TILDE_D
-    return fa._row_sum([(comb(m, j) * factor[m - j], fa._route_row(tilde, j, "explicit")) for j in range(m + 1)])
+    """Hat-numbers at even m: sum_j C(m,j) h_{m-j} TildeD_j, h_i = N_i 2^(m-i) / 2^(n+m) from (e^t+1)^{1-n}."""
+    scales = [c << (m - i) for i, c in enumerate(_exp_plus_one_numerators(n, m))]
+    return fa._times_series(scales, 1 << (n + m), fa.Family.TILDE_D, "explicit", m)
 
 
 def copoly_hat(m: int, l: int, n: int) -> Fraction:

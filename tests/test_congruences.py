@@ -857,6 +857,147 @@ def test_each_hypothesis_has_a_counterexample_just_outside_it(monkeypatch, name,
             verify(name, params)
 
 
+def _is_theorem_minimum(role: Role) -> bool:
+    """An order index's least value 1 (or N's, or a's), or any weight's least value: a theorem's hypothesis.
+    A least value 0 of an index with a cap only keeps the index non-negative."""
+    return role.minimum is not None and (role.minimum >= 1 or role.cap is None)
+
+
+_DIVIDES = (HypothesisViolation, "(p-1) must not divide n")
+_ORDERS = (HypothesisViolation, "m, n >= N required")
+_ORDERS2 = (HypothesisViolation, "2m, 2n >= N required")
+_K_AT_LEAST_N = (HypothesisViolation, "k >= N required")
+_PHI_NOT_INT = (TypeError, "'float' object cannot be interpreted as an integer")  # phi(p^0) = (p-1)/p
+
+# (identity, parameter, parameters with that one just below its `Signature` minimum and all else inside the
+# theorem, what verify gives with only that minimum lifted): "fail" or NotPIntegral is a counterexample;
+# "pass" means none exists (see the sweep below); a body hypothesis that still refuses shows the minimum is
+# implied by it; TypeError and ValueError show the body is not defined there.  At N = 0 the modulus is
+# p^0 = 1, so a Kummer congruence cannot fail, and a sum over phi(p^0) terms is no sum.
+_SHARP_MINIMUMS = [
+    ("KUMMER_BERNOULLI", "N", dict(p=3, N=0, m=1, n=1), "pass"),
+    ("KUMMER_BERNOULLI", "m", dict(p=3, N=1, m=0, n=2), _DIVIDES),
+    ("KUMMER_BERNOULLI", "n", dict(p=3, N=1, m=2, n=0), _DIVIDES),
+    ("KUMMER_POLYB_B", "N", dict(p=3, N=0, k=0, m=1, n=1), "pass"),
+    ("KUMMER_POLYB_B", "k", dict(p=3, N=1, k=-1, m=1, n=3), "fail"),
+    ("KUMMER_POLYB_B", "m", dict(p=3, N=1, k=0, m=0, n=2), _ORDERS),
+    ("KUMMER_POLYB_B", "n", dict(p=3, N=1, k=0, m=2, n=0), _ORDERS),
+    ("KUMMER_POLYB_C", "N", dict(p=3, N=0, k=0, m=1, n=1), "pass"),
+    ("KUMMER_POLYB_C", "k", dict(p=3, N=1, k=-1, m=1, n=3), "fail"),
+    ("KUMMER_POLYB_C", "m", dict(p=3, N=1, k=0, m=0, n=2), _ORDERS),
+    ("KUMMER_POLYB_C", "n", dict(p=3, N=1, k=0, m=2, n=0), _ORDERS),
+    ("KUMMER_COSE", "N", dict(p=3, N=0, k=1, m=1, n=1), "pass"),
+    ("KUMMER_COSE", "k", dict(p=3, N=1, k=0, m=1, n=2), "pass"),  # D_{2n}^{(0)} = 0 for n >= 1
+    ("KUMMER_COSE", "m", dict(p=3, N=1, k=1, m=0, n=1), _ORDERS2),
+    ("KUMMER_COSE", "n", dict(p=3, N=1, k=1, m=1, n=0), _ORDERS2),
+    ("KUMMER_COTA", "N", dict(p=3, N=0, k=1, m=1, n=1), "pass"),
+    ("KUMMER_COTA", "k", dict(p=3, N=1, k=0, m=1, n=2), "pass"),  # beta_{2n}^{(0)} = 1
+    ("KUMMER_COTA", "m", dict(p=3, N=1, k=1, m=0, n=1), _ORDERS2),
+    ("KUMMER_COTA", "n", dict(p=3, N=1, k=1, m=1, n=0), _ORDERS2),
+    ("KUMMER_COSE_ODD", "N", dict(p=3, N=0, k=1, m=1, n=1), "pass"),
+    ("KUMMER_COSE_ODD", "k", dict(p=5, N=1, k=0, m=1, n=3), "fail"),
+    ("KUMMER_COSE_ODD", "m", dict(p=3, N=1, k=1, m=0, n=1), _ORDERS2),
+    ("KUMMER_COSE_ODD", "n", dict(p=3, N=1, k=1, m=1, n=0), _ORDERS2),
+    ("KUMMER_COSE_REMARK", "N", dict(p=5, N=0, m=1, n=1), "pass"),
+    # 2m = 0 = 2n mod phi(p^N) would make (p-1) divide 2n, which the body checks first
+    ("KUMMER_COSE_REMARK", "m", dict(p=3, N=1, m=0, n=1), (HypothesisViolation, "(p-1) must not divide 2n")),
+    ("KUMMER_COSE_REMARK", "n", dict(p=5, N=1, m=1, n=0), (HypothesisViolation, "(p-1) must not divide 2n")),
+    ("SUM_POLYB", "N", dict(p=3, N=0, k=1, n=1), _PHI_NOT_INT),
+    ("SUM_POLYB", "n", dict(p=3, N=1, k=1, n=0), (HypothesisViolation, "n >= N required")),
+    ("SUM_COSE", "N", dict(p=3, N=0, n=1, k=1), _PHI_NOT_INT),
+    ("SUM_COSE", "k", dict(p=3, N=1, n=1, k=0), _K_AT_LEAST_N),
+    ("SUM_COTA", "N", dict(p=3, N=0, n=1, k=1), _PHI_NOT_INT),
+    ("SUM_COTA", "k", dict(p=3, N=1, n=1, k=0), _K_AT_LEAST_N),
+    ("SUM_C", "N", dict(p=3, N=0, n=1, k=1), _PHI_NOT_INT),
+    ("SUM_C", "k", dict(p=3, N=1, n=1, k=0), _K_AT_LEAST_N),
+    ("TWO_ORDER_COSE", "n", dict(n=0, k=1), "pass"),  # modulo 2^0 = 1
+    ("TWO_ORDER_COSE", "k", dict(n=1, k=0), "pass"),  # D_{2n}^{(0)} = 0 for n >= 1
+    ("TWO_ORDER_COTA", "n", dict(n=0, k=0), (ValueError, "N = -1 must be >= 0")),  # modulo 2^(2n-1) = 1/2
+    ("TWO_ORDER_COTA", "k", dict(n=1, k=-1), "pass"),  # weight +1: no counterexample at n <= 64
+    ("CVS_BERNOULLI", "n", dict(n=0), "pass"),  # B_0 = 1
+    ("CVS_POLYB", "k", dict(p=3, k=1, n=3), "fail"),
+    ("CVS_POLYB", "n", dict(p=5, k=2, n=0), (HypothesisViolation, "k+2 <= p <= n+1 required")),
+    ("CVS_COSE", "k", dict(p=5, k=1, n=3), "fail"),
+    ("CVS_COSE", "n", dict(p=5, k=2, n=0), (HypothesisViolation, "k+2 <= p <= 2n+1 required")),
+    ("CVS_COTA", "k", dict(p=5, k=1, n=3), "fail"),
+    ("CVS_COTA", "n", dict(p=5, k=2, n=0), (HypothesisViolation, "k+2 <= p <= 2n+1 required")),
+    ("DENOM_ORDER", "n", dict(p=3, n=0), "pass"),  # B_0 = D_0^{(1)} = beta_0^{(1)} = 1
+    ("VANISH_S1_B", "m", dict(k=0, n=0, m=0), (HypothesisViolation, "0 <= n <= m-1 required (the sum does not vanish at n = m)")),
+    ("VANISH_S1_COSE", "n", dict(k=0, n=0, m=1), "pass"),  # D_0^{(k)} = 1 at every k
+    ("VANISH_S1_COTA", "n", dict(k=0, n=0, m=1), "pass"),  # beta_0^{(k)} = 1 at every k
+    ("STIRLING_MOD_P", "a", dict(p=3, a=0, nmax=4), (ValueError, "k must be a non-negative integer")),  # C(c-1, -1)
+    ("STIRLING_CONG", "N", dict(p=3, N=0, jmax=3, nmax=4), _PHI_NOT_INT),
+]
+
+
+def _lift_minimum(monkeypatch, name: str, param: str) -> int:
+    """Drop the `Signature` minimum of one parameter of one identity, and return it."""
+    from polyseq import congruences as cg
+
+    roles = cg._REGISTRY[name][2].roles
+    minimum = roles[param].minimum
+    monkeypatch.setitem(roles, param, roles[param]._replace(minimum=None))
+    return minimum
+
+
+@pytest.mark.parametrize(
+    "name,param,params,lifted",
+    _SHARP_MINIMUMS,
+    ids=[f"{name}-{param}>={params[param] + 1}" for name, param, params, _ in _SHARP_MINIMUMS],
+)
+def test_each_signature_minimum_refuses_just_below_it(monkeypatch, name, param, params, lifted):
+    with pytest.raises(HypothesisViolation, match=f"^{param} must be >= {params[param] + 1}$"):
+        verify(name, params)
+    assert _lift_minimum(monkeypatch, name, param) == params[param] + 1
+    if isinstance(lifted, str):
+        assert verify(name, params).verdict == lifted
+    else:
+        error, message = lifted
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            verify(name, params)
+
+
+def test_every_theorem_minimum_has_one_sharpness_case():
+    from polyseq import congruences as cg
+
+    declared = sorted(
+        (name, param)
+        for name in registry_ids()
+        for param, role in cg._REGISTRY[name][2].roles.items()
+        if _is_theorem_minimum(role)
+    )
+    assert sorted((name, param) for name, param, _, _ in _SHARP_MINIMUMS) == declared
+    assert len(declared) == 51
+
+
+def test_signature_minimums_without_a_counterexample_hold_below_them(monkeypatch):
+    # a finding, pinned: with only that minimum lifted, every case of these sweeps passes.  Most are identities
+    # of the values (D_{2n}^{(0)} = 0 and beta_{2n}^{(0)} = 1 for n >= 1, D_0^{(k)} = beta_0^{(k)} = 1), but
+    # TWO_ORDER_COTA at k = -1, beta_{2n}^{(1)} = 0 mod 2^(2n-1), is a statement at a positive weight
+    kummer = [dict(p=p, N=N, k=0, m=m, n=n) for p in (3, 5) for N in (1, 2) for m in range(1, 9) for n in range(1, 9)]
+    sweeps = [
+        ("KUMMER_COSE", "k", kummer),
+        ("KUMMER_COTA", "k", kummer),
+        ("TWO_ORDER_COSE", "k", [dict(n=n, k=0) for n in range(1, 33)]),
+        ("TWO_ORDER_COSE", "n", [dict(n=0, k=k) for k in range(1, 33)]),
+        ("TWO_ORDER_COTA", "k", [dict(n=n, k=-1) for n in range(1, 33)]),
+        ("VANISH_S1_COSE", "n", [dict(k=k, n=0, m=m) for k in range(-3, 6) for m in range(1, 9)]),
+        ("VANISH_S1_COTA", "n", [dict(k=k, n=0, m=m) for k in range(-3, 6) for m in range(1, 9)]),
+        ("DENOM_ORDER", "n", [dict(p=p, n=0) for p in (3, 5, 7, 11, 13)]),
+    ]
+    ran = passed = 0
+    for name, param, cases in sweeps:
+        _lift_minimum(monkeypatch, name, param)
+        for params in cases:
+            try:
+                report = verify(name, params)
+            except HypothesisViolation:
+                continue  # a body hypothesis, here the congruence of the orders
+            ran += 1
+            passed += report.passed
+    assert (passed, ran) == (497, 497)
+
+
 def test_period_identities_run_at_the_largest_prime_within_the_cap():
     from polyseq.signatures import CAPS
 

@@ -35,12 +35,14 @@ from polyseq import (
     tilde_cosecant,
 )
 from polyseq import families as fa
+from polyseq import symmetrized as sy
 from polyseq.cli import OutputTable, build_table
 from polyseq.congruences import Report, _Checker
 from polyseq.errors import UsageError
 from polyseq.families import ROUTES, applicable_methods, family_value_by_method
 from polyseq.series import BiSeries, biseries_constant, biseries_exp, constant, exp_scaled, truncation_for
 
+import row_reference
 import series_reference
 from polylog_reference import _reciprocal_power, polylog_apply
 
@@ -1344,6 +1346,45 @@ def test_shifted_sym_rows_equal_the_binomial_double_sums():
         for n in range(4):
             for dyadic in (False, True):
                 assert fa._sym_row.__wrapped__(m, n, dyadic) == _reference_sym_row(m, n, dyadic), (m, n, dyadic)
+
+
+@pytest.mark.parametrize("name", ["_cosecant_row", "_cotangent_row", "_tilde_row", "_sasaki_row"])
+def test_stirling_kernel_rows_equal_the_builders_they_replaced(name):
+    # each builder is its weight list and one `_shifted_row` call; row_reference keeps the previous code
+    build, reference = getattr(fa, name), getattr(row_reference, name)
+    for n in range(65):
+        assert build(n) == reference(n), n
+
+
+def test_stirling_kernel_sym_rows_equal_the_builder_they_replaced():
+    for m in range(41):
+        for n in range(9):
+            for dyadic in (False, True):
+                assert fa._sym_row.__wrapped__(m, n, dyadic) == row_reference._sym_row(m, n, dyadic), (m, n, dyadic)
+
+
+@pytest.mark.parametrize("name", ["_from_cosecant_row", "_cosecant_from_cotangent_row", "_k_shift_row"])
+def test_fixed_series_rows_equal_the_builders_they_replaced(name):
+    # each conversion is one `_times_series` call; at odd n sech t's product is the empty row on both sides
+    build, reference = getattr(fa, name), getattr(row_reference, name)
+    for n in range(65):
+        assert build(n) == reference(n), n
+
+
+def test_hat_rows_equal_the_builder_they_replaced():
+    for m in range(41):
+        for n in range(9):
+            assert sy._hat_row(m, n) == row_reference._hat_row(m, n), (m, n)
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 64), x=st.fractions(min_value=-20, max_value=20, max_denominator=60))
+@example(n=64, x=F(0))
+@example(n=64, x=F(-3))  # a negative x
+@example(n=64, x=F(-3, 7))  # a negative, non-dyadic x
+@example(n=40, x=F(5, 3))  # a non-dyadic x
+def test_b_polynomial_rows_equal_the_builder_they_replaced(n, x):
+    assert fa._bernoulli_polynomial_row(n, x) == row_reference._bernoulli_polynomial_row(n, x)
 
 
 @given(w=st.lists(st.integers(-(10**9), 10**9), max_size=12), c=st.sampled_from([1, -1]))

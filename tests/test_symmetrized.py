@@ -185,6 +185,23 @@ def test_hat_numbers_equal_the_series_they_replaced():
                 assert copoly_hat(m, l, n) == want, (m, l, n)
 
 
+def test_hat_rows_build_no_fraction(monkeypatch):
+    # the scales N_i 2^(m-i) are integers over one denominator 2^(n+m); TildeD's rows are built cold here too
+    fa.ROUTES[fa.Family.TILDE_D]["explicit"][2].cache_clear()
+    real = F.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", staticmethod(counted))
+        rows = [_hat_row(m, n) for m in range(25) for n in range(7)]
+    assert built == []
+    assert len(rows) == 175 and all(denominator > 0 for denominator, _, _ in rows)
+
+
 def test_definition_rows_are_the_closed_form_rows_at_every_weight():
     # equal rows in lowest terms prove definition = closed form at every l,
     # so both symmetrized dualities hold at these (m, n) for every weight
